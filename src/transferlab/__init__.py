@@ -16,6 +16,7 @@ The layers, bottom up:
 from .caps import CapExceeded, Caps, DEFAULT_CAPS
 from .perm import Perm, commutator, parse_cycles
 from .group import (
+    InvariantError,
     PermGroup,
     Transversal,
     QuotientGroup,

@@ -5,6 +5,13 @@ Everything here is immutable after construction; derived objects
 mutate them.  Identical generator lists always produce identical chains,
 orderings and transversals, which keeps every downstream computation
 (including transfer values) reproducible.
+
+Right cosets are told apart by their coset key (`_coset_key`): the
+images of one canonical element of the coset Hg, found by walking H's
+stabilizer chain and, at each level, stepping to the coset element that
+sends the base point to its smallest image.  Transversals, quotients,
+double cosets and the maximality test look cosets up by this key instead
+of testing g * r^-1 against H for every representative r.
 """
 
 from __future__ import annotations
@@ -16,25 +23,41 @@ from .caps import DEFAULT_CAPS, Caps, CapExceeded, check_cap
 from .perm import Perm, commutator
 
 
+class InvariantError(AssertionError):
+    """An internal invariant failed.
+
+    Raised explicitly, so the check survives ``python -O``; it subclasses
+    AssertionError so existing ``except AssertionError`` handlers keep
+    catching it.
+    """
+
+
 @dataclass
 class _Level:
     base: int
     gens: list[Perm]
     transversal: dict[int, Perm]  # point -> u with u(base) = point
+    inverses: dict[int, Perm]  # point -> u^-1 for the u above
 
 
-def _orbit_transversal(base: int, gens: Sequence[Perm], degree: int) -> dict[int, Perm]:
-    trans = {base: Perm.identity(degree)}
+def _orbit_transversal(
+    base: int, gens: Sequence[Perm], degree: int
+) -> tuple[dict[int, Perm], dict[int, Perm]]:
+    """BFS orbit of base: the transversal and the inverse of each element."""
+    ident = Perm.identity(degree)
+    trans = {base: ident}
+    invs = {base: ident}
+    gen_invs = [g.inverse() for g in gens]
     queue = [base]
-    while queue:
-        x = queue.pop(0)
-        ux = trans[x]
-        for g in gens:
+    for x in queue:
+        ux, vx = trans[x], invs[x]
+        for g, g_inv in zip(gens, gen_invs):
             y = g.images[x]
             if y not in trans:
                 trans[y] = ux * g
+                invs[y] = g_inv * vx
                 queue.append(y)
-    return trans
+    return trans, invs
 
 
 def _build_chain(degree: int, gens: Sequence[Perm]) -> list[_Level]:
@@ -50,17 +73,22 @@ def _build_chain(degree: int, gens: Sequence[Perm]) -> list[_Level]:
         return [s for lvl in levels[i:] for s in lvl.gens]
 
     def refresh(i: int) -> None:
+        # Only levels 0..i see the new generator; deeper levels keep their
+        # generating sets, so their BFS would come out unchanged.
         for lvl_i in range(i + 1):
             lvl = levels[lvl_i]
-            lvl.transversal = _orbit_transversal(lvl.base, eff_gens(lvl_i), degree)
+            lvl.transversal, lvl.inverses = _orbit_transversal(
+                lvl.base, eff_gens(lvl_i), degree
+            )
 
-    def sift(g: Perm, start: int = 0) -> tuple[Perm, int]:
-        for i in range(start, len(levels)):
-            lvl = levels[i]
+    def sift(g: Perm) -> tuple[Perm, int]:
+        for i, lvl in enumerate(levels):
             x = g.images[lvl.base]
-            if x not in lvl.transversal:
+            inv = lvl.inverses.get(x)
+            if inv is None:
                 return g, i
-            g = g * lvl.transversal[x].inverse()
+            if x != lvl.base:
+                g = g * inv
         return g, len(levels)
 
     def insert(g: Perm) -> bool:
@@ -68,9 +96,9 @@ def _build_chain(degree: int, gens: Sequence[Perm]) -> list[_Level]:
         if h.is_identity():
             return False
         if i == len(levels):
-            levels.append(_Level(h.smallest_moved_point(), [], {}))
+            levels.append(_Level(h.smallest_moved_point(), [], {}, {}))
         levels[i].gens.append(h)
-        refresh(len(levels) - 1)
+        refresh(i)
         return True
 
     for g in gens:
@@ -86,9 +114,11 @@ def _build_chain(degree: int, gens: Sequence[Perm]) -> list[_Level]:
             for x in sorted(lvl.transversal):
                 ux = lvl.transversal[x]
                 for s in level_gens:
-                    y = s.images[x]
-                    schreier = ux * s * lvl.transversal[y].inverse()
-                    if insert(schreier):
+                    us = ux * s
+                    y = us.images[lvl.base]
+                    if us == lvl.transversal[y]:
+                        continue  # a tree edge: the Schreier generator is 1
+                    if insert(us * lvl.inverses[y]):
                         changed = True
     return levels
 
@@ -141,10 +171,10 @@ class PermGroup:
         if self._element_set is not None:
             return g.images in self._element_set
         for lvl in self.chain:
-            x = g.images[lvl.base]
-            if x not in lvl.transversal:
+            inv = lvl.inverses.get(g.images[lvl.base])
+            if inv is None:
                 return False
-            g = g * lvl.transversal[x].inverse()
+            g = g * inv
         return g.is_identity()
 
     def __contains__(self, g: Perm) -> bool:
@@ -177,12 +207,11 @@ class PermGroup:
         return self.order() == 1
 
     def random_element(self, rng) -> Perm:
-        """Random product of generators (not uniform; fine for sampling)."""
-        if not self.gens:
-            return self.identity()
+        """A uniformly random element: one rng.choice of a transversal
+        element per chain level, multiplied in elements() order."""
         g = self.identity()
-        for _ in range(rng.randrange(1, 20)):
-            g = g * rng.choice(self.gens)
+        for lvl in reversed(self.chain):
+            g = g * lvl.transversal[rng.choice(sorted(lvl.transversal))]
         return g
 
     # relations ------------------------------------------------------------
@@ -281,13 +310,6 @@ def join(a: PermGroup, b: PermGroup) -> PermGroup:
     return PermGroup(a.degree, list(a.gens) + list(b.gens))
 
 
-def generated_order_reaches(
-    degree: int, gens: list[Perm], extra: Perm, target: int
-) -> bool:
-    """True iff <gens, extra> has order >= target (early-exit helper)."""
-    return PermGroup(degree, gens + [extra]).order() >= target
-
-
 def normal_closure(
     g: PermGroup, seeds: Sequence[Perm], caps: Caps = DEFAULT_CAPS
 ) -> PermGroup:
@@ -326,12 +348,31 @@ def derived_subgroup(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
 
 # transversals and coset machinery ----------------------------------------
 
+def _coset_key(h: PermGroup, g: Perm) -> tuple[int, ...]:
+    """Images of the canonical element of the right coset Hg.
+
+    Walk H's chain; at each level, step to the coset element that sends
+    the base point to its smallest possible image.  The elements left
+    after a level depend only on the coset, and after the last level one
+    element is left.
+    """
+    if g.degree != h.degree:
+        raise ValueError("degree mismatch")
+    for lvl in h.chain:
+        y = min(lvl.transversal, key=g.images.__getitem__)
+        if y != lvl.base:
+            g = lvl.transversal[y] * g
+    return g.images
+
+
 class Transversal:
     """Ordered right-coset representatives for H in G.
 
     The identity comes first; the rest are sorted by image tuple, so a
     given (G, H) pair always yields the same transversal and therefore
-    the same raw pretransfer values.
+    the same raw pretransfer values.  Each rep is filed under its coset
+    key (see `_coset_key`), so the rep of any g is one key computation
+    and one lookup.
     """
 
     def __init__(self, parent: PermGroup, subgroup: PermGroup, reps: list[Perm]):
@@ -339,7 +380,9 @@ class Transversal:
         self.subgroup = subgroup
         self.reps = reps
         self._rep_set = {r.images for r in reps}
-        self._cache: dict[tuple[int, ...], Perm] = {r.images: r for r in reps}
+        self._index = {_coset_key(subgroup, r): i for i, r in enumerate(reps)}
+        if len(self._index) != len(reps):
+            raise ValueError("two representatives lie in the same coset")
 
     def __len__(self) -> int:
         return len(self.reps)
@@ -347,17 +390,20 @@ class Transversal:
     def __iter__(self) -> Iterator[Perm]:
         return iter(self.reps)
 
+    def index_of(self, g: Perm) -> int:
+        """The position in reps of the rep of Hg."""
+        i = self._index.get(_coset_key(self.subgroup, g))
+        if i is None:
+            raise ValueError("element is not in the parent group")
+        return i
+
     def rep_of(self, g: Perm) -> Perm:
         """The unique rep r with g * r^-1 in H."""
-        cached = self._cache.get(g.images)
-        if cached is not None:
-            return cached
-        h = self.subgroup
-        for r in self.reps:
-            if h.contains(g * r.inverse()):
-                self._cache[g.images] = r
-                return r
-        raise ValueError("element is not in the parent group")
+        return self.reps[self.index_of(g)]
+
+    def action(self, g: Perm) -> list[int]:
+        """g acting on the cosets: entry i is the index of H reps[i] g."""
+        return [self.index_of(r * g) for r in self.reps]
 
     def dot(self, t: Perm, g: Perm) -> Perm:
         """The coset rep of H t g (the 'dot action' t.g)."""
@@ -374,18 +420,22 @@ def right_transversal(
     index = g.order() // h.order()
     check_cap("transversal", index, caps.element_cap)
     reps = [Perm.identity(g.degree)]
+    seen = {_coset_key(h, reps[0])}
     frontier = [reps[0]]
-    # BFS over cosets; coset identity is tested against all found reps.
+    # BFS over cosets; a coset is new when its key has not been seen.
     while frontier:
         nxt = []
         for r in frontier:
             for s in g.gens:
                 c = r * s
-                if not any(h.contains(c * r2.inverse()) for r2 in reps):
+                key = _coset_key(h, c)
+                if key not in seen:
+                    seen.add(key)
                     reps.append(c)
                     nxt.append(c)
         frontier = nxt
-    assert len(reps) == index, "coset BFS miscounted"
+    if len(reps) != index:
+        raise InvariantError(f"coset BFS found {len(reps)} cosets, expected {index}")
     ordered = [reps[0]] + sorted(reps[1:])
     return Transversal(g, h, ordered)
 
@@ -405,7 +455,7 @@ def double_coset_reps(
     """
     trans = right_transversal(g, h, caps)
     n = len(trans.reps)
-    index_of = {r.images: i for i, r in enumerate(trans.reps)}
+    actions = [trans.action(s) for s in k.gens]
     unseen = set(range(n))
     out = []
     while unseen:
@@ -414,8 +464,8 @@ def double_coset_reps(
         queue = [start]
         while queue:
             i = queue.pop(0)
-            for s in k.gens:
-                j = index_of[trans.rep_of(trans.reps[i] * s).images]
+            for act in actions:
+                j = act[i]
                 if j not in orbit:
                     orbit.add(j)
                     queue.append(j)
@@ -437,17 +487,13 @@ class QuotientGroup:
         self.source = source
         self.kernel = kernel
         self.transversal = right_transversal(source, kernel, caps)
-        self._index = {r.images: i for i, r in enumerate(self.transversal.reps)}
         self.image = PermGroup(
             max(len(self.transversal.reps), 1),
             [self._coset_perm(g) for g in source.gens],
         )
 
     def _coset_perm(self, g: Perm) -> Perm:
-        reps = self.transversal.reps
-        return Perm(
-            self._index[self.transversal.rep_of(r * g).images] for r in reps
-        )
+        return Perm(self.transversal.action(g))
 
     def project(self, g: Perm) -> Perm:
         if not self.source.contains(g):
@@ -490,14 +536,41 @@ def core(g: PermGroup, h: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     return result
 
 
+def _joins_all_cosets(actions: list[list[int]], a: int) -> bool:
+    """True iff the finest block system with 0 and a in one block has a
+    single block: Atkinson's union-find closure over the generators'
+    actions on 0..n-1."""
+    n = len(actions[0])
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    parent[a] = 0
+    classes = n - 1
+    pending = [(0, a)]
+    while pending and classes > 1:
+        x, y = pending.pop()
+        for act in actions:
+            u, v = find(act[x]), find(act[y])
+            if u != v:
+                parent[v] = u
+                classes -= 1
+                pending.append((u, v))
+    return classes == 1
+
+
 def is_maximal(g: PermGroup, h: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:
+    """H is maximal in G iff G acts primitively on the right cosets of H,
+    i.e. iff no block system other than the single block joins coset H
+    to another coset."""
     if h.same_group_as(g):
         raise ValueError("H must be a proper subgroup of G")
     if not h.is_subgroup_of(g):
         raise ValueError("H is not a subgroup of G")
-    order_g = g.order()
     trans = right_transversal(g, h, caps)
-    for t in trans.reps[1:]:
-        if PermGroup(g.degree, list(h.gens) + [t]).order() != order_g:
-            return False
-    return True
+    actions = [trans.action(s) for s in g.gens]
+    return all(_joins_all_cosets(actions, a) for a in range(1, len(trans)))

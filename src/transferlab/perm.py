@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 
@@ -55,7 +56,9 @@ class Perm:
         if len(a) != len(b):
             raise ValueError("degree mismatch in composition")
         p = Perm.__new__(Perm)
-        object.__setattr__(p, "images", tuple(b[x] for x in a))
+        # itemgetter with one index returns a bare item; degree <= 1 has
+        # only the identity, so the product is b.
+        object.__setattr__(p, "images", itemgetter(*a)(b) if len(a) > 1 else b)
         return p
 
     def inverse(self) -> "Perm":
@@ -86,7 +89,7 @@ class Perm:
         return self.images[point]
 
     def is_identity(self) -> bool:
-        return all(x == i for i, x in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def order(self) -> int:
         cyc = self.cycles()

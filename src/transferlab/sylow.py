@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 from .caps import DEFAULT_CAPS, Caps, check_cap
 from .group import (
+    InvariantError,
     PermGroup,
     conjugate_subgroup,
     intersection,
@@ -48,7 +49,8 @@ def sylow_subgroup(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup
         if not xp.is_identity():
             current = PermGroup(g.degree, [xp])
             break
-    assert current is not None
+    if current is None:
+        raise InvariantError(f"no element of order divisible by {p} (contradicts Cauchy)")
     while current.order() < target:
         n = normalizer(g, current, caps)
         grown = False
@@ -59,7 +61,8 @@ def sylow_subgroup(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup
                 current = PermGroup(g.degree, list(current.gens) + [y])
                 grown = True
                 break
-        assert grown, "normalizer ascent stalled (should be impossible)"
+        if not grown:
+            raise InvariantError("normalizer ascent stalled (should be impossible)")
     return current
 
 
@@ -104,10 +107,21 @@ def sylow_intersections(
 def max_intersection_order(
     g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS, family: SylowFamily | None = None
 ) -> int:
-    pairs = sylow_intersections(g, p, caps, family)
-    if not pairs:
-        return 1
-    return max(d.order() for _, d in pairs)
+    """Largest |P cap Q| over distinct Sylow p-subgroups P, Q.
+
+    Every pair is conjugate to a pair containing the base member, so the
+    intersections with the base member attain the maximum.
+    """
+    fam = family if family is not None else all_sylow_subgroups(g, p, caps)
+    base = fam.base_member
+    return max(
+        (
+            intersection(base, q, caps).order()
+            for i, q in enumerate(fam.members)
+            if i != fam.base
+        ),
+        default=1,
+    )
 
 
 @dataclass

@@ -1,0 +1,54 @@
+"""Slow reference versions of the coset and maximality algorithms.
+
+These are the algorithms the group layer used before cosets were looked
+up by canonical key.  They stay here, and only here, as oracles for the
+differential tests in test_cosets.py.
+"""
+
+from itertools import combinations
+
+from transferlab.group import PermGroup, Transversal
+from transferlab.perm import Perm
+from transferlab.sylow import SylowFamily
+
+
+def bfs_transversal_reps(g: PermGroup, h: PermGroup) -> list[Perm]:
+    """right_transversal's reps, by a BFS over cosets that tests each
+    candidate against every rep found so far (O(index^2) membership
+    tests)."""
+    reps = [Perm.identity(g.degree)]
+    frontier = [reps[0]]
+    while frontier:
+        nxt = []
+        for r in frontier:
+            for s in g.gens:
+                c = r * s
+                if not any(h.contains(c * r2.inverse()) for r2 in reps):
+                    reps.append(c)
+                    nxt.append(c)
+        frontier = nxt
+    return [reps[0]] + sorted(reps[1:])
+
+
+def brute_rep_of(trans: Transversal, g: Perm) -> Perm:
+    """The rep r with g * r^-1 in H, by trying every rep."""
+    for r in trans.reps:
+        if trans.subgroup.contains(g * r.inverse()):
+            return r
+    raise ValueError("element is not in the parent group")
+
+
+def is_maximal_by_joins(g: PermGroup, h: PermGroup) -> bool:
+    """The definition: <H, t> = G for every t outside H.  One t per
+    non-trivial coset suffices, since <H, t> only depends on Ht."""
+    order_g = g.order()
+    return all(
+        PermGroup(g.degree, list(h.gens) + [t]).order() == order_g
+        for t in bfs_transversal_reps(g, h)[1:]
+    )
+
+
+def all_pairs_max_intersection(family: SylowFamily) -> int:
+    """max |P cap Q| over all pairs of distinct members, by element sets."""
+    sets = [m.element_set() for m in family.members]
+    return max((len(a & b) for a, b in combinations(sets, 2)), default=1)

@@ -1,0 +1,188 @@
+"""Coset keys, maximality by primitivity and Sylow intersections against
+the slow reference algorithms in coset_oracles.py, plus the explicit
+invariant checks and the uniform random_element."""
+
+import functools
+import os
+import subprocess
+import sys
+from itertools import product
+
+import pytest
+
+import transferlab
+from transferlab import group as group_mod
+from transferlab.catalog import (
+    alternating,
+    default_corpus,
+    dihedral,
+    generalized_quaternion,
+    psl2,
+    symmetric,
+)
+from transferlab.checkers import _prime_divisors
+from transferlab.group import (
+    InvariantError,
+    PermGroup,
+    Transversal,
+    _coset_key,
+    is_maximal,
+    normalizer,
+    right_transversal,
+)
+from transferlab.iso import all_subgroups
+from transferlab.perm import Perm
+from transferlab.sylow import all_sylow_subgroups, max_intersection_order, sylow_subgroup
+
+from coset_oracles import (
+    all_pairs_max_intersection,
+    bfs_transversal_reps,
+    brute_rep_of,
+    is_maximal_by_joins,
+)
+
+CORPUS = {e.label: e for e in default_corpus()}
+PAIRS = [
+    (label, p) for label, e in CORPUS.items() for p in _prime_divisors(e.expected_order)
+]
+PAIR_IDS = [f"{label}-p{p}" for label, p in PAIRS]
+# Elements of G per pair checked against brute-force rep_of.
+REP_OF_SAMPLE = 48
+
+
+@functools.cache
+def corpus_pair(label: str, p: int):
+    """(G, Sylow family, N_G(P)) for a corpus pair, P the family's base."""
+    g = CORPUS[label].build()
+    fam = all_sylow_subgroups(g, p)
+    return g, fam, normalizer(g, fam.base_member)
+
+
+def _d8_in_s4() -> PermGroup:
+    return PermGroup(4, [Perm.from_cycles(4, [(0, 1, 2, 3)]), Perm.from_cycles(4, [(0, 2)])])
+
+
+def test_corpus_has_68_pairs():
+    assert len(PAIRS) == 68
+
+
+@pytest.mark.parametrize("label,p", PAIRS, ids=PAIR_IDS)
+def test_right_transversal_matches_bfs_oracle(label, p):
+    g, fam, n = corpus_pair(label, p)
+    for h in (fam.base_member, n):
+        assert right_transversal(g, h).reps == bfs_transversal_reps(g, h)
+
+
+@pytest.mark.parametrize("label,p", PAIRS, ids=PAIR_IDS)
+def test_rep_of_matches_brute_force(label, p):
+    g, fam, _ = corpus_pair(label, p)
+    trans = right_transversal(g, fam.base_member)
+    elems = g.elements()
+    for x in elems[:: max(1, len(elems) // REP_OF_SAMPLE)]:
+        assert trans.rep_of(x) is brute_rep_of(trans, x)
+
+
+@pytest.mark.parametrize("label,p", PAIRS, ids=PAIR_IDS)
+def test_max_intersection_matches_all_pairs(label, p):
+    g, fam, _ = corpus_pair(label, p)
+    assert max_intersection_order(g, p, family=fam) == all_pairs_max_intersection(fam)
+
+
+@pytest.mark.parametrize(
+    "g", [symmetric(4), dihedral(8), generalized_quaternion(16)], ids=lambda g: g.name
+)
+def test_is_maximal_matches_join_definition(g):
+    proper = [h for h in all_subgroups(g) if h.order() < g.order()]
+    verdicts = [is_maximal(g, h) for h in proper]
+    assert verdicts == [is_maximal_by_joins(g, h) for h in proper]
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_is_maximal_psl217_sylow2():
+    """The witness case: a Sylow 2-subgroup of index 153 in PSL(2,17)."""
+    g = psl2(17)
+    p = sylow_subgroup(g, 2)
+    assert len(right_transversal(g, p)) == 153
+    assert is_maximal(g, p) and is_maximal_by_joins(g, p)
+
+
+def test_rep_of_rejects_elements_outside_parent():
+    a4 = alternating(4)
+    v4 = PermGroup(
+        4, [Perm.from_cycles(4, [(0, 1), (2, 3)]), Perm.from_cycles(4, [(0, 2), (1, 3)])]
+    )
+    trans = right_transversal(a4, v4)
+    with pytest.raises(ValueError):
+        trans.rep_of(Perm.transposition(4, 0, 1))
+    with pytest.raises(ValueError):
+        trans.rep_of(Perm.identity(5))
+
+
+def test_transversal_rejects_two_reps_of_one_coset(s4):
+    d8 = _d8_in_s4()
+    with pytest.raises(ValueError):
+        Transversal(s4, d8, [s4.identity(), d8.gens[0]])
+
+
+def test_coset_key_is_constant_on_cosets_and_separates_them(s4):
+    d8 = _d8_in_s4()
+    keys = {}
+    for x in s4.elements():
+        keys.setdefault(_coset_key(d8, x), set()).update(
+            (h * x).images for h in d8.elements()
+        )
+    assert len(keys) == 3
+    assert all(len(coset) == 8 for coset in keys.values())
+    assert all(key in coset for key, coset in keys.items())
+
+
+def test_collapsed_cosets_raise_invariant_error(monkeypatch, s4):
+    """Two cosets that share a key leave the coset BFS one short."""
+    d8 = _d8_in_s4()
+    reps = right_transversal(s4, d8).reps
+    real = group_mod._coset_key
+    merged, kept = real(d8, reps[2]), real(d8, reps[1])
+
+    def collapsed(h, x):
+        key = real(h, x)
+        return kept if key == merged else key
+
+    monkeypatch.setattr(group_mod, "_coset_key", collapsed)
+    with pytest.raises(InvariantError):
+        right_transversal(s4, d8)
+    with pytest.raises(AssertionError):
+        right_transversal(s4, d8)
+
+
+def test_invariant_error_survives_python_O():
+    """The same test in a fresh interpreter under -O, which strips asserts."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(transferlab.__file__)))
+    test_id = f"{os.path.abspath(__file__)}::test_collapsed_cosets_raise_invariant_error"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", test_id],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0 and "1 passed" in proc.stdout, proc.stdout + proc.stderr
+
+
+class _ScriptedRng:
+    """An rng whose choice() answers with the next index of a fixed tuple."""
+
+    def __init__(self, picks):
+        self._picks = iter(picks)
+
+    def choice(self, seq):
+        return seq[next(self._picks)]
+
+
+@pytest.mark.parametrize("g", [symmetric(4), dihedral(8)], ids=lambda g: g.name)
+def test_random_element_is_uniform(g):
+    """Every tuple of per-level choices gives a different element, so a
+    uniform choice per level gives a uniform element."""
+    sizes = [len(lvl.transversal) for lvl in reversed(g.chain)]
+    drawn = [g.random_element(_ScriptedRng(picks)) for picks in product(*map(range, sizes))]
+    assert len(drawn) == g.order()
+    assert {x.images for x in drawn} == g.element_set()
