@@ -20,7 +20,7 @@ def main():
           f"{max(e.expected_order for e in entries)}")
 
     start = time.monotonic()
-    report = scan_corpus(entries, None, {}, DEFAULT_CAPS, jobs=1)
+    report = scan_corpus(entries, None, {}, DEFAULT_CAPS)
     elapsed = time.monotonic() - start
 
     print(f"\n{len(report.verdicts)} verdicts in {elapsed:.1f}s")

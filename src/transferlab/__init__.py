@@ -26,8 +26,6 @@ from .group import (
     core,
     derived_subgroup,
     double_coset_reps,
-    dot_action,
-    group_from_generators,
     intersection,
     is_maximal,
     join,
@@ -82,7 +80,6 @@ from .sylow import (
     is_tame_intersection,
     is_weakly_closed,
     max_intersection_order,
-    sylow_intersections,
     sylow_subgroup,
     tame_intersections_between,
 )

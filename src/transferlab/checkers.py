@@ -18,8 +18,7 @@ from .group import (
     normalizer,
     quotient_group,
 )
-from .iso import all_subgroups, is_isomorphic
-from .perm import Perm
+from .iso import all_subgroups, is_isomorphic, prime_divisors
 from .series import (
     center,
     frattini_p,
@@ -47,20 +46,6 @@ from .sylow import (
     tame_intersections_between,
 )
 from .transfer import controls_p_transfer, lemma23_witness
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 class Context:
@@ -350,14 +335,12 @@ def _chk_aux_gruen_instance(ctx: Context, params: dict):
     return True, ctx.control(n_z).controls, wit, ""
 
 
-def _normal_p_subgroup_candidates(ctx: Context, params: dict) -> list[PermGroup]:
+def _normal_p_subgroup_candidates(ctx: Context) -> list[PermGroup]:
     op = o_p(ctx.group, ctx.prime, ctx.caps)
     candidates = [op]
     if not op.is_trivial():
         candidates.append(omega(op, ctx.prime, 1, ctx.caps))
         candidates.append(intersection(center(ctx.p_syl, ctx.caps), op, ctx.caps))
-    if "z_subgroup" in params:
-        candidates.append(params["z_subgroup"])
     out = []
     seen = set()
     for z in candidates:
@@ -385,7 +368,7 @@ def _quotient_controls(ctx: Context, n: PermGroup, z: PermGroup) -> bool:
 def _chk_lemma_3_1(ctx: Context, params: dict):
     n = ctx.ngp
     qualifying = []
-    for z in _normal_p_subgroup_candidates(ctx, params):
+    for z in _normal_p_subgroup_candidates(ctx):
         if not _quotient_controls(ctx, n, z):
             continue
         cond_a = lemma_condition_iterated_commutator(ctx.p_syl, z, ctx.prime, ctx.caps)
@@ -404,7 +387,7 @@ def _chk_lemma_3_2(ctx: Context, params: dict):
         return False, None, {"controls": True}, ""
     qualifying = [
         z
-        for z in _normal_p_subgroup_candidates(ctx, params)
+        for z in _normal_p_subgroup_candidates(ctx)
         if _quotient_controls(ctx, n, z)
     ]
     wit = {"qualifying_Z": [_sub_label(z) for z in qualifying]}
@@ -472,11 +455,11 @@ def _chk_thm_4_3(ctx: Context, params: dict):
     return True, not op.is_trivial(), wit, ""
 
 
-def _nilpotent_maximal_candidates(ctx: Context, params: dict) -> list[PermGroup]:
+def _nilpotent_maximal_candidates(ctx: Context) -> list[PermGroup]:
     g = ctx.group
     out = []
     seen = set()
-    for q in _prime_divisors(g.order()):
+    for q in prime_divisors(g.order()):
         m = normalizer(g, sylow_subgroup(g, q, ctx.caps), ctx.caps)
         key = m.subgroup_key(ctx.caps)
         if key in seen:
@@ -498,7 +481,7 @@ def _sylow2_of(m: PermGroup, ctx: Context) -> PermGroup | None:
 
 
 def _chk_thm_4_4_janko(ctx: Context, params: dict):
-    candidates = _nilpotent_maximal_candidates(ctx, params)
+    candidates = _nilpotent_maximal_candidates(ctx)
     hit = None
     for m in candidates:
         s2 = _sylow2_of(m, ctx)
@@ -515,7 +498,7 @@ def _chk_thm_4_4_janko(ctx: Context, params: dict):
 
 
 def _chk_thm_4_5(ctx: Context, params: dict):
-    candidates = _nilpotent_maximal_candidates(ctx, params)
+    candidates = _nilpotent_maximal_candidates(ctx)
     hit = None
     for m in candidates:
         s2 = _sylow2_of(m, ctx)
@@ -717,7 +700,6 @@ def scan_corpus(
     checker_ids: list[str] | None = None,
     params: dict | None = None,
     caps: Caps = DEFAULT_CAPS,
-    jobs: int = 1,
 ) -> TheoremReport:
     """Run every applicable checker over every (group, prime) pair."""
     ids = sorted(checker_ids or CHECKERS.keys())
@@ -725,40 +707,16 @@ def scan_corpus(
         if checker_id not in CHECKERS:
             raise ValueError(f"unknown checker: {checker_id}")
     params = params or {}
-    tasks = []
+    verdicts: list[CheckerVerdict] = []
+    pairs = 0
     for entry in entries:
         group = entry.build()
-        for p in _prime_divisors(group.order()):
-            tasks.append((group, p))
-
-    def run_pair(group, p):
-        ctx = Context(group, p, caps)
-        out = []
-        for checker_id in ids:
-            spec = CHECKERS[checker_id]
-            if not spec.applies(group, p, caps):
-                continue
-            out.append(run_checker(checker_id, group, p, params, caps, ctx))
-        return out
-
-    verdicts: list[CheckerVerdict] = []
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for batch in pool.map(lambda t: run_pair(*t), tasks):
-                verdicts.extend(batch)
-    else:
-        for group, p in tasks:
-            verdicts.extend(run_pair(group, p))
-
-    corrupt = params.get("corrupt_checker")
-    if corrupt:
-        for v in verdicts:
-            if v.checker_id == corrupt and v.verdict == "implication_ok":
-                v.conclusion_holds = False
-                v.verdict = "VIOLATION"
-                v.interpretation_notes += " [conclusion corrupted by test mode]"
+        for p in prime_divisors(group.order()):
+            pairs += 1
+            ctx = Context(group, p, caps)
+            for checker_id in ids:
+                if CHECKERS[checker_id].applies(group, p, caps):
+                    verdicts.append(run_checker(checker_id, group, p, params, caps, ctx))
 
     verdicts.sort(key=lambda v: (v.group_label, v.prime, v.checker_id))
     summary = {"implication_ok": 0, "vacuous": 0, "VIOLATION": 0, "skipped:cap": 0}
@@ -772,7 +730,7 @@ def scan_corpus(
         and v.hypothesis_holds
         and v.witnesses.get("strict_reading_ok") != v.witnesses.get("p_prime_reading_ok")
     ]
-    description = f"{len(entries)} groups, {len(tasks)} (group, prime) pairs"
+    description = f"{len(entries)} groups, {pairs} (group, prime) pairs"
     return TheoremReport(description, verdicts, summary, violations, discrepancies)
 
 

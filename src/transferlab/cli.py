@@ -25,7 +25,6 @@ from .checkers import (
     verify_paper_witnesses,
 )
 from .group import PermGroup, is_maximal, normalizer
-from .iso import abelian_invariants
 from .series import (
     a_p,
     center,
@@ -65,17 +64,13 @@ def _resolve_group(selector: str, args) -> PermGroup:
     raise ValueError(f"unknown group selector: {selector!r}")
 
 
-def _caps(args) -> Caps:
-    return Caps.default()
-
-
 def cmd_analyze(args) -> int:
     group = _resolve_group(args.group, args)
     p = args.prime
     if p is None or group.order() % p:
         print(f"error: --prime must divide the group order {group.order()}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    caps = _caps(args)
+    caps = Caps.default()
     fam = all_sylow_subgroups(group, p, caps)
     p_syl = fam.base_member
     ngp = normalizer(group, p_syl, caps)
@@ -122,7 +117,7 @@ def cmd_verify(args) -> int:
     params = {}
     if args.reading:
         params["reading"] = args.reading
-    verdict = run_checker(args.checker, group, p, params, _caps(args))
+    verdict = run_checker(args.checker, group, p, params, Caps.default())
     if args.format == "records":
         print(verdict.to_json())
     else:
@@ -146,10 +141,8 @@ def cmd_scan(args) -> int:
     params = {}
     if args.reading:
         params["reading"] = args.reading
-    if args.corrupt_checker:
-        params["corrupt_checker"] = args.corrupt_checker
     checker_ids = args.checker or None
-    report = scan_corpus(entries, checker_ids, params, _caps(args), jobs=args.jobs)
+    report = scan_corpus(entries, checker_ids, params, Caps.default())
     if args.format == "records":
         for line in report.record_lines():
             print(line)
@@ -172,7 +165,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    facts = verify_paper_witnesses(_caps(args))
+    facts = verify_paper_witnesses(Caps.default())
     failed = False
     for fact_id, ok in facts:
         print(f"{fact_id}: {'pass' if ok else 'FAIL'}")
@@ -221,13 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument(
         "--checker", action="append", help="checker id (repeatable; default all)"
     )
-    p_scan.add_argument("--jobs", type=int, default=1)
     p_scan.add_argument("--reading", choices=("strict",), default=None)
-    p_scan.add_argument(
-        "--corrupt-checker",
-        dest="corrupt_checker",
-        help="test mode: force the named checker's conclusions to fail",
-    )
     common(p_scan)
     p_scan.set_defaults(func=cmd_scan)
 

@@ -16,10 +16,10 @@ of testing g * r^-1 against H for every representative r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .caps import DEFAULT_CAPS, Caps, CapExceeded, check_cap
+from .caps import DEFAULT_CAPS, Caps, check_cap
 from .perm import Perm, commutator
 
 
@@ -241,12 +241,6 @@ class PermGroup:
 
 # constructors -------------------------------------------------------------
 
-def group_from_generators(
-    degree: int, gens: Iterable[Perm], name: str | None = None
-) -> PermGroup:
-    return PermGroup(degree, gens, name)
-
-
 def trivial_group(degree: int) -> PermGroup:
     return PermGroup(degree, [], "1")
 
@@ -438,10 +432,6 @@ def right_transversal(
         raise InvariantError(f"coset BFS found {len(reps)} cosets, expected {index}")
     ordered = [reps[0]] + sorted(reps[1:])
     return Transversal(g, h, ordered)
-
-
-def dot_action(t: Transversal, rep: Perm, g: Perm) -> Perm:
-    return t.dot(rep, g)
 
 
 def double_coset_reps(

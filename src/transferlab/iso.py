@@ -57,7 +57,7 @@ class GeneratorMap:
         values = {p.images for p in mapping.values()}
         return len(values) == self.target.order()
 
-    def apply(self, x: Perm, _cache: dict | None = None) -> Perm:
+    def apply(self, x: Perm) -> Perm:
         table = self.__dict__.setdefault("_table", self.extend())
         if table is None:
             raise ValueError("generator map is not a homomorphism")
@@ -85,7 +85,7 @@ def abelian_invariants(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> tuple[int, ..
         return ()
     elems = g.elements(caps)
     out: list[int] = []
-    for p in _prime_factors(n):
+    for p in prime_divisors(n):
         prev = 1
         k = 1
         heights: list[int] = []
@@ -105,7 +105,8 @@ def abelian_invariants(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> tuple[int, ..
     return tuple(sorted(out))
 
 
-def _prime_factors(n: int) -> list[int]:
+def prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division."""
     out = []
     d = 2
     while d * d <= n:
@@ -174,13 +175,19 @@ def _generating_sequence(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[Perm]:
     return seq
 
 
-def _conjugacy_classes(g: PermGroup, caps: Caps) -> list[list[Perm]]:
-    """Conjugacy classes; each class is ordered by chain enumeration order."""
-    elems = g.elements(caps)
-    pos = {x.images: i for i, x in enumerate(elems)}
+def conjugacy_classes(
+    g: PermGroup, caps: Caps = DEFAULT_CAPS
+) -> list[tuple[Perm, list[Perm]]]:
+    """The conjugacy classes of g as (representative, class) pairs.
+
+    Classes come in the order of their first element in chain
+    enumeration order, and that element is the representative.  Each
+    class lists its elements in breadth-first order from the
+    representative under conjugation by the generators.
+    """
     seen: set[tuple[int, ...]] = set()
-    classes = []
-    for x in elems:
+    out = []
+    for x in g.elements(caps):
         if x.images in seen:
             continue
         orbit = [x]
@@ -194,9 +201,28 @@ def _conjugacy_classes(g: PermGroup, caps: Caps) -> list[list[Perm]]:
                     seen.add(c.images)
                     orbit.append(c)
                     queue.append(c)
-        orbit.sort(key=lambda p: pos[p.images])
-        classes.append(orbit)
-    return classes
+        out.append((x, orbit))
+    return out
+
+
+def _image_pools(
+    seq: list[Perm], target: PermGroup, caps: Caps, reps_first: bool
+) -> list[list[Perm]]:
+    """Candidate images in target for each generator in seq, by element order.
+
+    With reps_first the first image is restricted to conjugacy-class
+    representatives: any map can be post-composed with an inner
+    automorphism of the target.
+    """
+    by_order: dict[int, list[Perm]] = {}
+    for x in target.elements(caps):
+        by_order.setdefault(x.order(), []).append(x)
+    pools = [by_order.get(x.order(), []) for x in seq]
+    if reps_first:
+        first_order = seq[0].order()
+        classes = conjugacy_classes(target, caps)
+        pools[0] = [rep for rep, _ in classes if rep.order() == first_order]
+    return pools
 
 
 def _iso_search(
@@ -242,32 +268,24 @@ def is_isomorphic(
     if _fingerprint(a, caps) != _fingerprint(b, caps):
         return False, None
     seq = _generating_sequence(a)
-    by_order: dict[int, list[Perm]] = {}
-    for x in b.elements(caps):
-        by_order.setdefault(x.order(), []).append(x)
-    # The first image may be restricted to class representatives of b:
-    # any isomorphism can be post-composed with an inner automorphism.
-    classes = _conjugacy_classes(b, caps)
-    first_order = seq[0].order()
-    first_pool = [c[0] for c in classes if c[0].order() == first_order]
-    pools = [first_pool] + [by_order.get(x.order(), []) for x in seq[1:]]
+    pools = _image_pools(seq, b, caps, reps_first=True)
     found = _iso_search(a, b, seq, pools, collect_all=False)
     if found:
         return True, found[0]
     return False, None
 
 
-def automorphism_group(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[GeneratorMap]:
-    """The complete list of automorphisms, as generator maps."""
+def _automorphisms(p: PermGroup, caps: Caps, reps_first: bool) -> list[GeneratorMap]:
     check_cap("automorphism search", p.order(), caps.aut_cap)
     if p.order() == 1:
         return [GeneratorMap(p, p, ())]
     seq = _generating_sequence(p)
-    by_order: dict[int, list[Perm]] = {}
-    for x in p.elements(caps):
-        by_order.setdefault(x.order(), []).append(x)
-    pools = [by_order.get(x.order(), []) for x in seq]
-    return _iso_search(p, p, seq, pools, collect_all=True)
+    return _iso_search(p, p, seq, _image_pools(seq, p, caps, reps_first), collect_all=True)
+
+
+def automorphism_group(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[GeneratorMap]:
+    """The complete list of automorphisms, as generator maps."""
+    return _automorphisms(p, caps, reps_first=False)
 
 
 def automorphism_representatives(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[GeneratorMap]:
@@ -278,18 +296,7 @@ def automorphism_representatives(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> lis
     composition with an inner one.  Sufficient for testing whether a
     normal subgroup is characteristic; much smaller than the full list.
     """
-    check_cap("automorphism search", p.order(), caps.aut_cap)
-    if p.order() == 1:
-        return [GeneratorMap(p, p, ())]
-    seq = _generating_sequence(p)
-    by_order: dict[int, list[Perm]] = {}
-    for x in p.elements(caps):
-        by_order.setdefault(x.order(), []).append(x)
-    classes = _conjugacy_classes(p, caps)
-    first_order = seq[0].order()
-    first_pool = [c[0] for c in classes if c[0].order() == first_order]
-    pools = [first_pool] + [by_order.get(x.order(), []) for x in seq[1:]]
-    return _iso_search(p, p, seq, pools, collect_all=True)
+    return _automorphisms(p, caps, reps_first=True)
 
 
 def all_subgroups(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[PermGroup]:

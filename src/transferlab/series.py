@@ -9,22 +9,19 @@ corpus tops out at order 2448 so nothing here needs to be clever.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .caps import DEFAULT_CAPS, Caps
 from .group import (
     PermGroup,
-    QuotientGroup,
     commutator_subgroup,
     derived_subgroup,
     intersection,
     join,
-    normal_closure,
     quotient_group,
     span,
     trivial_group,
 )
-from .iso import all_subgroups
+from .iso import all_subgroups, conjugacy_classes
 from .perm import Perm, commutator
 
 
@@ -231,27 +228,6 @@ def omega(p_grp: PermGroup, p: int, i: int = 1, caps: Caps = DEFAULT_CAPS) -> Pe
 
 # p-cores and p-residuals --------------------------------------------------
 
-def _conjugacy_class_reps(g: PermGroup, caps: Caps) -> list[tuple[Perm, list[Perm]]]:
-    seen: set[tuple[int, ...]] = set()
-    out = []
-    for x in g.elements(caps):
-        if x.images in seen:
-            continue
-        orbit = [x]
-        seen.add(x.images)
-        queue = [x]
-        while queue:
-            y = queue.pop(0)
-            for s in g.gens:
-                c = y.conjugate(s)
-                if c.images not in seen:
-                    seen.add(c.images)
-                    orbit.append(c)
-                    queue.append(c)
-        out.append((x, orbit))
-    return out
-
-
 def o_p(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """O_p(G): the p-core, as the intersection of all Sylow p-subgroups."""
     from .sylow import all_sylow_subgroups, sylow_subgroup
@@ -271,7 +247,7 @@ def o_p_by_closure(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup
     """O_p(G) as <x : the normal closure of x is a p-group> (oracle route)."""
     target = p_part(g.order(), p)
     good: list[Perm] = []
-    for rep, orbit in _conjugacy_class_reps(g, caps):
+    for rep, orbit in conjugacy_classes(g, caps):
         if rep.is_identity() or p_part(rep.order(), p) != rep.order():
             continue
         if _closure_is_pi_group(g, rep, lambda n: p_part(n, p) == n, target, caps):
@@ -299,7 +275,7 @@ def o_p_prime(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """O_{p'}(G): generated by the x whose normal closure is a p'-group."""
     max_order = p_prime_part(g.order(), p)
     good: list[Perm] = []
-    for rep, orbit in _conjugacy_class_reps(g, caps):
+    for rep, orbit in conjugacy_classes(g, caps):
         if rep.is_identity() or rep.order() % p == 0:
             continue
         if _closure_is_pi_group(g, rep, lambda n: n % p != 0, max_order, caps):

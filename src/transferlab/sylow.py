@@ -12,11 +12,8 @@ from .group import (
     PermGroup,
     conjugate_subgroup,
     intersection,
-    join,
     normalizer,
-    quotient_group,
     right_transversal,
-    span,
 )
 from .iso import (
     GeneratorMap,
@@ -27,7 +24,6 @@ from .iso import (
 from .perm import Perm
 from .series import (
     element_p_part,
-    is_p_group,
     is_p_nilpotent,
     p_part,
 )
@@ -90,18 +86,6 @@ def all_sylow_subgroups(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> Sylo
     trans = right_transversal(g, n, caps)
     members = [conjugate_subgroup(syl, t) for t in trans.reps]
     return SylowFamily(p, members, 0)
-
-
-def sylow_intersections(
-    g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS, family: SylowFamily | None = None
-) -> list[tuple[tuple[int, int], PermGroup]]:
-    """All pairwise intersections of distinct Sylow p-subgroups."""
-    fam = family if family is not None else all_sylow_subgroups(g, p, caps)
-    out = []
-    for i in range(len(fam.members)):
-        for j in range(i + 1, len(fam.members)):
-            out.append(((i, j), intersection(fam.members[i], fam.members[j], caps)))
-    return out
 
 
 def max_intersection_order(

@@ -10,6 +10,20 @@ from transferlab.catalog import (
     psl2,
     symmetric,
 )
+from transferlab.checkers import CHECKERS
+
+
+@pytest.fixture
+def corrupt_burnside(monkeypatch):
+    """Make the burnside checker fail its conclusion whenever its
+    hypothesis holds, so a scan over it must report violations."""
+    run = CHECKERS["burnside"].run
+
+    def corrupted(ctx, params):
+        hyp, concl, witnesses, notes = run(ctx, params)
+        return hyp, False if hyp else concl, witnesses, notes
+
+    monkeypatch.setattr(CHECKERS["burnside"], "run", corrupted)
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ from transferlab.caps import DEFAULT_CAPS
 from transferlab.catalog import default_corpus
 from transferlab.checkers import scan_corpus, verify_paper_witnesses
 from transferlab.group import PermGroup, normalizer, right_transversal
+from transferlab.iso import prime_divisors
 from transferlab.series import (
     center,
     frattini_by_maximals,
@@ -33,20 +34,6 @@ from transferlab.transfer import (
     tate_agreement,
     transfer,
 )
-
-
-def _primes_of(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _report(capsys, label, ok):
@@ -71,15 +58,13 @@ def test_criterion_1_witness_suite(capsys):
 def test_criterion_2_theorem_scan(capsys, corpus):
     entries = default_corpus()
     start = time.monotonic()
-    default_report = scan_corpus(entries, None, {}, DEFAULT_CAPS, jobs=1)
+    default_report = scan_corpus(entries, None, {}, DEFAULT_CAPS)
     elapsed = time.monotonic() - start
     clean = not default_report.violations and elapsed < 1800
     discrepancies = {
         (v.group_label, v.prime) for v in default_report.interpretation_discrepancies
     }
-    strict_report = scan_corpus(
-        entries, ["thm_4_2"], {"reading": "strict"}, DEFAULT_CAPS, jobs=1
-    )
+    strict_report = scan_corpus(entries, ["thm_4_2"], {"reading": "strict"}, DEFAULT_CAPS)
     strict_hits = {(v.group_label, v.prime) for v in strict_report.violations}
     exact_split = strict_hits == {("S4", 2)} and discrepancies == {("S4", 2)}
     ok = clean and exact_split
@@ -145,7 +130,7 @@ def test_criterion_5_control_consistency(capsys, corpus):
     tate_failures = []
     checked = 0
     for label, g in corpus:
-        for p in _primes_of(g.order()):
+        for p in prime_divisors(g.order()):
             p_syl = sylow_subgroup(g, p, DEFAULT_CAPS)
             candidates = {g.order(): g}
             ngp = normalizer(g, p_syl, DEFAULT_CAPS)
@@ -197,10 +182,10 @@ def test_criterion_6_kernel_oracles(capsys, corpus):
     for label, g in corpus:
         if g.order() <= 5000 and g.order() != _brute_closure_count(g):
             mismatches.append(("order", label))
-        for p in _primes_of(g.order()):
+        for p in prime_divisors(g.order()):
             if not o_p(g, p, DEFAULT_CAPS).same_group_as(o_p_by_closure(g, p, DEFAULT_CAPS)):
                 mismatches.append(("o_p", label, p))
-        for p in _primes_of(g.order()):
+        for p in prime_divisors(g.order()):
             if g.order() <= 64 and is_p_group(g, p):
                 a = frattini_p(g, p, DEFAULT_CAPS)
                 b = frattini_by_maximals(g, p, DEFAULT_CAPS)
@@ -215,7 +200,7 @@ def test_criterion_7_non_control_witnesses(capsys, corpus):
     found = []
     bad = []
     for label, g in corpus:
-        for p in _primes_of(g.order()):
+        for p in prime_divisors(g.order()):
             p_syl = sylow_subgroup(g, p, DEFAULT_CAPS)
             ngp = normalizer(g, p_syl, DEFAULT_CAPS)
             if controls_p_transfer(g, ngp, p, DEFAULT_CAPS).controls:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -140,19 +141,12 @@ def test_cli_input_errors(capsys):
 
 
 def test_cli_strict_caps_exit(monkeypatch, capsys):
+    # The CLI reads the element cap from the environment on every command.
     monkeypatch.setenv("TRANSFERLAB_ELEMENT_CAP", "50")
-    import importlib
-
-    import transferlab.caps as caps_mod
-
-    importlib.reload(caps_mod)
-    try:
-        from transferlab.caps import DEFAULT_CAPS
-
-        assert DEFAULT_CAPS.element_cap == 50
-    finally:
-        monkeypatch.delenv("TRANSFERLAB_ELEMENT_CAP")
-        importlib.reload(caps_mod)
+    args = ["verify", "burnside", "S6", "--prime", "2"]
+    assert main(args) == 0
+    assert "skipped:cap" in capsys.readouterr().out
+    assert main(args + ["--strict-caps"]) == 3
 
 
 def test_cli_scan_subset(capsys, tmp_path):
@@ -164,22 +158,11 @@ def test_cli_scan_subset(capsys, tmp_path):
     assert "VIOLATION: 0" in out
 
 
-def test_cli_scan_corrupt_checker_fails(capsys, tmp_path):
+def test_cli_scan_corrupt_checker_fails(capsys, tmp_path, corrupt_burnside):
     entries = [e for e in default_corpus() if e.label in ("S3", "S4")]
     path = tmp_path / "mini.jsonl"
     save_catalog(entries, str(path))
-    code = main(
-        [
-            "scan",
-            "--catalog",
-            str(path),
-            "--checker",
-            "burnside",
-            "--corrupt-checker",
-            "burnside",
-        ]
-    )
-    assert code == 1
+    assert main(["scan", "--catalog", str(path), "--checker", "burnside"]) == 1
 
 
 def test_cli_scan_records_deterministic(capsys, tmp_path):
@@ -189,11 +172,20 @@ def test_cli_scan_records_deterministic(capsys, tmp_path):
     args = ["scan", "--catalog", str(path), "--checker", "burnside", "--format", "records"]
     assert main(args) == 0
     first = capsys.readouterr().out
-    assert main(args + ["--jobs", "2"]) == 0
+    assert main(args) == 0
     second = capsys.readouterr().out
     assert first == second
     for line in first.strip().splitlines():
         json.loads(line)
+
+
+GOLDEN_RECORDS = Path(__file__).parent.parent / "perfbench" / "golden" / "scan_records.jsonl"
+
+
+def test_cli_scan_records_match_golden(capsys):
+    """The full record stream stays byte-identical to the checked-in one."""
+    assert main(["scan", "--format", "records"]) == 0
+    assert capsys.readouterr().out == GOLDEN_RECORDS.read_text()
 
 
 def test_cli_witness(capsys):

@@ -135,17 +135,15 @@ def test_weakly_closed_normalizer_containment():
 
 def test_scan_small_subset_clean_and_deterministic():
     entries = [e for e in default_corpus() if e.label in ("S3", "S4", "A4", "D8", "Q8")]
-    r1 = scan_corpus(entries, ["burnside", "main_1_3", "thm_4_2"], {}, DEFAULT_CAPS, jobs=1)
-    r2 = scan_corpus(entries, ["burnside", "main_1_3", "thm_4_2"], {}, DEFAULT_CAPS, jobs=2)
+    r1 = scan_corpus(entries, ["burnside", "main_1_3", "thm_4_2"], {}, DEFAULT_CAPS)
+    r2 = scan_corpus(entries, ["burnside", "main_1_3", "thm_4_2"], {}, DEFAULT_CAPS)
     assert not r1.violations
     assert r1.record_lines() == r2.record_lines()
 
 
-def test_corrupt_checker_is_detected():
+def test_corrupt_checker_is_detected(corrupt_burnside):
     entries = [e for e in default_corpus() if e.label in ("S3", "S4")]
-    report = scan_corpus(
-        entries, ["burnside"], {"corrupt_checker": "burnside"}, DEFAULT_CAPS, jobs=1
-    )
+    report = scan_corpus(entries, ["burnside"], {}, DEFAULT_CAPS)
     assert report.violations
 
 

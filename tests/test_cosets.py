@@ -20,7 +20,6 @@ from transferlab.catalog import (
     psl2,
     symmetric,
 )
-from transferlab.checkers import _prime_divisors
 from transferlab.group import (
     InvariantError,
     PermGroup,
@@ -30,7 +29,7 @@ from transferlab.group import (
     normalizer,
     right_transversal,
 )
-from transferlab.iso import all_subgroups
+from transferlab.iso import all_subgroups, prime_divisors
 from transferlab.perm import Perm
 from transferlab.sylow import all_sylow_subgroups, max_intersection_order, sylow_subgroup
 
@@ -43,7 +42,7 @@ from coset_oracles import (
 
 CORPUS = {e.label: e for e in default_corpus()}
 PAIRS = [
-    (label, p) for label, e in CORPUS.items() for p in _prime_divisors(e.expected_order)
+    (label, p) for label, e in CORPUS.items() for p in prime_divisors(e.expected_order)
 ]
 PAIR_IDS = [f"{label}-p{p}" for label, p in PAIRS]
 # Elements of G per pair checked against brute-force rep_of.
