@@ -10,8 +10,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .group import PermGroup
+from .group import InvariantError, PermGroup
 from .perm import Perm
+
+
+def _checked_order(g: PermGroup, order: int) -> PermGroup:
+    """g itself, after checking that a construction reached its stated order."""
+    if g.order() != order:
+        raise InvariantError(f"{g.name} has order {g.order()}, expected {order}")
+    return g
 
 
 # built-in constructors ------------------------------------------------------
@@ -76,9 +83,10 @@ def generalized_quaternion(order: int) -> PermGroup:
         b_imgs[idx(i, 0)] = idx(i, 1)
         b_imgs[idx(i, 1)] = idx((i + half // 2) % half, 0)
     g = PermGroup(order, [Perm(a_imgs), Perm(b_imgs)], name=f"Q{order}")
-    assert g.order() == order
+    _checked_order(g, order)
     involutions = [x for x in g.elements() if x.order() == 2]
-    assert len(involutions) == 1, "generalized quaternion must have a unique involution"
+    if len(involutions) != 1:
+        raise InvariantError("generalized quaternion must have a unique involution")
     return g
 
 
@@ -104,8 +112,7 @@ def wreath_cyclic(p: int) -> PermGroup:
     base = Perm.from_cycles(degree, [range(p)])
     top = Perm([(i + p) % degree for i in range(degree)])
     g = PermGroup(degree, [base, top], name=f"Z{p}wrZ{p}")
-    assert g.order() == p ** (p + 1)
-    return g
+    return _checked_order(g, p ** (p + 1))
 
 
 def psl2(q: int) -> PermGroup:
@@ -129,8 +136,7 @@ def psl2(q: int) -> PermGroup:
         return Perm(imgs)
 
     g = PermGroup(q + 1, [mobius(1, 1, 0, 1), mobius(1, 0, 1, 1)], name=f"PSL(2,{q})")
-    assert g.order() == q * (q * q - 1) // 2
-    return g
+    return _checked_order(g, q * (q * q - 1) // 2)
 
 
 def sl23() -> PermGroup:
@@ -144,8 +150,7 @@ def sl23() -> PermGroup:
         )
 
     g = PermGroup(8, [action(1, 1, 0, 1), action(1, 0, 1, 1)], name="SL(2,3)")
-    assert g.order() == 24
-    return g
+    return _checked_order(g, 24)
 
 
 _BUILTINS = {
@@ -278,6 +283,8 @@ def default_corpus() -> list[CatalogEntry]:
     ]
     entries = [entry_for(g, tags=["builtin"]) for g in groups]
     labels = [e.label for e in entries]
-    assert len(labels) == len(set(labels)), "corpus labels must be unique"
-    assert len(entries) >= 40
+    if len(labels) != len(set(labels)):
+        raise InvariantError("corpus labels must be unique")
+    if len(entries) < 40:
+        raise InvariantError(f"the default corpus has only {len(entries)} groups")
     return entries

@@ -12,9 +12,11 @@ from dataclasses import dataclass, field
 
 from .caps import DEFAULT_CAPS, CapExceeded, Caps
 from .group import (
+    InvariantError,
     PermGroup,
     intersection,
     is_maximal,
+    memoized,
     normalizer,
     quotient_group,
 )
@@ -22,6 +24,7 @@ from .iso import all_subgroups, is_isomorphic, prime_divisors
 from .series import (
     center,
     frattini_p,
+    is_nilpotent,
     is_p_group,
     is_p_nilpotent,
     is_p_solvable,
@@ -48,25 +51,18 @@ from .sylow import (
 from .transfer import controls_p_transfer, lemma23_witness
 
 
+@dataclass
 class Context:
-    """Per-(group, prime) cache shared by the checkers."""
+    """The (group, prime) pair a checker runs on.  The properties call
+    memoized functors, so all checkers on one group share their results."""
 
-    def __init__(self, group: PermGroup, prime: int, caps: Caps = DEFAULT_CAPS):
-        self.group = group
-        self.prime = prime
-        self.caps = caps
-        self._cache: dict = {}
-
-    def _get(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
+    group: PermGroup
+    prime: int
+    caps: Caps = DEFAULT_CAPS
 
     @property
     def family(self):
-        return self._get(
-            "family", lambda: all_sylow_subgroups(self.group, self.prime, self.caps)
-        )
+        return all_sylow_subgroups(self.group, self.prime, self.caps)
 
     @property
     def p_syl(self) -> PermGroup:
@@ -74,57 +70,32 @@ class Context:
 
     @property
     def ngp(self) -> PermGroup:
-        return self._get("ngp", lambda: normalizer(self.group, self.p_syl, self.caps))
+        return self.family.normalizer
 
     @property
     def z_lower(self) -> PermGroup:
         """Z_{p-1}(P)."""
-        return self._get("z_lower", lambda: z_k(self.p_syl, self.prime - 1, self.caps))
+        return z_k(self.p_syl, self.prime - 1, self.caps)
 
     @property
     def norm_p(self) -> PermGroup:
         """Z*(P), the norm of P."""
-        return self._get("norm_p", lambda: norm(self.p_syl, self.caps))
+        return norm(self.p_syl, self.caps)
 
     @property
     def max_intersection(self) -> int:
-        return self._get(
-            "max_int",
-            lambda: max_intersection_order(self.group, self.prime, self.caps, self.family),
-        )
+        return max_intersection_order(self.group, self.prime, self.caps)
 
     def control(self, n: PermGroup):
-        key = ("control", n.subgroup_key(self.caps))
-        g_cache = self._get("g_cache", dict)
-        return self._get(
-            key,
-            lambda: controls_p_transfer(self.group, n, self.prime, self.caps, g_cache),
-        )
+        return controls_p_transfer(self.group, n, self.prime, self.caps)
 
     def controls_ngp(self) -> bool:
         return self.control(self.ngp).controls
 
     def tame(self, lower: PermGroup, strict_upper: bool, strict_lower: bool):
-        key = ("tame", lower.subgroup_key(self.caps), strict_upper, strict_lower)
-
-        def build():
-            records = tame_intersections_between(
-                self.group,
-                self.prime,
-                lower,
-                strict_upper,
-                self.caps,
-                self.family,
-                strict_lower=strict_lower,
-            )
-            for rec in records:
-                # A p-nilpotent normalizer always forces N/C to be a
-                # p-group (the normal p'-part centralizes D).
-                if rec.normalizer_p_nilpotent:
-                    assert rec.n_over_c_is_p_group
-            return records
-
-        return self._get(key, build)
+        return tame_intersections_between(
+            self.group, self.prime, lower, strict_upper, self.caps, strict_lower
+        )
 
 
 @dataclass
@@ -394,7 +365,8 @@ def _chk_lemma_3_2(ctx: Context, params: dict):
     if not qualifying:
         return False, None, wit, ""
     witness = lemma23_witness(ctx.group, n, ctx.prime, ctx.caps)
-    assert witness != "controls"
+    if witness == "controls":
+        raise InvariantError("lemma23_witness finds control where the test found none")
     covered = {u.images for u, _, _, _ in witness.per_u}
     ok = True
     for z in qualifying:
@@ -455,21 +427,19 @@ def _chk_thm_4_3(ctx: Context, params: dict):
     return True, not op.is_trivial(), wit, ""
 
 
-def _nilpotent_maximal_candidates(ctx: Context) -> list[PermGroup]:
-    g = ctx.group
+@memoized
+def _nilpotent_maximal_candidates(g: PermGroup, caps: Caps) -> list[PermGroup]:
     out = []
     seen = set()
     for q in prime_divisors(g.order()):
-        m = normalizer(g, sylow_subgroup(g, q, ctx.caps), ctx.caps)
-        key = m.subgroup_key(ctx.caps)
+        m = normalizer(g, sylow_subgroup(g, q, caps), caps)
+        key = m.subgroup_key(caps)
         if key in seen:
             continue
         seen.add(key)
         if m.order() == g.order():
             continue
-        from .series import is_nilpotent
-
-        if is_nilpotent(m, ctx.caps) and is_maximal(g, m, ctx.caps):
+        if is_nilpotent(m, caps) and is_maximal(g, m, caps):
             out.append(m)
     return out
 
@@ -481,7 +451,7 @@ def _sylow2_of(m: PermGroup, ctx: Context) -> PermGroup | None:
 
 
 def _chk_thm_4_4_janko(ctx: Context, params: dict):
-    candidates = _nilpotent_maximal_candidates(ctx)
+    candidates = _nilpotent_maximal_candidates(ctx.group, ctx.caps)
     hit = None
     for m in candidates:
         s2 = _sylow2_of(m, ctx)
@@ -498,7 +468,7 @@ def _chk_thm_4_4_janko(ctx: Context, params: dict):
 
 
 def _chk_thm_4_5(ctx: Context, params: dict):
-    candidates = _nilpotent_maximal_candidates(ctx)
+    candidates = _nilpotent_maximal_candidates(ctx.group, ctx.caps)
     hit = None
     for m in candidates:
         s2 = _sylow2_of(m, ctx)
@@ -660,14 +630,12 @@ def run_checker(
     prime: int,
     params: dict | None = None,
     caps: Caps = DEFAULT_CAPS,
-    ctx: Context | None = None,
 ) -> CheckerVerdict:
     if checker_id not in CHECKERS:
         raise ValueError(f"unknown checker: {checker_id}")
     spec = CHECKERS[checker_id]
     label = group.name or f"group(deg {group.degree})"
-    if ctx is None:
-        ctx = Context(group, prime, caps)
+    ctx = Context(group, prime, caps)
     try:
         hyp, concl, witnesses, notes = spec.run(ctx, params or {})
     except CapExceeded as exc:
@@ -713,10 +681,9 @@ def scan_corpus(
         group = entry.build()
         for p in prime_divisors(group.order()):
             pairs += 1
-            ctx = Context(group, p, caps)
             for checker_id in ids:
                 if CHECKERS[checker_id].applies(group, p, caps):
-                    verdicts.append(run_checker(checker_id, group, p, params, caps, ctx))
+                    verdicts.append(run_checker(checker_id, group, p, params, caps))
 
     verdicts.sort(key=lambda v: (v.group_label, v.prime, v.checker_id))
     summary = {"implication_ok": 0, "vacuous": 0, "VIOLATION": 0, "skipped:cap": 0}
@@ -750,7 +717,7 @@ def verify_paper_witnesses(caps: Caps = DEFAULT_CAPS) -> list[tuple[str, bool]]:
     results.append(
         ("s4_sylow_wreath", is_isomorphic(p_syl, wreath_cyclic(2), caps)[0])
     )
-    distinct = [q for i, q in enumerate(fam.members) if i != fam.base]
+    distinct = fam.members[1:]
     results.append(
         (
             "s4_intersection_index",
@@ -770,9 +737,8 @@ def verify_paper_witnesses(caps: Caps = DEFAULT_CAPS) -> list[tuple[str, bool]]:
             and not rec.normalizer_p_nilpotent,
         )
     )
-    ngp = normalizer(s4, p_syl, caps)
     results.append(
-        ("s4_no_control", not controls_p_transfer(s4, ngp, 2, caps).controls)
+        ("s4_no_control", not controls_p_transfer(s4, fam.normalizer, 2, caps).controls)
     )
     o2 = o_p(s4, 2, caps)
     results.append(

@@ -24,7 +24,7 @@ from .checkers import (
     scan_corpus,
     verify_paper_witnesses,
 )
-from .group import PermGroup, is_maximal, normalizer
+from .group import PermGroup, is_maximal
 from .series import (
     a_p,
     center,
@@ -73,11 +73,11 @@ def cmd_analyze(args) -> int:
     caps = Caps.default()
     fam = all_sylow_subgroups(group, p, caps)
     p_syl = fam.base_member
-    ngp = normalizer(group, p_syl, caps)
+    ngp = fam.normalizer
     zn = norm(p_syl, caps)
     report = controls_p_transfer(group, ngp, p, caps)
     tame = tame_intersections_between(
-        group, p, PermGroup(group.degree, []), True, caps, fam, strict_lower=False
+        group, p, PermGroup(group.degree, []), True, caps, strict_lower=False
     )
     lines = [
         f"group: {group.name}  order {group.order()}  degree {group.degree}",
@@ -93,7 +93,7 @@ def cmd_analyze(args) -> int:
         f"|A^p(G)| = {a_p(group, p, caps).order()}",
         f"p-nilpotent: {is_p_nilpotent(group, p, caps)}",
         f"focal subgroup order: {focal_subgroup(group, p_syl, caps).order()}",
-        f"max Sylow intersection: {max_intersection_order(group, p, caps, fam)}",
+        f"max Sylow intersection: {max_intersection_order(group, p, caps)}",
         f"tame intersections below P: {len(tame)}"
         + (f" (orders {sorted(r.d.order() for r in tame)})" if tame else ""),
         f"N_G(P) order: {ngp.order()}  N_G(P) maximal: "

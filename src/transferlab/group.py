@@ -4,7 +4,8 @@ Everything here is immutable after construction; derived objects
 (transversals, quotients) hold references to their parents and never
 mutate them.  Identical generator lists always produce identical chains,
 orderings and transversals, which keeps every downstream computation
-(including transfer values) reproducible.
+(including transfer values) reproducible.  Derived subgroups and the
+like are kept on the group they come from (`memoized`).
 
 Right cosets are told apart by their coset key (`_coset_key`): the
 images of one canonical element of the coset Hg, found by walking H's
@@ -16,6 +17,7 @@ of testing g * r^-1 against H for every representative r.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -145,6 +147,7 @@ class PermGroup:
         self._order: int | None = None
         self._elements: list[Perm] | None = None
         self._element_set: frozenset[tuple[int, ...]] | None = None
+        self._memo: dict = {}
 
     # chain / order / membership ------------------------------------------
 
@@ -237,6 +240,28 @@ class PermGroup:
     def __repr__(self) -> str:
         label = self.name or "PermGroup"
         return f"<{label} deg={self.degree} |G|={self.order()}>"
+
+
+def memoized(fn):
+    """Keep fn(g, *args, **kwargs) on g, keyed by (fn, args, kwargs).
+
+    Arguments compare by value (a call under other Caps is a fresh call),
+    groups by identity.  A call that raises, CapExceeded included, keeps
+    nothing.  Memoize fn only if (a) its result never references g, which
+    would make g and its memo a reference cycle, and (b) its other group
+    arguments are long-lived, since the memo keeps them alive.  Hence
+    nilpotency_class is memoized, but not lower_central_series (its first
+    term is g) or normalizer(g, h) (callers pass fresh subgroups h).
+    """
+
+    @functools.wraps(fn)
+    def wrapper(g: PermGroup, *args, **kwargs):
+        key = (fn, args, frozenset(kwargs.items()))
+        if key not in g._memo:
+            g._memo[key] = fn(g, *args, **kwargs)
+        return g._memo[key]
+
+    return wrapper
 
 
 # constructors -------------------------------------------------------------
@@ -336,6 +361,7 @@ def commutator_subgroup(
     return normal_closure(join(a, b), comms, caps)
 
 
+@memoized
 def derived_subgroup(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     return commutator_subgroup(g, g, g, caps)
 

@@ -12,7 +12,15 @@ from dataclasses import dataclass
 from math import prod
 
 from .caps import DEFAULT_CAPS, Caps, check_cap
-from .group import PermGroup, centralizer, derived_subgroup, join, quotient_group
+from .group import (
+    InvariantError,
+    PermGroup,
+    centralizer,
+    derived_subgroup,
+    join,
+    memoized,
+    quotient_group,
+)
 from .perm import Perm
 
 
@@ -58,10 +66,11 @@ class GeneratorMap:
         return len(values) == self.target.order()
 
     def apply(self, x: Perm) -> Perm:
-        table = self.__dict__.setdefault("_table", self.extend())
-        if table is None:
+        if "_table" not in self.__dict__:
+            self._table = self.extend()
+        if self._table is None:
             raise ValueError("generator map is not a homomorphism")
-        return table[x.images]
+        return self._table[x.images]
 
 
 def element_order_profile(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> Counter:
@@ -101,7 +110,8 @@ def abelian_invariants(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> tuple[int, ..
         for exponent_minus_1, cnt in enumerate(heights):
             nxt = heights[exponent_minus_1 + 1] if exponent_minus_1 + 1 < len(heights) else 0
             out.extend([p ** (exponent_minus_1 + 1)] * (cnt - nxt))
-    assert prod(out) == n
+    if prod(out) != n:
+        raise InvariantError(f"invariants {out} do not multiply to the order {n}")
     return tuple(sorted(out))
 
 
@@ -169,7 +179,8 @@ def _generating_sequence(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[Perm]:
                 best, best_group, best_order = x, cand, o
                 if o == target:
                     break
-        assert best is not None
+        if best is None:
+            raise InvariantError("no element grows a proper subgroup")
         seq.append(best)
         current = best_group
     return seq
@@ -253,6 +264,8 @@ def _iso_search(
         return False
 
     recurse(0, [])
+    # Break the closure's reference to itself, which would keep a and b alive.
+    del recurse
     return found
 
 
@@ -299,6 +312,7 @@ def automorphism_representatives(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> lis
     return _automorphisms(p, caps, reps_first=True)
 
 
+@memoized
 def all_subgroups(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[PermGroup]:
     """Every subgroup, by join-closure of the cyclic subgroups.
 

@@ -17,6 +17,7 @@ from .group import (
     derived_subgroup,
     intersection,
     join,
+    memoized,
     quotient_group,
     span,
     trivial_group,
@@ -92,9 +93,10 @@ def lower_central_series(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> SeriesResul
 
 
 def is_nilpotent(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:
-    return lower_central_series(g, caps).terms[-1].is_trivial()
+    return nilpotency_class(g, caps) is not None
 
 
+@memoized
 def nilpotency_class(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> int | None:
     """Number of steps of the lower central series; None if not nilpotent."""
     s = lower_central_series(g, caps)
@@ -110,6 +112,7 @@ def center(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     )
 
 
+@memoized
 def upper_central_series(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> SeriesResult:
     terms = [trivial_group(g.degree)]
     elems = g.elements(caps)
@@ -139,6 +142,7 @@ def z_k(g: PermGroup, k: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
 
 # norm and norm series -----------------------------------------------------
 
+@memoized
 def norm(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """The norm: intersection of the normalizers of all subgroups.
 
@@ -228,6 +232,7 @@ def omega(p_grp: PermGroup, p: int, i: int = 1, caps: Caps = DEFAULT_CAPS) -> Pe
 
 # p-cores and p-residuals --------------------------------------------------
 
+@memoized
 def o_p(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """O_p(G): the p-core, as the intersection of all Sylow p-subgroups."""
     from .sylow import all_sylow_subgroups, sylow_subgroup
@@ -283,6 +288,7 @@ def o_p_prime(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     return span(g.degree, good)
 
 
+@memoized
 def o_upper_p(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """O^p(G): generated by all p'-elements (smallest normal subgroup with
     p-group quotient)."""

@@ -10,13 +10,14 @@ from .caps import DEFAULT_CAPS, Caps, check_cap
 from .group import (
     InvariantError,
     PermGroup,
+    centralizer,
     conjugate_subgroup,
     intersection,
+    memoized,
     normalizer,
     right_transversal,
 )
 from .iso import (
-    GeneratorMap,
     all_subgroups,
     automorphism_representatives,
     is_characteristic,
@@ -29,6 +30,7 @@ from .series import (
 )
 
 
+@memoized
 def sylow_subgroup(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """A Sylow p-subgroup, by normalizer ascent.
 
@@ -64,18 +66,22 @@ def sylow_subgroup(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup
 
 @dataclass
 class SylowFamily:
+    """The Sylow p-subgroups of G: members[0] is sylow_subgroup(G, p) itself,
+    the others its conjugates by a transversal of normalizer = N_G(P)."""
+
     prime: int
     members: list[PermGroup]
-    base: int  # index of the distinguished Sylow subgroup
+    normalizer: PermGroup
 
     @property
     def base_member(self) -> PermGroup:
-        return self.members[self.base]
+        return self.members[0]
 
     def __len__(self) -> int:
         return len(self.members)
 
 
+@memoized
 def all_sylow_subgroups(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> SylowFamily:
     """All Sylow p-subgroups: conjugates of one by a transversal of its
     normalizer."""
@@ -84,27 +90,21 @@ def all_sylow_subgroups(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> Sylo
     count = g.order() // n.order()
     check_cap("Sylow family", count, caps.sylow_family_cap)
     trans = right_transversal(g, n, caps)
-    members = [conjugate_subgroup(syl, t) for t in trans.reps]
-    return SylowFamily(p, members, 0)
+    members = [syl] + [conjugate_subgroup(syl, t) for t in trans.reps[1:]]
+    return SylowFamily(p, members, n)
 
 
-def max_intersection_order(
-    g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS, family: SylowFamily | None = None
-) -> int:
+@memoized
+def max_intersection_order(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> int:
     """Largest |P cap Q| over distinct Sylow p-subgroups P, Q.
 
     Every pair is conjugate to a pair containing the base member, so the
     intersections with the base member attain the maximum.
     """
-    fam = family if family is not None else all_sylow_subgroups(g, p, caps)
+    fam = all_sylow_subgroups(g, p, caps)
     base = fam.base_member
     return max(
-        (
-            intersection(base, q, caps).order()
-            for i, q in enumerate(fam.members)
-            if i != fam.base
-        ),
-        default=1,
+        (intersection(base, q, caps).order() for q in fam.members[1:]), default=1
     )
 
 
@@ -136,11 +136,9 @@ def is_tame_intersection(
     n_q_d = intersection(n_g_d, q_syl, caps)
     sylow_order_in_n = p_part(n_g_d.order(), prime)
     tame = n_p_d.order() == sylow_order_in_n and n_q_d.order() == sylow_order_in_n
-    from .group import centralizer
-
     c_g_d = centralizer(g, d, caps)
     n_over_c = n_g_d.order() // intersection(n_g_d, c_g_d, caps).order()
-    return TameIntersectionRecord(
+    rec = TameIntersectionRecord(
         p_subgroup=p_syl,
         q_subgroup=q_syl,
         d=d,
@@ -149,15 +147,20 @@ def is_tame_intersection(
         normalizer_p_nilpotent=is_p_nilpotent(n_g_d, prime, caps),
         n_over_c_is_p_group=p_part(n_over_c, prime) == n_over_c,
     )
+    # A p-nilpotent normalizer always forces N/C to be a p-group (the
+    # normal p'-part centralizes D).
+    if rec.normalizer_p_nilpotent and not rec.n_over_c_is_p_group:
+        raise InvariantError("p-nilpotent N_G(D) with N/C not a p-group")
+    return rec
 
 
+@memoized
 def tame_intersections_between(
     g: PermGroup,
     p: int,
     lower: PermGroup,
     strict_upper: bool,
     caps: Caps = DEFAULT_CAPS,
-    family: SylowFamily | None = None,
     strict_lower: bool = True,
 ) -> list[TameIntersectionRecord]:
     """Tame intersections D = P cap Q with `lower` below D (strictly by
@@ -167,14 +170,12 @@ def tame_intersections_between(
     ranges over the whole family (including Q = P when strict_upper is
     off, which yields D = P).
     """
-    fam = family if family is not None else all_sylow_subgroups(g, p, caps)
+    fam = all_sylow_subgroups(g, p, caps)
     p_syl = fam.base_member
     lower_order = lower.order()
     seen: set[frozenset] = set()
     out = []
-    for i, q_syl in enumerate(fam.members):
-        if i == fam.base and strict_upper:
-            continue
+    for q_syl in fam.members[1:] if strict_upper else fam.members:
         d = intersection(p_syl, q_syl, caps)
         if strict_upper and d.order() == p_syl.order():
             continue
@@ -208,10 +209,7 @@ def is_weakly_closed(
 
 
 def characteristic_subgroups_above(
-    p_grp: PermGroup,
-    lower: PermGroup,
-    caps: Caps = DEFAULT_CAPS,
-    auts: list[GeneratorMap] | None = None,
+    p_grp: PermGroup, lower: PermGroup, caps: Caps = DEFAULT_CAPS
 ) -> list[PermGroup]:
     """All characteristic subgroups C with lower <= C <= P.
 
@@ -219,8 +217,7 @@ def characteristic_subgroups_above(
     by inner automorphisms, so testing automorphism representatives
     modulo the inner ones suffices.
     """
-    if auts is None:
-        auts = automorphism_representatives(p_grp, caps)
+    auts = automorphism_representatives(p_grp, caps)
     out = []
     for c in all_subgroups(p_grp, caps):
         if (

@@ -11,12 +11,14 @@ from dataclasses import dataclass
 
 from .caps import DEFAULT_CAPS, Caps
 from .group import (
+    InvariantError,
     PermGroup,
     Transversal,
     conjugate_subgroup,
     derived_subgroup,
     double_coset_reps,
     intersection,
+    memoized,
     quotient_group,
     right_transversal,
 )
@@ -35,7 +37,8 @@ def pretransfer(g: PermGroup, h: PermGroup, trans: Transversal, x: Perm) -> Perm
     result = Perm.identity(g.degree)
     for t in trans.reps:
         result = result * (t * x * trans.dot(t, x).inverse())
-    assert h.contains(result)
+    if not h.contains(result):
+        raise InvariantError("pretransfer value lies outside H")
     return result
 
 
@@ -132,14 +135,17 @@ def transfer_evaluation(
             if t == s:
                 break
         out.append((s, length))
-    assert sum(n for _, n in out) == len(trans.reps)
+    if sum(n for _, n in out) != len(trans.reps):
+        raise InvariantError("<u>-orbit lengths do not add up to the index")
     product = Perm.identity(p_grp.degree)
     for s, n in out:
         factor = s * u**n * s.inverse()
-        assert r.contains(factor)
+        if not r.contains(factor):
+            raise InvariantError("orbit factor lies outside R")
         product = product * factor
     direct = pretransfer(p_grp, r, trans, u)
-    assert derived_subgroup(r, caps).contains(product * direct.inverse())
+    if not derived_subgroup(r, caps).contains(product * direct.inverse()):
+        raise InvariantError("orbit evaluation disagrees with the pretransfer mod R'")
     return out
 
 
@@ -160,45 +166,35 @@ class ControlReport:
     quotient_invariants_n: tuple[int, ...]  # of N / A^p(N)
 
 
+@memoized
 def _ap_quotient_invariants(g: PermGroup, p: int, caps: Caps) -> tuple[int, ...]:
     return abelian_invariants(quotient_group(g, a_p(g, p, caps), caps).image, caps)
 
 
 def controls_p_transfer(
-    g: PermGroup,
-    n: PermGroup,
-    p: int,
-    caps: Caps = DEFAULT_CAPS,
-    g_cache: dict | None = None,
+    g: PermGroup, n: PermGroup, p: int, caps: Caps = DEFAULT_CAPS
 ) -> ControlReport:
     """Does N control p-transfer in G?
 
     Primary test: focal equality P cap G' = P cap N' for a Sylow
     p-subgroup P of N (which must be Sylow in G).  Cross-checked
     against the abelian invariants of G/A^p(G) and N/A^p(N).
-
-    g_cache, when given, memoizes the N-independent data (G' and the
-    invariants of G/A^p(G)) across calls with the same G.
     """
     if (g.order() // n.order()) % p == 0:
         raise ValueError("index of N in G must be prime to p")
     p_syl = sylow_subgroup(n, p, caps)
     if p_syl.order() != p_part(g.order(), p):
         raise ValueError("Sylow subgroup of N is not Sylow in G")
-    cache = g_cache if g_cache is not None else {}
-    if "derived" not in cache:
-        cache["derived"] = derived_subgroup(g, caps)
-    if "ap_invariants" not in cache:
-        cache["ap_invariants"] = _ap_quotient_invariants(g, p, caps)
-    focal_g = intersection(p_syl, cache["derived"], caps)
+    focal_g = intersection(p_syl, derived_subgroup(g, caps), caps)
+    inv_g = _ap_quotient_invariants(g, p, caps)
     if n.order() == g.order():
-        focal_n, inv_n = focal_g, cache["ap_invariants"]
+        focal_n, inv_n = focal_g, inv_g
     else:
         focal_n = intersection(p_syl, derived_subgroup(n, caps), caps)
         inv_n = _ap_quotient_invariants(n, p, caps)
     controls = focal_g.same_group_as(focal_n)
-    inv_g = cache["ap_invariants"]
-    assert controls == (inv_g == inv_n), "focal test and quotient test disagree"
+    if controls != (inv_g == inv_n):
+        raise InvariantError("focal test and quotient test disagree")
     return ControlReport(g, n, p, focal_g, focal_n, controls, inv_g, inv_n)
 
 
@@ -240,8 +236,9 @@ def lemma23_witness(
             m = candidate
             break
     if m is None:
-        raise AssertionError("no index-p subgroup of N captures the transfer image")
-    assert m.is_normal_in(n)
+        raise InvariantError("no index-p subgroup of N captures the transfer image")
+    if not m.is_normal_in(n):
+        raise InvariantError("the index-p witness M is not normal in N")
     reps = double_coset_reps(g, n, p_syl, caps)
     per_u = []
     for u in p_syl.elements(caps):
@@ -254,11 +251,12 @@ def lemma23_witness(
             t_r = right_transversal(p_syl, r, caps)
             w = pretransfer(p_syl, r, t_r, u)
             if not q.contains(w):
-                assert r.order() < p_syl.order()
-                assert r.order() == q.order() * p
+                if r.order() >= p_syl.order() or r.order() != q.order() * p:
+                    raise InvariantError("R = P cap N^x is not proper, or |R : Q| != p")
                 hit = (u, x, r, q)
                 break
-        assert hit is not None, "no double-coset rep witnesses the failure"
+        if hit is None:
+            raise InvariantError("no double-coset rep witnesses the failure")
         per_u.append(hit)
     return NonControlWitness(m, reps, per_u)
 

@@ -68,6 +68,7 @@ def test_corpus_has_68_pairs():
 @pytest.mark.parametrize("label,p", PAIRS, ids=PAIR_IDS)
 def test_right_transversal_matches_bfs_oracle(label, p):
     g, fam, n = corpus_pair(label, p)
+    assert fam.normalizer.same_group_as(n)
     for h in (fam.base_member, n):
         assert right_transversal(g, h).reps == bfs_transversal_reps(g, h)
 
@@ -84,7 +85,7 @@ def test_rep_of_matches_brute_force(label, p):
 @pytest.mark.parametrize("label,p", PAIRS, ids=PAIR_IDS)
 def test_max_intersection_matches_all_pairs(label, p):
     g, fam, _ = corpus_pair(label, p)
-    assert max_intersection_order(g, p, family=fam) == all_pairs_max_intersection(fam)
+    assert max_intersection_order(g, p) == all_pairs_max_intersection(fam)
 
 
 @pytest.mark.parametrize(
@@ -153,10 +154,18 @@ def test_collapsed_cosets_raise_invariant_error(monkeypatch, s4):
         right_transversal(s4, d8)
 
 
-def test_invariant_error_survives_python_O():
+@pytest.mark.parametrize(
+    "test_id",
+    [
+        "test_cosets.py::test_collapsed_cosets_raise_invariant_error",
+        "test_transfer.py::test_control_cross_check_raises_invariant_error",
+    ],
+    ids=["collapsed_cosets", "control_cross_check"],
+)
+def test_invariant_error_survives_python_O(test_id):
     """The same test in a fresh interpreter under -O, which strips asserts."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(transferlab.__file__)))
-    test_id = f"{os.path.abspath(__file__)}::test_collapsed_cosets_raise_invariant_error"
+    test_id = os.path.join(os.path.dirname(os.path.abspath(__file__)), test_id)
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", test_id],
         env=dict(os.environ, PYTHONPATH=src),

@@ -91,6 +91,21 @@ def test_generator_map_homomorphism_detection(s3):
     assert good.is_homomorphism()
 
 
+def test_generator_map_apply_extends_once(monkeypatch, s4):
+    """apply builds the element table on its first call and keeps it."""
+    calls = []
+    extend = GeneratorMap.extend
+
+    def counted(self):
+        calls.append(self)
+        return extend(self)
+
+    monkeypatch.setattr(GeneratorMap, "extend", counted)
+    phi = GeneratorMap(s4, s4, s4.gens)
+    assert all(phi.apply(x) == x for x in s4.elements())
+    assert len(calls) == 1
+
+
 def test_all_subgroups_counts():
     assert len(all_subgroups(dihedral(8))) == 10
     assert len(all_subgroups(generalized_quaternion(8))) == 6

@@ -1,0 +1,132 @@
+"""The memo that keeps derived objects on the group they come from:
+repeat calls return the kept object, kept objects equal fresh ones,
+other caps recompute, and running the checkers leaves no cyclic garbage."""
+
+import dataclasses
+import gc
+import importlib
+
+import pytest
+
+from transferlab.caps import DEFAULT_CAPS, CapExceeded, Caps
+from transferlab.catalog import symmetric
+from transferlab.checkers import CHECKERS, _nilpotent_maximal_candidates, run_checker
+from transferlab.group import PermGroup, derived_subgroup
+from transferlab.iso import all_subgroups
+from transferlab.series import (
+    nilpotency_class,
+    norm,
+    o_p,
+    o_upper_p,
+    upper_central_series,
+    z_k,
+)
+from transferlab.sylow import (
+    all_sylow_subgroups,
+    max_intersection_order,
+    sylow_subgroup,
+    tame_intersections_between,
+)
+from transferlab.transfer import _ap_quotient_invariants
+
+
+def _s4_p2_d8():
+    """S4 with its Sylow 2-subgroup (D8) and the centre of that D8."""
+    g = symmetric(4)
+    p_syl = sylow_subgroup(g, 2)
+    return g, p_syl, z_k(p_syl, 1)
+
+
+# function -> (group, args, kwargs) built from S4, its Sylow D8 and Z(D8)
+CALLS = {
+    derived_subgroup: lambda g, p, z: (g, (), {}),
+    upper_central_series: lambda g, p, z: (p, (), {}),
+    norm: lambda g, p, z: (p, (), {}),
+    o_p: lambda g, p, z: (g, (2,), {}),
+    o_upper_p: lambda g, p, z: (g, (2,), {}),
+    nilpotency_class: lambda g, p, z: (p, (), {}),
+    sylow_subgroup: lambda g, p, z: (g, (3,), {}),
+    all_sylow_subgroups: lambda g, p, z: (g, (2,), {}),
+    max_intersection_order: lambda g, p, z: (g, (2,), {}),
+    tame_intersections_between: lambda g, p, z: (
+        g, (2, z, False, DEFAULT_CAPS), {"strict_lower": False}
+    ),
+    all_subgroups: lambda g, p, z: (p, (), {}),
+    _ap_quotient_invariants: lambda g, p, z: (g, (2, DEFAULT_CAPS), {}),
+    _nilpotent_maximal_candidates: lambda g, p, z: (g, (DEFAULT_CAPS,), {}),
+}
+IDS = [fn.__name__ for fn in CALLS]
+
+
+def _plain(value):
+    """A comparable form: groups by their generator images, dataclasses
+    field by field, sequences item by item."""
+    if isinstance(value, PermGroup):
+        return ("group", value.degree, tuple(x.images for x in value.gens))
+    if dataclasses.is_dataclass(value):
+        return tuple(_plain(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, (list, tuple)):
+        return tuple(_plain(v) for v in value)
+    return value
+
+
+def test_every_memoized_function_is_covered():
+    modules = ["group", "iso", "series", "sylow", "transfer", "checkers"]
+    found = {
+        obj.__wrapped__
+        for name in modules
+        for obj in vars(importlib.import_module(f"transferlab.{name}")).values()
+        if callable(obj) and hasattr(obj, "__wrapped__")
+    }
+    assert found == {fn.__wrapped__ for fn in CALLS}
+
+
+@pytest.mark.parametrize("fn", CALLS, ids=IDS)
+def test_second_call_returns_the_kept_object(fn):
+    target, args, kwargs = CALLS[fn](*_s4_p2_d8())
+    first = fn(target, *args, **kwargs)
+    assert fn(target, *args, **kwargs) is first
+
+
+@pytest.mark.parametrize("fn", CALLS, ids=IDS)
+def test_kept_result_equals_a_fresh_call(fn):
+    target, args, kwargs = CALLS[fn](*_s4_p2_d8())
+    kept = fn(target, *args, **kwargs)
+    fresh = fn.__wrapped__(target, *args, **kwargs)
+    assert _plain(kept) == _plain(fresh)
+
+
+def test_other_caps_recompute():
+    g = symmetric(4)
+    kept = derived_subgroup(g, DEFAULT_CAPS)
+    other = derived_subgroup(g, Caps(element_cap=DEFAULT_CAPS.element_cap - 1))
+    assert other is not kept and _plain(other) == _plain(kept)
+
+
+def test_capped_call_is_not_kept():
+    g = symmetric(4)
+    with pytest.raises(CapExceeded):
+        sylow_subgroup(g, 2, Caps(element_cap=1))
+    assert g._memo == {}
+    assert sylow_subgroup(g, 2).order() == 8
+
+
+def test_checkers_leave_no_cyclic_garbage():
+    """Memoized results never point back at their group, and the
+    isomorphism searches leave no self-referencing closure behind, so a
+    group and everything kept on it are freed by reference counting."""
+    gc.collect()
+    gc.disable()
+    try:
+        g = symmetric(4)
+        verdicts = [
+            run_checker(cid, g, 2, {}, DEFAULT_CAPS)
+            for cid, spec in CHECKERS.items()
+            if spec.applies(g, 2, DEFAULT_CAPS)
+        ]
+        del g
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(verdicts) == 21
+    assert all(v.verdict != "skipped:cap" for v in verdicts)

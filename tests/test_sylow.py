@@ -76,13 +76,12 @@ def test_tame_intersection_s4(s4):
 
 def test_tame_intersections_between_bounds(s4):
     trivial = PermGroup(4, [])
-    fam = all_sylow_subgroups(s4, 2)
     # Inclusive at both ends picks up D = P as well.
     recs_all = tame_intersections_between(
-        s4, 2, trivial, False, DEFAULT_CAPS, fam, strict_lower=False
+        s4, 2, trivial, False, DEFAULT_CAPS, strict_lower=False
     )
     recs_proper = tame_intersections_between(
-        s4, 2, trivial, True, DEFAULT_CAPS, fam, strict_lower=False
+        s4, 2, trivial, True, DEFAULT_CAPS, strict_lower=False
     )
     assert len(recs_all) == len(recs_proper) + 1
     orders_proper = sorted(r.d.order() for r in recs_proper)

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from sampling import sample_chain, sample_ghx, sample_mackey, sample_pool
 from transferlab.catalog import alternating, dihedral, symmetric
 from transferlab.group import (
+    InvariantError,
     PermGroup,
     derived_subgroup,
     intersection,
@@ -27,6 +29,9 @@ from transferlab.transfer import (
     transfer_evaluation,
 )
 from transferlab.group import core
+
+# The package re-exports the function transfer under the module's name.
+transfer_mod = importlib.import_module("transferlab.transfer")
 
 
 def test_pretransfer_identity_is_identity(s4):
@@ -172,6 +177,17 @@ def test_controls_rejects_bad_index(s4):
     a4_in = PermGroup(4, alternating(4).gens)
     with pytest.raises(ValueError):
         controls_p_transfer(s4, a4_in, 2)
+
+
+def test_control_cross_check_raises_invariant_error(monkeypatch, s4):
+    """A quotient test that disagrees with the focal test is an invariant
+    failure, under python -O too."""
+    ngp = normalizer(s4, sylow_subgroup(s4, 2))
+    assert not controls_p_transfer(s4, ngp, 2).controls
+    # Equal invariants for every group claim control.
+    monkeypatch.setattr(transfer_mod, "_ap_quotient_invariants", lambda g, p, caps: ())
+    with pytest.raises(InvariantError):
+        controls_p_transfer(s4, ngp, 2)
 
 
 def test_lemma23_witness_s4(s4):
