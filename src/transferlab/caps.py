@@ -1,8 +1,8 @@
 """Resource caps for enumeration-heavy operations.
 
-All caps are configurable per call site through a `Caps` instance; the
-element cap can additionally be overridden through the environment
-variable TRANSFERLAB_ELEMENT_CAP.
+All caps are configurable per call site through a `Caps` instance.
+`Caps.default()`, which the command line uses, also reads the element
+cap from the environment variable TRANSFERLAB_ELEMENT_CAP.
 """
 
 from __future__ import annotations
@@ -22,13 +22,17 @@ class CapExceeded(Exception):
 
 
 def _env_element_cap(default: int) -> int:
+    """The element cap from the environment: an integer >= 1, else ValueError."""
     raw = os.environ.get("TRANSFERLAB_ELEMENT_CAP")
     if raw is None:
         return default
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        return default
+        cap = None
+    if cap is None or cap < 1:
+        raise ValueError(f"TRANSFERLAB_ELEMENT_CAP must be an integer >= 1, got {raw!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -44,7 +48,7 @@ class Caps:
         return cls(element_cap=_env_element_cap(250_000))
 
 
-DEFAULT_CAPS = Caps.default()
+DEFAULT_CAPS = Caps()
 
 
 def check_cap(what: str, needed: int, cap: int) -> None:

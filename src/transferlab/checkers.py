@@ -51,6 +51,14 @@ from .sylow import (
 from .transfer import controls_p_transfer, lemma23_witness
 
 
+@memoized
+def _ngp_controls(g: PermGroup, p: int, caps: Caps) -> bool:
+    """Does N_G(P) control p-transfer in G?  Kept as a bool, which holds
+    no group."""
+    ngp = all_sylow_subgroups(g, p, caps).normalizer
+    return controls_p_transfer(g, ngp, p, caps).controls
+
+
 @dataclass
 class Context:
     """The (group, prime) pair a checker runs on.  The properties call
@@ -79,8 +87,10 @@ class Context:
 
     @property
     def norm_p(self) -> PermGroup:
-        """Z*(P), the norm of P."""
-        return norm(self.p_syl, self.caps)
+        """Z*(P), the norm of P; P itself when Z*(P) = P, so that what is
+        kept on P (its subgroup list) serves Z*(P) too."""
+        zn = norm(self.p_syl, self.caps)
+        return self.p_syl if zn.order() == self.p_syl.order() else zn
 
     @property
     def max_intersection(self) -> int:
@@ -90,7 +100,7 @@ class Context:
         return controls_p_transfer(self.group, n, self.prime, self.caps)
 
     def controls_ngp(self) -> bool:
-        return self.control(self.ngp).controls
+        return _ngp_controls(self.group, self.prime, self.caps)
 
     def tame(self, lower: PermGroup, strict_upper: bool, strict_lower: bool):
         return tame_intersections_between(
@@ -324,23 +334,22 @@ def _normal_p_subgroup_candidates(ctx: Context) -> list[PermGroup]:
     return out
 
 
-def _quotient_controls(ctx: Context, n: PermGroup, z: PermGroup) -> bool:
-    """Does N/Z control p-transfer in G/Z?"""
+def _quotient_controls(ctx: Context, z: PermGroup) -> bool:
+    """Does N_G(P)/Z control p-transfer in G/Z?"""
     if z.is_trivial():
         # Avoid the regular-representation quotient.
-        return ctx.control(n).controls
+        return ctx.controls_ngp()
     quot = quotient_group(ctx.group, z, ctx.caps)
     if quot.image.order() % ctx.prime:
         return True
-    n_bar = quot.project_subgroup(n)
+    n_bar = quot.project_subgroup(ctx.ngp)
     return controls_p_transfer(quot.image, n_bar, ctx.prime, ctx.caps).controls
 
 
 def _chk_lemma_3_1(ctx: Context, params: dict):
-    n = ctx.ngp
     qualifying = []
     for z in _normal_p_subgroup_candidates(ctx):
-        if not _quotient_controls(ctx, n, z):
+        if not _quotient_controls(ctx, z):
             continue
         cond_a = lemma_condition_iterated_commutator(ctx.p_syl, z, ctx.prime, ctx.caps)
         cond_b = z.is_subgroup_of(frattini_p(ctx.p_syl, ctx.prime, ctx.caps))
@@ -359,7 +368,7 @@ def _chk_lemma_3_2(ctx: Context, params: dict):
     qualifying = [
         z
         for z in _normal_p_subgroup_candidates(ctx)
-        if _quotient_controls(ctx, n, z)
+        if _quotient_controls(ctx, z)
     ]
     wit = {"qualifying_Z": [_sub_label(z) for z in qualifying]}
     if not qualifying:

@@ -2,12 +2,14 @@
 
 Subcommands: analyze, verify, scan, witness, builtin.
 Exit codes: 0 pass, 1 violation or witness failure, 2 input error,
-3 cap-limited results under --strict-caps.
+3 cap-limited results under --strict-caps, 141 (128 + SIGPIPE) when the
+reader closes standard output early, as `transferlab scan | head` does.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .caps import Caps, CapExceeded
@@ -44,6 +46,7 @@ EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT_ERROR = 2
 EXIT_CAPPED = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 
 def _entries(args) -> list[CatalogEntry]:
@@ -232,10 +235,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
     except CapExceeded as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAPPED if getattr(args, "strict_caps", False) else EXIT_PASS
+    except BrokenPipeError:
+        # Point stdout at devnull, so that flushing what is still buffered
+        # at interpreter exit writes nowhere instead of failing again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -62,12 +62,29 @@ def _orbit_transversal(
     return trans, invs
 
 
-def _build_chain(degree: int, gens: Sequence[Perm]) -> list[_Level]:
+def _build_chain(
+    degree: int, gens: Sequence[Perm], order: int | None = None
+) -> tuple[list[_Level], list[Perm]]:
     """Deterministic Schreier-Sims; base points are smallest moved points.
 
     levels[i].gens holds the strong generators first discovered at level
     i; the generating set of the i-th stabilizer group is the union of
     the gens of levels i..end (all of them fix base points 0..i-1).
+
+    Also returns the input generators whose insert changed the chain.  An
+    input generator whose insert fails sifts to the identity and leaves
+    every level as it was, so a build from only the returned generators
+    gives the same chain: the same base, level generators, transversals
+    and elements() order.
+
+    When the group's order is known, the build returns as soon as the
+    product of the orbit lengths reaches it (Seress, Permutation Group
+    Algorithms, 4.5).  Each level's orbit is an orbit of a subgroup of
+    the true point stabilizer, so the product never exceeds the order;
+    reaching it means the base and strong generating set are complete,
+    and every input or Schreier generator left would sift to the
+    identity.  When every element is an input generator, the first loop
+    always reaches it.
     """
     levels: list[_Level] = []
 
@@ -103,8 +120,18 @@ def _build_chain(degree: int, gens: Sequence[Perm]) -> list[_Level]:
         refresh(i)
         return True
 
+    def orbit_product() -> int:
+        n = 1
+        for lvl in levels:
+            n *= len(lvl.transversal)
+        return n
+
+    used = []
     for g in gens:
-        insert(g)
+        if insert(g):
+            used.append(g)
+            if orbit_product() == order:
+                return levels, used
 
     # Close under Schreier generators until every one sifts to the identity.
     changed = True
@@ -122,7 +149,7 @@ def _build_chain(degree: int, gens: Sequence[Perm]) -> list[_Level]:
                         continue  # a tree edge: the Schreier generator is 1
                     if insert(us * lvl.inverses[y]):
                         changed = True
-    return levels
+    return levels, used
 
 
 class PermGroup:
@@ -153,8 +180,16 @@ class PermGroup:
 
     @property
     def chain(self) -> list[_Level]:
+        """The stabilizer chain, built on first access.
+
+        Only a group built from its member list (`_scan_subgroup`) knows
+        its order before its chain: its build stops at that order, and it
+        keeps as gens only the members the build used.
+        """
         if self._chain is None:
-            self._chain = _build_chain(self.degree, self.gens)
+            self._chain, used = _build_chain(self.degree, self.gens, self._order)
+            if self._order is not None:
+                self.gens = tuple(used)
         return self._chain
 
     def order(self) -> int:
@@ -290,7 +325,21 @@ def conjugate_subgroup(h: PermGroup, g: Perm) -> PermGroup:
 
 
 def _scan_subgroup(g: PermGroup, keep, caps: Caps) -> PermGroup:
-    return PermGroup(g.degree, [x for x in g.elements(caps) if keep(x)])
+    """The subgroup of the elements x of G with keep(x).
+
+    Its chain is the chain of PermGroup(degree, members), with the
+    members in G's elements() order: the build takes them in that order
+    but stops at the known order |members| (see `_build_chain`), which
+    leaves the chain unchanged.  The group keeps as gens only the members
+    whose insert changed the chain, and its member set as the set
+    `contains` looks up.
+    """
+    members = [x for x in g.elements(caps) if keep(x)]
+    h = PermGroup(g.degree, members)
+    h._order = len(members)
+    h._element_set = frozenset(x.images for x in members)
+    h.chain  # the first access builds the chain and trims gens
+    return h
 
 
 def normalizer(g: PermGroup, h: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
@@ -320,7 +369,7 @@ def intersection(a: PermGroup, b: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermG
     if a.degree != b.degree:
         raise ValueError("degree mismatch")
     small, large = (a, b) if a.order() <= b.order() else (b, a)
-    return PermGroup(a.degree, [x for x in small.elements(caps) if large.contains(x)])
+    return _scan_subgroup(small, large.contains, caps)
 
 
 def join(a: PermGroup, b: PermGroup) -> PermGroup:

@@ -119,6 +119,7 @@ class TameIntersectionRecord:
     n_over_c_is_p_group: bool
 
 
+@memoized
 def is_tame_intersection(
     g: PermGroup,
     p_syl: PermGroup,
@@ -126,7 +127,11 @@ def is_tame_intersection(
     prime: int,
     caps: Caps = DEFAULT_CAPS,
 ) -> TameIntersectionRecord:
-    """Classify P cap Q, and record the predicates the theorems need."""
+    """Classify P cap Q, and record the predicates the theorems need.
+
+    Kept on G: the record never references G, and P and Q are members of
+    the Sylow family, which is kept on G already.
+    """
     target = p_part(g.order(), prime)
     if p_syl.order() != target or q_syl.order() != target:
         raise ValueError("both subgroups must be Sylow p-subgroups")

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from transferlab.caps import Caps
 from transferlab.catalog import (
     CatalogEntry,
     builtin_group,
@@ -179,7 +183,8 @@ def test_cli_scan_records_deterministic(capsys, tmp_path):
         json.loads(line)
 
 
-GOLDEN_RECORDS = Path(__file__).parent.parent / "perfbench" / "golden" / "scan_records.jsonl"
+ROOT = Path(__file__).parent.parent
+GOLDEN_RECORDS = ROOT / "perfbench" / "golden" / "scan_records.jsonl"
 
 
 def test_cli_scan_records_match_golden(capsys):
@@ -193,3 +198,69 @@ def test_cli_witness(capsys):
     out = capsys.readouterr().out
     assert out.count("pass") == 10
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_invalid_element_cap_is_rejected(monkeypatch, capsys, value):
+    monkeypatch.setenv("TRANSFERLAB_ELEMENT_CAP", value)
+    with pytest.raises(ValueError) as info:
+        Caps.default()
+    assert "TRANSFERLAB_ELEMENT_CAP" in str(info.value) and repr(value) in str(info.value)
+    assert main(["verify", "burnside", "S4", "--prime", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: TRANSFERLAB_ELEMENT_CAP") and repr(value) in err
+
+
+def test_import_ignores_element_cap_variable():
+    """Only Caps.default() reads the variable, so a bad value never breaks
+    importing the library."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import transferlab, transferlab.cli"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), TRANSFERLAB_ELEMENT_CAP="abc"),
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self) -> None:
+        pass
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+def test_cli_closed_stdout_exits_141_quietly(monkeypatch, capsys, tmp_path):
+    with open(tmp_path / "stdout", "w") as f:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(f.fileno()))
+        assert main(["builtin", "--list"]) == 141
+        # stdout now writes to devnull, so the flush at exit cannot fail
+        assert os.path.samestat(os.fstat(f.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_scan_into_closed_pipe_exits_141_quietly(tmp_path):
+    """`transferlab scan --format records | head -1`: one record, then exit
+    141 with nothing on stderr."""
+    with open(tmp_path / "stderr", "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "transferlab.cli", "scan", "--format", "records"],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            stdout=subprocess.PIPE,
+            stderr=err,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+    assert json.loads(first)["checker_id"] == "aux_gruen_instance"
+    assert code == 141
+    assert (tmp_path / "stderr").read_bytes() == b""

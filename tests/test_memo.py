@@ -10,7 +10,12 @@ import pytest
 
 from transferlab.caps import DEFAULT_CAPS, CapExceeded, Caps
 from transferlab.catalog import symmetric
-from transferlab.checkers import CHECKERS, _nilpotent_maximal_candidates, run_checker
+from transferlab.checkers import (
+    CHECKERS,
+    _ngp_controls,
+    _nilpotent_maximal_candidates,
+    run_checker,
+)
 from transferlab.group import PermGroup, derived_subgroup
 from transferlab.iso import all_subgroups
 from transferlab.series import (
@@ -23,6 +28,7 @@ from transferlab.series import (
 )
 from transferlab.sylow import (
     all_sylow_subgroups,
+    is_tame_intersection,
     max_intersection_order,
     sylow_subgroup,
     tame_intersections_between,
@@ -54,6 +60,10 @@ CALLS = {
     all_subgroups: lambda g, p, z: (p, (), {}),
     _ap_quotient_invariants: lambda g, p, z: (g, (2, DEFAULT_CAPS), {}),
     _nilpotent_maximal_candidates: lambda g, p, z: (g, (DEFAULT_CAPS,), {}),
+    _ngp_controls: lambda g, p, z: (g, (2, DEFAULT_CAPS), {}),
+    is_tame_intersection: lambda g, p, z: (
+        g, (p, all_sylow_subgroups(g, 2).members[1], 2, DEFAULT_CAPS), {}
+    ),
 }
 IDS = [fn.__name__ for fn in CALLS]
 
