@@ -1,9 +1,9 @@
 """Run the full verification scan over the built-in corpus and summarize.
 
 Every registered checker runs on every (group, prime) pair it applies
-to.  Each verdict is an implication test: hypothesis and conclusion are
-evaluated independently, so a hypothesis that never fires shows up as
-"vacuous" rather than silently passing.
+to.  Each verdict is an implication test: the conclusion is evaluated
+only when the hypothesis holds, so a hypothesis that never fires shows
+up as "vacuous" rather than silently passing.
 """
 
 import time
@@ -20,7 +20,7 @@ def main():
           f"{max(e.expected_order for e in entries)}")
 
     start = time.monotonic()
-    report = scan_corpus(entries, None, {}, DEFAULT_CAPS)
+    report = scan_corpus(entries, None, DEFAULT_CAPS)
     elapsed = time.monotonic() - start
 
     print(f"\n{len(report.verdicts)} verdicts in {elapsed:.1f}s")

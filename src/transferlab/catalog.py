@@ -1,12 +1,13 @@
 """Built-in group constructors, the default corpus, and catalog files.
 
 Catalog files are line-delimited JSON records with explicit 0-indexed
-image arrays; cycle notation is accepted only as CLI input, never on
-the wire.
+image arrays.  The command line names a group by catalog label or by a
+builtin spec such as "psl2:17".
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field
 
@@ -19,6 +20,10 @@ def _checked_order(g: PermGroup, order: int) -> PermGroup:
     if g.order() != order:
         raise InvariantError(f"{g.name} has order {g.order()}, expected {order}")
     return g
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, n))
 
 
 # built-in constructors ------------------------------------------------------
@@ -91,6 +96,8 @@ def generalized_quaternion(order: int) -> PermGroup:
 
 
 def elementary_abelian(p: int, k: int) -> PermGroup:
+    if not _is_prime(p) or k < 1:
+        raise ValueError("need a prime p and k >= 1")
     gens = []
     degree = p * k
     for i in range(k):
@@ -121,7 +128,7 @@ def psl2(q: int) -> PermGroup:
     Points 0..q-1 are the affine line, point q is infinity; generators
     are the Mobius maps z -> z+1 and z -> z/(z+1).
     """
-    if q < 3 or any(q % d == 0 for d in range(2, q)):
+    if q < 3 or not _is_prime(q):
         raise ValueError("q must be an odd prime")
     inf = q
 
@@ -165,7 +172,7 @@ _BUILTINS = {
     "elementary_abelian": (elementary_abelian, "elementary_abelian p k: (Z_p)^k"),
     "wreath_cyclic": (wreath_cyclic, "wreath_cyclic p: Z_p wr Z_p on p^2 points"),
     "psl2": (psl2, "psl2 q: PSL(2,q) on q+1 points, q an odd prime"),
-    "sl23": (lambda: sl23(), "sl23: SL(2,3) on the 8 nonzero vectors of F_3^2"),
+    "sl23": (sl23, "sl23: SL(2,3) on the 8 nonzero vectors of F_3^2"),
 }
 
 
@@ -173,11 +180,15 @@ def builtin_names() -> list[tuple[str, str]]:
     return [(name, desc) for name, (_, desc) in sorted(_BUILTINS.items())]
 
 
-def builtin_group(name: str, *params: int) -> PermGroup:
+def builtin_group(name: str, *args: int) -> PermGroup:
     if name not in _BUILTINS:
         raise ValueError(f"unknown builtin: {name}")
-    ctor = _BUILTINS[name][0]
-    return ctor(*params)
+    ctor, usage = _BUILTINS[name]
+    try:
+        inspect.signature(ctor).bind(*args)
+    except TypeError:
+        raise ValueError(f"wrong number of parameters for {name}; usage: {usage}") from None
+    return ctor(*args)
 
 
 # catalog entries and files --------------------------------------------------

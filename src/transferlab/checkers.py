@@ -1,8 +1,11 @@
 """The theorem harness: one checker per stated result.
 
-Each checker evaluates its hypothesis and, only when the hypothesis
-holds, its conclusion; verdicts are implication_ok, vacuous, VIOLATION,
-or skipped:cap when a resource cap interrupts the evaluation.
+A checker takes a Context and returns (witnesses, conclusion): the
+conclusion is None when the hypothesis fails, and otherwise a
+zero-argument callable.  run_checker is the one place that calls a
+conclusion, so no conclusion is evaluated without its hypothesis; the
+verdict is implication_ok, vacuous, VIOLATION, or skipped:cap when a
+resource cap interrupts either evaluation.
 """
 
 from __future__ import annotations
@@ -102,6 +105,9 @@ class Context:
     def controls_ngp(self) -> bool:
         return _ngp_controls(self.group, self.prime, self.caps)
 
+    def p_nilpotent(self) -> bool:
+        return is_p_nilpotent(self.group, self.prime, self.caps)
+
     def tame(self, lower: PermGroup, strict_upper: bool, strict_lower: bool):
         return tame_intersections_between(
             self.group, self.prime, lower, strict_upper, self.caps, strict_lower
@@ -140,28 +146,24 @@ def _sub_label(h: PermGroup) -> str:
 
 
 # individual checkers --------------------------------------------------------
-# Each returns (hypothesis, conclusion-or-None, witnesses, notes); the
-# conclusion is evaluated only when the hypothesis holds.
+# Each takes a Context and returns (witnesses, conclusion).  The conclusion
+# is None when the hypothesis fails; otherwise it is a zero-argument
+# callable, and run_checker alone calls it.  A conclusion may add entries
+# to the witnesses it was returned with.
 
 
 def _is_abelian(g: PermGroup) -> bool:
     return all(a * b == b * a for a in g.gens for b in g.gens)
 
 
-def _chk_burnside(ctx: Context, params: dict):
-    hyp = _is_abelian(ctx.p_syl)
+def _chk_burnside(ctx: Context):
     wit = {"sylow": _sub_label(ctx.p_syl)}
-    if not hyp:
-        return False, None, wit, ""
-    return True, ctx.controls_ngp(), wit, ""
+    return wit, ctx.controls_ngp if _is_abelian(ctx.p_syl) else None
 
 
-def _chk_hall_wielandt(ctx: Context, params: dict):
+def _chk_hall_wielandt(ctx: Context):
     cls = nilpotency_class(ctx.p_syl, ctx.caps)
-    wit = {"class": cls}
-    if not cls < ctx.prime:
-        return False, None, wit, ""
-    return True, ctx.controls_ngp(), wit, ""
+    return {"class": cls}, ctx.controls_ngp if cls < ctx.prime else None
 
 
 def _has_wreath_quotient(p_syl: PermGroup, p: int, caps: Caps) -> bool:
@@ -182,16 +184,16 @@ def _has_wreath_quotient(p_syl: PermGroup, p: int, caps: Caps) -> bool:
     return False
 
 
-def _chk_yoshida(ctx: Context, params: dict):
+def _chk_yoshida(ctx: Context):
     has_quot = _has_wreath_quotient(ctx.p_syl, ctx.prime, ctx.caps)
-    wit = {"has_wreath_quotient": has_quot}
-    if has_quot:
-        return False, None, wit, ""
-    return True, ctx.controls_ngp(), wit, ""
+    return {"has_wreath_quotient": has_quot}, None if has_quot else ctx.controls_ngp
 
 
-def _tame_hypothesis(ctx: Context, lower, strict_upper, strict_lower, weak: bool):
-    records = ctx.tame(lower, strict_upper, strict_lower)
+def _tame_checker(ctx: Context, lower: PermGroup, conclusion, strict: bool, weak=False):
+    """The tame-intersection results: every tame intersection between
+    `lower` and P (exclusive of both when `strict`) has a p-nilpotent
+    normalizer N, or with `weak` an N/C that is a p-group."""
+    records = ctx.tame(lower, strict, strict)
     failing = None
     for rec in records:
         ok = rec.n_over_c_is_p_group if weak else rec.normalizer_p_nilpotent
@@ -199,70 +201,56 @@ def _tame_hypothesis(ctx: Context, lower, strict_upper, strict_lower, weak: bool
             failing = rec
             break
     wit = {"tame_count": len(records), "lower": _sub_label(lower)}
-    if failing is not None:
-        wit["failing_intersection"] = _sub_label(failing.d)
-        wit["failing_normalizer"] = _sub_label(failing.normalizer)
-    return failing is None, wit
+    if failing is None:
+        return wit, conclusion
+    wit["failing_intersection"] = _sub_label(failing.d)
+    wit["failing_normalizer"] = _sub_label(failing.normalizer)
+    return wit, None
 
 
-def _chk_main_1_3(ctx: Context, params: dict):
-    hyp, wit = _tame_hypothesis(ctx, ctx.z_lower, True, True, weak=False)
-    if not hyp:
-        return False, None, wit, ""
-    return True, ctx.controls_ngp(), wit, ""
+def _chk_main_1_3(ctx: Context):
+    return _tame_checker(ctx, ctx.z_lower, ctx.controls_ngp, strict=True)
 
 
-def _chk_main_1_3_weak(ctx: Context, params: dict):
-    hyp, wit = _tame_hypothesis(ctx, ctx.z_lower, True, True, weak=True)
-    notes = "weakened hypothesis: N/C a p-group instead of p-nilpotent N"
-    if not hyp:
-        return False, None, wit, notes
-    return True, ctx.controls_ngp(), wit, notes
+def _chk_main_1_3_weak(ctx: Context):
+    return _tame_checker(ctx, ctx.z_lower, ctx.controls_ngp, strict=True, weak=True)
 
 
-def _chk_cor_1_5(ctx: Context, params: dict):
-    bound = ctx.z_lower.order()
+def _chk_cor_1_6(ctx: Context):
+    return _tame_checker(ctx, ctx.z_lower, ctx.p_nilpotent, strict=False)
+
+
+def _chk_thm_1_8(ctx: Context):
+    return _tame_checker(ctx, ctx.norm_p, ctx.controls_ngp, strict=True)
+
+
+def _chk_thm_1_8_weak(ctx: Context):
+    return _tame_checker(ctx, ctx.norm_p, ctx.controls_ngp, strict=True, weak=True)
+
+
+def _chk_cor_1_9(ctx: Context):
+    return _tame_checker(ctx, ctx.norm_p, ctx.p_nilpotent, strict=False)
+
+
+def _intersection_bound(ctx: Context, bound: int):
+    """Every Sylow intersection has order at most `bound`: then control."""
     wit = {"max_intersection": ctx.max_intersection, "bound": bound}
-    if ctx.max_intersection > bound:
-        return False, None, wit, ""
-    return True, ctx.controls_ngp(), wit, ""
+    return wit, ctx.controls_ngp if ctx.max_intersection <= bound else None
 
 
-def _chk_cor_1_6(ctx: Context, params: dict):
-    hyp, wit = _tame_hypothesis(ctx, ctx.z_lower, False, False, weak=False)
-    notes = (
-        "lower bound read inclusively (Z_{p-1}(P) <= D, including D = P); "
-        "the strict reading admits abelian-Sylow counterexamples"
-    )
-    if not hyp:
-        return False, None, wit, notes
-    return True, is_p_nilpotent(ctx.group, ctx.prime, ctx.caps), wit, notes
+def _chk_cor_1_5(ctx: Context):
+    return _intersection_bound(ctx, ctx.z_lower.order())
 
 
-def _chk_thm_1_8(ctx: Context, params: dict):
-    hyp, wit = _tame_hypothesis(ctx, ctx.norm_p, True, True, weak=False)
-    if not hyp:
-        return False, None, wit, ""
-    return True, ctx.controls_ngp(), wit, ""
+def _chk_cor_1_11(ctx: Context):
+    return _intersection_bound(ctx, ctx.norm_p.order())
 
 
-def _chk_thm_1_8_weak(ctx: Context, params: dict):
-    hyp, wit = _tame_hypothesis(ctx, ctx.norm_p, True, True, weak=True)
-    notes = "weakened hypothesis: N/C a p-group instead of p-nilpotent N"
-    if not hyp:
-        return False, None, wit, notes
-    return True, ctx.controls_ngp(), wit, notes
+def _chk_thm_4_1(ctx: Context):
+    return _intersection_bound(ctx, ctx.prime ** (ctx.prime - 1))
 
 
-def _chk_cor_1_9(ctx: Context, params: dict):
-    hyp, wit = _tame_hypothesis(ctx, ctx.norm_p, False, False, weak=False)
-    notes = "lower bound read inclusively, as for the Z_{p-1} variant"
-    if not hyp:
-        return False, None, wit, notes
-    return True, is_p_nilpotent(ctx.group, ctx.prime, ctx.caps), wit, notes
-
-
-def _chk_thm_1_10(ctx: Context, params: dict):
+def _chk_thm_1_10(ctx: Context):
     admissible = []
     for k_sub in all_subgroups(ctx.norm_p, ctx.caps):
         closed, _ = is_weakly_closed(ctx.group, ctx.p_syl, k_sub, ctx.caps)
@@ -270,50 +258,38 @@ def _chk_thm_1_10(ctx: Context, params: dict):
             admissible.append(k_sub)
     wit = {"weakly_closed_count": len(admissible), "norm_order": ctx.norm_p.order()}
     if not admissible:
-        return False, None, wit, ""
-    failing = None
-    for k_sub in admissible:
-        n_k = normalizer(ctx.group, k_sub, ctx.caps)
-        if not ctx.control(n_k).controls:
-            failing = k_sub
-            break
-    if failing is not None:
-        wit["failing_K"] = _sub_label(failing)
-    return True, failing is None, wit, ""
+        return wit, None
+
+    def every_normalizer_controls() -> bool:
+        for k_sub in admissible:
+            n_k = normalizer(ctx.group, k_sub, ctx.caps)
+            if not ctx.control(n_k).controls:
+                wit["failing_K"] = _sub_label(k_sub)
+                return False
+        return True
+
+    return wit, every_normalizer_controls
 
 
-def _chk_cor_1_11(ctx: Context, params: dict):
-    bound = ctx.norm_p.order()
-    wit = {"max_intersection": ctx.max_intersection, "bound": bound}
-    if ctx.max_intersection > bound:
-        return False, None, wit, ""
-    return True, ctx.controls_ngp(), wit, ""
-
-
-def _chk_prop_3_4(ctx: Context, params: dict):
+def _chk_prop_3_4(ctx: Context):
     chars = characteristic_subgroups_above(ctx.p_syl, ctx.z_lower, ctx.caps)
-    not_closed = None
-    for c in chars:
-        closed, conj = is_weakly_closed(ctx.group, ctx.p_syl, c, ctx.caps)
-        if not closed:
-            not_closed = (c, conj)
-            break
     wit = {"characteristic_count": len(chars)}
-    if not_closed is not None:
-        wit["not_weakly_closed"] = _sub_label(not_closed[0])
-        return False, None, wit, ""
-    return True, ctx.controls_ngp(), wit, ""
+    for c in chars:
+        closed, _ = is_weakly_closed(ctx.group, ctx.p_syl, c, ctx.caps)
+        if not closed:
+            wit["not_weakly_closed"] = _sub_label(c)
+            return wit, None
+    return wit, ctx.controls_ngp
 
 
-def _chk_aux_gruen_instance(ctx: Context, params: dict):
+def _chk_aux_gruen_instance(ctx: Context):
     z = ctx.z_lower
     closed, conj = is_weakly_closed(ctx.group, ctx.p_syl, z, ctx.caps)
     wit = {"Z": _sub_label(z), "weakly_closed": closed}
     if not closed:
         wit["conjugator"] = conj
-        return False, None, wit, ""
-    n_z = normalizer(ctx.group, z, ctx.caps)
-    return True, ctx.control(n_z).controls, wit, ""
+        return wit, None
+    return wit, lambda: ctx.control(normalizer(ctx.group, z, ctx.caps)).controls
 
 
 def _normal_p_subgroup_candidates(ctx: Context) -> list[PermGroup]:
@@ -325,7 +301,7 @@ def _normal_p_subgroup_candidates(ctx: Context) -> list[PermGroup]:
     out = []
     seen = set()
     for z in candidates:
-        key = z.subgroup_key(ctx.caps)
+        key = z.element_set(ctx.caps)
         if key in seen:
             continue
         seen.add(key)
@@ -346,7 +322,7 @@ def _quotient_controls(ctx: Context, z: PermGroup) -> bool:
     return controls_p_transfer(quot.image, n_bar, ctx.prime, ctx.caps).controls
 
 
-def _chk_lemma_3_1(ctx: Context, params: dict):
+def _chk_lemma_3_1(ctx: Context):
     qualifying = []
     for z in _normal_p_subgroup_candidates(ctx):
         if not _quotient_controls(ctx, z):
@@ -356,15 +332,12 @@ def _chk_lemma_3_1(ctx: Context, params: dict):
         if cond_a or cond_b:
             qualifying.append((z, "a" if cond_a else "b"))
     wit = {"qualifying_Z": [f"{_sub_label(z)} via ({c})" for z, c in qualifying]}
-    if not qualifying:
-        return False, None, wit, ""
-    return True, ctx.controls_ngp(), wit, ""
+    return wit, ctx.controls_ngp if qualifying else None
 
 
-def _chk_lemma_3_2(ctx: Context, params: dict):
-    n = ctx.ngp
+def _chk_lemma_3_2(ctx: Context):
     if ctx.controls_ngp():
-        return False, None, {"controls": True}, ""
+        return {"controls": True}, None
     qualifying = [
         z
         for z in _normal_p_subgroup_candidates(ctx)
@@ -372,31 +345,27 @@ def _chk_lemma_3_2(ctx: Context, params: dict):
     ]
     wit = {"qualifying_Z": [_sub_label(z) for z in qualifying]}
     if not qualifying:
-        return False, None, wit, ""
-    witness = lemma23_witness(ctx.group, n, ctx.prime, ctx.caps)
-    if witness == "controls":
-        raise InvariantError("lemma23_witness finds control where the test found none")
-    covered = {u.images for u, _, _, _ in witness.per_u}
-    ok = True
-    for z in qualifying:
-        outside = [u for u in z.elements(ctx.caps) if not witness.m.contains(u)]
-        if not outside or any(u.images not in covered for u in outside):
-            ok = False
-            wit["failing_Z"] = _sub_label(z)
-            break
-    wit["M"] = _sub_label(witness.m)
-    return True, ok, wit, ""
+        return wit, None
+
+    def each_z_leaves_m() -> bool:
+        witness = lemma23_witness(ctx.group, ctx.ngp, ctx.prime, ctx.caps)
+        if witness == "controls":
+            raise InvariantError("lemma23_witness finds control where the test found none")
+        covered = {u.images for u, _, _, _ in witness.per_u}
+        ok = True
+        for z in qualifying:
+            outside = [u for u in z.elements(ctx.caps) if not witness.m.contains(u)]
+            if not outside or any(u.images not in covered for u in outside):
+                ok = False
+                wit["failing_Z"] = _sub_label(z)
+                break
+        wit["M"] = _sub_label(witness.m)
+        return ok
+
+    return wit, each_z_leaves_m
 
 
-def _chk_thm_4_1(ctx: Context, params: dict):
-    bound = ctx.prime ** (ctx.prime - 1)
-    wit = {"max_intersection": ctx.max_intersection, "bound": bound}
-    if ctx.max_intersection > bound:
-        return False, None, wit, ""
-    return True, ctx.controls_ngp(), wit, ""
-
-
-def _chk_thm_4_2(ctx: Context, params: dict):
+def _chk_thm_4_2(ctx: Context):
     cls = nilpotency_class(ctx.p_syl, ctx.caps)
     ngp = ctx.ngp
     hyp = (
@@ -406,34 +375,38 @@ def _chk_thm_4_2(ctx: Context, params: dict):
         and is_maximal(ctx.group, ngp, ctx.caps)
     )
     wit = {"class": cls, "normalizer": _sub_label(ngp)}
-    notes = "conclusion 'length 1' has p-length and p'-length readings; both recorded"
     if not hyp:
-        return False, None, wit, notes
-    solvable = is_p_solvable(ctx.group, ctx.prime, ctx.caps)
-    plen = p_length(ctx.group, ctx.prime, ctx.caps)
-    pplen = p_prime_length(ctx.group, ctx.prime, ctx.caps)
-    wit.update({"p_solvable": solvable, "p_length": plen, "p_prime_length": pplen})
-    strict_ok = solvable and plen == 1
-    default_ok = solvable and pplen is not None and pplen <= 1
-    wit["strict_reading_ok"] = strict_ok
-    wit["p_prime_reading_ok"] = default_ok
-    if params.get("reading") == "strict":
-        return True, strict_ok, wit, notes + "; strict reading selected"
-    return True, default_ok, wit, notes
+        return wit, None
+
+    def length_one() -> bool:
+        # Both readings go into the witnesses; the verdict uses the p'-length one.
+        solvable = is_p_solvable(ctx.group, ctx.prime, ctx.caps)
+        plen = p_length(ctx.group, ctx.prime, ctx.caps)
+        pplen = p_prime_length(ctx.group, ctx.prime, ctx.caps)
+        wit.update({"p_solvable": solvable, "p_length": plen, "p_prime_length": pplen})
+        wit["strict_reading_ok"] = solvable and plen == 1
+        wit["p_prime_reading_ok"] = solvable and pplen is not None and pplen <= 1
+        return wit["p_prime_reading_ok"]
+
+    return wit, length_one
 
 
-def _chk_thm_4_3(ctx: Context, params: dict):
+def _chk_thm_4_3(ctx: Context):
     cls = nilpotency_class(ctx.p_syl, ctx.caps)
     count = len(ctx.family)
     wit = {"class": cls, "sylow_count": count}
     if not (cls == ctx.prime and count == ctx.prime + 1):
-        return False, None, wit, ""
-    if ctx.controls_ngp():
-        wit["branch"] = "controls"
-        return True, True, wit, ""
-    op = o_p(ctx.group, ctx.prime, ctx.caps)
-    wit["branch"] = f"O_p of order {op.order()}"
-    return True, not op.is_trivial(), wit, ""
+        return wit, None
+
+    def control_or_o_p() -> bool:
+        if ctx.controls_ngp():
+            wit["branch"] = "controls"
+            return True
+        op = o_p(ctx.group, ctx.prime, ctx.caps)
+        wit["branch"] = f"O_p of order {op.order()}"
+        return not op.is_trivial()
+
+    return wit, control_or_o_p
 
 
 @memoized
@@ -442,7 +415,7 @@ def _nilpotent_maximal_candidates(g: PermGroup, caps: Caps) -> list[PermGroup]:
     seen = set()
     for q in prime_divisors(g.order()):
         m = normalizer(g, sylow_subgroup(g, q, caps), caps)
-        key = m.subgroup_key(caps)
+        key = m.element_set(caps)
         if key in seen:
             continue
         seen.add(key)
@@ -453,47 +426,30 @@ def _nilpotent_maximal_candidates(g: PermGroup, caps: Caps) -> list[PermGroup]:
     return out
 
 
-def _sylow2_of(m: PermGroup, ctx: Context) -> PermGroup | None:
-    if m.order() % 2:
-        return None
-    return sylow_subgroup(m, 2, ctx.caps)
-
-
-def _chk_thm_4_4_janko(ctx: Context, params: dict):
+def _nilpotent_maximal_checker(ctx: Context, sylow2_measure, key: str):
+    """Some nilpotent maximal subgroup M whose Sylow 2-subgroup measures
+    at most 2 (0 when |M| is odd) implies G solvable."""
     candidates = _nilpotent_maximal_candidates(ctx.group, ctx.caps)
-    hit = None
-    for m in candidates:
-        s2 = _sylow2_of(m, ctx)
-        cls = 0 if s2 is None else nilpotency_class(s2, ctx.caps)
-        if cls <= 2:
-            hit = (m, cls)
-            break
     wit = {"nilpotent_maximal_count": len(candidates)}
-    if hit is None:
-        return False, None, wit, ""
-    wit["M"] = _sub_label(hit[0])
-    wit["sylow2_class"] = hit[1]
-    return True, is_solvable(ctx.group, ctx.caps), wit, ""
-
-
-def _chk_thm_4_5(ctx: Context, params: dict):
-    candidates = _nilpotent_maximal_candidates(ctx.group, ctx.caps)
-    hit = None
     for m in candidates:
-        s2 = _sylow2_of(m, ctx)
-        length = 0 if s2 is None else norm_length(s2, ctx.caps)
-        if length is not None and length <= 2:
-            hit = (m, length)
-            break
-    wit = {"nilpotent_maximal_count": len(candidates)}
-    if hit is None:
-        return False, None, wit, ""
-    wit["M"] = _sub_label(hit[0])
-    wit["sylow2_norm_length"] = hit[1]
-    return True, is_solvable(ctx.group, ctx.caps), wit, ""
+        s2 = None if m.order() % 2 else sylow_subgroup(m, 2, ctx.caps)
+        value = 0 if s2 is None else sylow2_measure(s2, ctx.caps)
+        if value is not None and value <= 2:
+            wit["M"] = _sub_label(m)
+            wit[key] = value
+            return wit, lambda: is_solvable(ctx.group, ctx.caps)
+    return wit, None
 
 
-def _chk_thm_4_8(ctx: Context, params: dict):
+def _chk_thm_4_4_janko(ctx: Context):
+    return _nilpotent_maximal_checker(ctx, nilpotency_class, "sylow2_class")
+
+
+def _chk_thm_4_5(ctx: Context):
+    return _nilpotent_maximal_checker(ctx, norm_length, "sylow2_norm_length")
+
+
+def _chk_thm_4_8(ctx: Context):
     p = ctx.prime
     v1 = is_pi_central_of_height(ctx.p_syl, p, 1, p - 2, caps=ctx.caps)
     v2 = is_pi_central_of_height(ctx.p_syl, p, 2, p - 1, caps=ctx.caps)
@@ -504,36 +460,38 @@ def _chk_thm_4_8(ctx: Context, params: dict):
         "p2_central_height_p-1": v2,
         "order_divides_variants": (d1, d2),
     }
-    notes = "strict element-order reading; order-dividing variant recorded in witnesses"
-    if not (v1 or v2):
-        return False, None, wit, notes
-    return True, ctx.controls_ngp(), wit, notes
+    return wit, ctx.controls_ngp if v1 or v2 else None
 
 
-def _chk_thm_4_10(ctx: Context, params: dict):
+def _chk_thm_4_10(ctx: Context):
     g, p = ctx.group, ctx.prime
     v1 = p >= 3 and is_pi_central_of_height(g, p, 1, p - 2, caps=ctx.caps)
     v2 = is_pi_central_of_height(g, p, 2, p - 1, caps=ctx.caps)
     wit = {"p_central_height_p-2": v1, "p2_central_height_p-1": v2}
     if not (v1 or v2):
-        return False, None, wit, ""
-    quot = quotient_group(g, omega(g, p, 1, ctx.caps), ctx.caps).image
-    ok = True
-    if quot.order() > 1:
-        if v1 and not is_pi_central_of_height(quot, p, 1, p - 2, caps=ctx.caps):
-            ok = False
-        if v2 and not is_pi_central_of_height(quot, p, 2, p - 1, caps=ctx.caps):
-            ok = False
-    wit["quotient_order"] = quot.order()
-    return True, ok, wit, ""
+        return wit, None
+
+    def passes_to_quotient() -> bool:
+        quot = quotient_group(g, omega(g, p, 1, ctx.caps), ctx.caps).image
+        ok = True
+        if quot.order() > 1:
+            if v1 and not is_pi_central_of_height(quot, p, 1, p - 2, caps=ctx.caps):
+                ok = False
+            if v2 and not is_pi_central_of_height(quot, p, 2, p - 1, caps=ctx.caps):
+                ok = False
+        wit["quotient_order"] = quot.order()
+        return ok
+
+    return wit, passes_to_quotient
 
 
 @dataclass
 class CheckerSpec:
     id: str
     description: str
-    run: object  # callable(Context, params) -> (hyp, concl, witnesses, notes)
+    run: object  # callable(Context) -> (witnesses, conclusion callable or None)
     applies: object  # callable(PermGroup, prime, caps) -> bool
+    notes: str = ""  # how the checker reads the statement, copied into each verdict
 
 
 def _divides(g: PermGroup, p: int, caps: Caps) -> bool:
@@ -543,9 +501,11 @@ def _divides(g: PermGroup, p: int, caps: Caps) -> bool:
 CHECKERS: dict[str, CheckerSpec] = {}
 
 
-def _register(id_: str, description: str, run, applies=_divides) -> None:
-    CHECKERS[id_] = CheckerSpec(id_, description, run, applies)
+def _register(id_: str, description: str, run, applies=_divides, notes: str = "") -> None:
+    CHECKERS[id_] = CheckerSpec(id_, description, run, applies, notes)
 
+
+_WEAK_NOTES = "weakened hypothesis: N/C a p-group instead of p-nilpotent N"
 
 _register("burnside", "abelian Sylow implies N_G(P) controls p-transfer", _chk_burnside)
 _register("hall_wielandt", "class(P) < p implies control", _chk_hall_wielandt)
@@ -557,7 +517,10 @@ _register(
     _chk_main_1_3,
 )
 _register(
-    "main_1_3_weak", "same with N/C a p-group in the hypothesis", _chk_main_1_3_weak
+    "main_1_3_weak",
+    "same with N/C a p-group in the hypothesis",
+    _chk_main_1_3_weak,
+    notes=_WEAK_NOTES,
 )
 _register("cor_1_5", "all |P cap Q| <= |Z_{p-1}(P)| implies control", _chk_cor_1_5)
 _register(
@@ -565,10 +528,22 @@ _register(
     "p-nilpotent normalizers of tame intersections above Z_{p-1}(P) "
     "imply G is p-nilpotent",
     _chk_cor_1_6,
+    notes="lower bound read inclusively (Z_{p-1}(P) <= D, including D = P); "
+    "the strict reading admits abelian-Sylow counterexamples",
 )
 _register("thm_1_8", "the Z*(P) version of the tame-intersection theorem", _chk_thm_1_8)
-_register("thm_1_8_weak", "Z*(P) version with the N/C hypothesis", _chk_thm_1_8_weak)
-_register("cor_1_9", "Z*(P) version of the p-nilpotency corollary", _chk_cor_1_9)
+_register(
+    "thm_1_8_weak",
+    "Z*(P) version with the N/C hypothesis",
+    _chk_thm_1_8_weak,
+    notes=_WEAK_NOTES,
+)
+_register(
+    "cor_1_9",
+    "Z*(P) version of the p-nilpotency corollary",
+    _chk_cor_1_9,
+    notes="lower bound read inclusively, as for the Z_{p-1} variant",
+)
 _register(
     "thm_1_10",
     "weakly closed K <= Z*(P) implies N_G(K) controls p-transfer",
@@ -601,6 +576,7 @@ _register(
     "thm_4_2",
     "class-p Sylow with p-nilpotent maximal normalizer implies p-solvable of length 1",
     _chk_thm_4_2,
+    notes="conclusion 'length 1' has p-length and p'-length readings; both recorded",
 )
 _register(
     "thm_4_3",
@@ -624,6 +600,7 @@ _register(
     "p-central of height p-2 or p^2-central of height p-1 implies control (p odd)",
     _chk_thm_4_8,
     applies=lambda g, p, caps: p > 2 and g.order() % p == 0,
+    notes="strict element-order reading; order-dividing variant recorded in witnesses",
 )
 _register(
     "thm_4_10_property",
@@ -634,30 +611,29 @@ _register(
 
 
 def run_checker(
-    checker_id: str,
-    group: PermGroup,
-    prime: int,
-    params: dict | None = None,
-    caps: Caps = DEFAULT_CAPS,
+    checker_id: str, group: PermGroup, prime: int, caps: Caps = DEFAULT_CAPS
 ) -> CheckerVerdict:
+    """Run one checker; its conclusion is evaluated only if it returned one,
+    that is, only when its hypothesis holds."""
     if checker_id not in CHECKERS:
         raise ValueError(f"unknown checker: {checker_id}")
     spec = CHECKERS[checker_id]
     label = group.name or f"group(deg {group.degree})"
-    ctx = Context(group, prime, caps)
     try:
-        hyp, concl, witnesses, notes = spec.run(ctx, params or {})
+        witnesses, conclusion = spec.run(Context(group, prime, caps))
+        concl = None if conclusion is None else conclusion()
     except CapExceeded as exc:
         return CheckerVerdict(
             checker_id, label, prime, None, None, "skipped:cap", {"cap": str(exc)}, ""
         )
+    hyp = conclusion is not None
     if not hyp:
         verdict = "vacuous"
     elif concl:
         verdict = "implication_ok"
     else:
         verdict = "VIOLATION"
-    return CheckerVerdict(checker_id, label, prime, hyp, concl, verdict, witnesses, notes)
+    return CheckerVerdict(checker_id, label, prime, hyp, concl, verdict, witnesses, spec.notes)
 
 
 @dataclass
@@ -673,17 +649,13 @@ class TheoremReport:
 
 
 def scan_corpus(
-    entries,
-    checker_ids: list[str] | None = None,
-    params: dict | None = None,
-    caps: Caps = DEFAULT_CAPS,
+    entries, checker_ids: list[str] | None = None, caps: Caps = DEFAULT_CAPS
 ) -> TheoremReport:
     """Run every applicable checker over every (group, prime) pair."""
     ids = sorted(checker_ids or CHECKERS.keys())
     for checker_id in ids:
         if checker_id not in CHECKERS:
             raise ValueError(f"unknown checker: {checker_id}")
-    params = params or {}
     verdicts: list[CheckerVerdict] = []
     pairs = 0
     for entry in entries:
@@ -692,7 +664,7 @@ def scan_corpus(
             pairs += 1
             for checker_id in ids:
                 if CHECKERS[checker_id].applies(group, p, caps):
-                    verdicts.append(run_checker(checker_id, group, p, params, caps))
+                    verdicts.append(run_checker(checker_id, group, p, caps))
 
     verdicts.sort(key=lambda v: (v.group_label, v.prime, v.checker_id))
     summary = {"implication_ok": 0, "vacuous": 0, "VIOLATION": 0, "skipped:cap": 0}

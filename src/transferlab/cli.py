@@ -62,8 +62,7 @@ def _resolve_group(selector: str, args) -> PermGroup:
             return entry.build()
     if ":" in selector:
         name, _, rest = selector.partition(":")
-        params = [int(tok) for tok in rest.split(",") if tok]
-        return builtin_group(name, *params)
+        return builtin_group(name, *(int(tok) for tok in rest.split(",") if tok))
     raise ValueError(f"unknown group selector: {selector!r}")
 
 
@@ -117,10 +116,7 @@ def cmd_verify(args) -> int:
     if p is None or group.order() % p:
         print(f"error: --prime must divide the group order {group.order()}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    params = {}
-    if args.reading:
-        params["reading"] = args.reading
-    verdict = run_checker(args.checker, group, p, params, Caps.default())
+    verdict = run_checker(args.checker, group, p, Caps.default())
     if args.format == "records":
         print(verdict.to_json())
     else:
@@ -141,11 +137,7 @@ def cmd_verify(args) -> int:
 
 def cmd_scan(args) -> int:
     entries = _entries(args)
-    params = {}
-    if args.reading:
-        params["reading"] = args.reading
-    checker_ids = args.checker or None
-    report = scan_corpus(entries, checker_ids, params, Caps.default())
+    report = scan_corpus(entries, args.checker or None, Caps.default())
     if args.format == "records":
         for line in report.record_lines():
             print(line)
@@ -209,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run one checker on one group")
     p_ver.add_argument("checker")
     p_ver.add_argument("group")
-    p_ver.add_argument("--reading", choices=("strict",), default=None)
     common(p_ver, prime=True)
     p_ver.set_defaults(func=cmd_verify)
 
@@ -217,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument(
         "--checker", action="append", help="checker id (repeatable; default all)"
     )
-    p_scan.add_argument("--reading", choices=("strict",), default=None)
     common(p_scan)
     p_scan.set_defaults(func=cmd_scan)
 

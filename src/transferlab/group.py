@@ -268,10 +268,6 @@ class PermGroup:
             self.contains(h.conjugate(g)) for g in other.gens for h in self.gens
         )
 
-    def subgroup_key(self, caps: Caps = DEFAULT_CAPS) -> frozenset[tuple[int, ...]]:
-        """Canonical identity of this group as a subgroup (its element set)."""
-        return self.element_set(caps)
-
     def __repr__(self) -> str:
         label = self.name or "PermGroup"
         return f"<{label} deg={self.degree} |G|={self.order()}>"

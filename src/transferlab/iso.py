@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 from .caps import DEFAULT_CAPS, Caps, check_cap
@@ -55,19 +56,21 @@ class GeneratorMap:
                     return None
         return mapping
 
+    @cached_property
+    def _table(self) -> dict[tuple[int, ...], Perm] | None:
+        return self.extend()
+
     def is_homomorphism(self) -> bool:
-        return self.extend() is not None
+        return self._table is not None
 
     def is_isomorphism(self) -> bool:
-        mapping = self.extend()
+        mapping = self._table
         if mapping is None or len(mapping) != self.source.order():
             return False
         values = {p.images for p in mapping.values()}
         return len(values) == self.target.order()
 
     def apply(self, x: Perm) -> Perm:
-        if "_table" not in self.__dict__:
-            self._table = self.extend()
         if self._table is None:
             raise ValueError("generator map is not a homomorphism")
         return self._table[x.images]

@@ -45,6 +45,29 @@ def test_builtin_unknown_name():
         builtin_group("nope")
 
 
+@pytest.mark.parametrize(
+    "name,args",
+    [("symmetric", (4, 5)), ("elementary_abelian", (2,)), ("sl23", (3,)), ("psl2", ())],
+)
+def test_builtin_wrong_arity_quotes_usage(name, args):
+    with pytest.raises(ValueError, match=f"usage: {name}"):
+        builtin_group(name, *args)
+
+
+@pytest.mark.parametrize("args", [(4, 2), (1, 2), (2, 0)])
+def test_elementary_abelian_rejects_bad_parameters(args):
+    with pytest.raises(ValueError):
+        builtin_group("elementary_abelian", *args)
+
+
+@pytest.mark.parametrize(
+    "spec", ["symmetric:4,5", "elementary_abelian:2", "sl23:3", "elementary_abelian:4,2"]
+)
+def test_cli_bad_builtin_spec_is_input_error(capsys, spec):
+    assert main(["analyze", spec, "--prime", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_generalized_quaternion_unique_involution():
     for order in (8, 16, 32):
         q = generalized_quaternion(order)
@@ -132,9 +155,21 @@ def test_cli_verify_pass_and_records(capsys):
     assert record["verdict"] == "implication_ok"
 
 
-def test_cli_verify_strict_reading_violation(capsys):
-    code = main(["verify", "thm_4_2", "S4", "--prime", "2", "--reading", "strict"])
-    assert code == 1
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "thm_4_2", "S4", "--prime", "2", "--reading", "strict"],
+        ["scan", "--reading", "strict"],
+    ],
+    ids=["verify", "scan"],
+)
+def test_cli_rejects_reading_option(capsys, argv):
+    """Both readings of thm_4_2 are in every record; there is no option to
+    pick one."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--reading" in capsys.readouterr().err
 
 
 def test_cli_input_errors(capsys):
@@ -191,6 +226,21 @@ def test_cli_scan_records_match_golden(capsys):
     """The full record stream stays byte-identical to the checked-in one."""
     assert main(["scan", "--format", "records"]) == 0
     assert capsys.readouterr().out == GOLDEN_RECORDS.read_text()
+
+
+def test_cli_scan_text_summary_pinned(capsys):
+    """The text scan prints the corpus size, the four verdict counts and
+    the one thm_4_2 pair where the two readings of 'length 1' differ."""
+    assert main(["scan"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "corpus: 42 groups, 68 (group, prime) pairs",
+        "  implication_ok: 987",
+        "  vacuous: 430",
+        "  VIOLATION: 0",
+        "  skipped:cap: 0",
+        "interpretation discrepancy: thm_4_2 S4 p=2 "
+        "(strict reading fails, p'-length reading passes)",
+    ]
 
 
 def test_cli_witness(capsys):

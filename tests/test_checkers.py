@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from transferlab.caps import DEFAULT_CAPS
+from transferlab.caps import DEFAULT_CAPS, CapExceeded
 from transferlab.catalog import default_corpus, entry_for, symmetric
 from transferlab.checkers import (
     CHECKERS,
@@ -27,7 +27,7 @@ def test_registry_is_complete():
 
 def test_unknown_checker_raises(s4):
     with pytest.raises(ValueError):
-        run_checker("nope", s4, 2, {}, DEFAULT_CAPS)
+        run_checker("nope", s4, 2, DEFAULT_CAPS)
 
 
 @pytest.mark.parametrize(
@@ -45,21 +45,66 @@ def test_unknown_checker_raises(s4):
 def test_spot_verdicts(checker_id, label_prime, expected):
     label, p = label_prime
     entry = next(e for e in default_corpus() if e.label == label)
-    v = run_checker(checker_id, entry.build(), p, {}, DEFAULT_CAPS)
+    v = run_checker(checker_id, entry.build(), p, DEFAULT_CAPS)
     assert v.verdict == expected
     assert v.group_label == label
 
 
 def test_thm_4_2_strict_reading_flags_s4():
     entry = next(e for e in default_corpus() if e.label == "S4")
-    v = run_checker("thm_4_2", entry.build(), 2, {"reading": "strict"}, DEFAULT_CAPS)
-    assert v.verdict == "VIOLATION"
+    v = run_checker("thm_4_2", entry.build(), 2, DEFAULT_CAPS)
+    assert v.verdict == "implication_ok"
+    assert v.witnesses["strict_reading_ok"] is False
     assert v.witnesses["p_length"] == 2
     assert v.witnesses["p_prime_length"] == 1
 
 
+def test_run_checker_alone_evaluates_conclusions(monkeypatch):
+    """Every checker's conclusion is called by run_checker exactly once when
+    its hypothesis holds, and never when it fails."""
+    calls = []
+    for spec in CHECKERS.values():
+
+        def recording(ctx, run=spec.run, checker_id=spec.id):
+            witnesses, conclusion = run(ctx)
+            if conclusion is None:
+                return witnesses, None
+
+            def recorded():
+                calls.append(checker_id)
+                return conclusion()
+
+            return witnesses, recorded
+
+        monkeypatch.setattr(spec, "run", recording)
+    fired = {True: 0, False: 0}
+    for label, p in (("S4", 2), ("S4", 3), ("A5", 2), ("D8", 2), ("SL(2,3)", 2)):
+        g = next(e for e in default_corpus() if e.label == label).build()
+        for checker_id, spec in CHECKERS.items():
+            if not spec.applies(g, p, DEFAULT_CAPS):
+                continue
+            calls.clear()
+            v = run_checker(checker_id, g, p, DEFAULT_CAPS)
+            assert calls == ([checker_id] if v.hypothesis_holds else [])
+            assert (v.conclusion_holds is None) == (not v.hypothesis_holds)
+            assert v.interpretation_notes == spec.notes
+            fired[v.hypothesis_holds] += 1
+    assert fired[True] and fired[False]
+
+
+def test_cap_inside_conclusion_is_skipped(monkeypatch, s4):
+    def capped():
+        raise CapExceeded("element enumeration", 100, 10)
+
+    monkeypatch.setattr(CHECKERS["burnside"], "run", lambda ctx: ({"sylow": "x"}, capped))
+    v = run_checker("burnside", s4, 2, DEFAULT_CAPS)
+    assert v.verdict == "skipped:cap"
+    assert v.hypothesis_holds is None and v.conclusion_holds is None
+    assert set(v.witnesses) == {"cap"}
+
+
 def test_verdict_json_round_trip(s4):
-    v = run_checker("burnside", symmetric(4), 2, {}, DEFAULT_CAPS)
+    v = run_checker("burnside", symmetric(4), 2, DEFAULT_CAPS)
     data = json.loads(v.to_json())
     assert data["checker_id"] == "burnside"
     assert data["prime"] == 2
@@ -86,8 +131,8 @@ def test_weak_variants_agree_with_strong(s4, s5):
     """When the strong hypothesis holds, weak and strong conclusions agree."""
     for g in (s4, s5):
         for p in (2, 3):
-            strong = run_checker("main_1_3", g, p, {}, DEFAULT_CAPS)
-            weak = run_checker("main_1_3_weak", g, p, {}, DEFAULT_CAPS)
+            strong = run_checker("main_1_3", g, p, DEFAULT_CAPS)
+            weak = run_checker("main_1_3_weak", g, p, DEFAULT_CAPS)
             if strong.verdict == "implication_ok" and strong.hypothesis_holds:
                 assert weak.verdict in ("implication_ok", "vacuous")
 
@@ -135,15 +180,15 @@ def test_weakly_closed_normalizer_containment():
 
 def test_scan_small_subset_clean_and_deterministic():
     entries = [e for e in default_corpus() if e.label in ("S3", "S4", "A4", "D8", "Q8")]
-    r1 = scan_corpus(entries, ["burnside", "main_1_3", "thm_4_2"], {}, DEFAULT_CAPS)
-    r2 = scan_corpus(entries, ["burnside", "main_1_3", "thm_4_2"], {}, DEFAULT_CAPS)
+    r1 = scan_corpus(entries, ["burnside", "main_1_3", "thm_4_2"], DEFAULT_CAPS)
+    r2 = scan_corpus(entries, ["burnside", "main_1_3", "thm_4_2"], DEFAULT_CAPS)
     assert not r1.violations
     assert r1.record_lines() == r2.record_lines()
 
 
 def test_corrupt_checker_is_detected(corrupt_burnside):
     entries = [e for e in default_corpus() if e.label in ("S3", "S4")]
-    report = scan_corpus(entries, ["burnside"], {}, DEFAULT_CAPS)
+    report = scan_corpus(entries, ["burnside"], DEFAULT_CAPS)
     assert report.violations
 
 
@@ -161,7 +206,7 @@ def test_thm_4_10_property_on_p_groups():
         for p in (2, 3, 5):
             if g.order() % p or not is_p_group(g, p) or g.order() == 1:
                 continue
-            v = run_checker("thm_4_10_property", g, p, {}, DEFAULT_CAPS)
+            v = run_checker("thm_4_10_property", g, p, DEFAULT_CAPS)
             assert v.verdict != "VIOLATION"
             count += 1
     assert count >= 15

@@ -92,7 +92,8 @@ def test_generator_map_homomorphism_detection(s3):
 
 
 def test_generator_map_apply_extends_once(monkeypatch, s4):
-    """apply builds the element table on its first call and keeps it."""
+    """The element table is built once, by whichever of is_isomorphism and
+    apply asks first, and kept for the other."""
     calls = []
     extend = GeneratorMap.extend
 
@@ -103,6 +104,11 @@ def test_generator_map_apply_extends_once(monkeypatch, s4):
     monkeypatch.setattr(GeneratorMap, "extend", counted)
     phi = GeneratorMap(s4, s4, s4.gens)
     assert all(phi.apply(x) == x for x in s4.elements())
+    assert len(calls) == 1
+    calls.clear()
+    psi = GeneratorMap(s4, s4, s4.gens)
+    assert psi.is_isomorphism() and psi.is_homomorphism()
+    assert all(psi.apply(x) == x for x in s4.elements())
     assert len(calls) == 1
 
 

@@ -130,7 +130,7 @@ def test_checkers_leave_no_cyclic_garbage():
     try:
         g = symmetric(4)
         verdicts = [
-            run_checker(cid, g, 2, {}, DEFAULT_CAPS)
+            run_checker(cid, g, 2, DEFAULT_CAPS)
             for cid, spec in CHECKERS.items()
             if spec.applies(g, 2, DEFAULT_CAPS)
         ]

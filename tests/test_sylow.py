@@ -125,10 +125,10 @@ def test_psl217_sylow_shape(psl217):
 
 def test_sylow_conjugacy(s4, rng):
     fam = all_sylow_subgroups(s4, 2)
-    keys = {m.subgroup_key() for m in fam.members}
+    keys = {m.element_set() for m in fam.members}
     assert len(keys) == 3
     # Conjugating the base by random elements stays inside the family.
     for _ in range(10):
         g = s4.random_element(rng)
         c = PermGroup(4, [x.conjugate(g) for x in fam.base_member.gens])
-        assert c.subgroup_key() in keys
+        assert c.element_set() in keys
