@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: analyze, verify, scan, witness, builtin.
+Subcommands: analyze, verify, scan, witness, builtin.  verify and scan
+take --format text|records; analyze, verify and scan take --catalog.
 Exit codes: 0 pass, 1 violation or witness failure, 2 input error,
 3 cap-limited results under --strict-caps, 141 (128 + SIGPIPE) when the
 reader closes standard output early, as `transferlab scan | head` does.
@@ -50,20 +51,21 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by 
 
 
 def _entries(args) -> list[CatalogEntry]:
-    if getattr(args, "catalog", None):
+    if args.catalog:
         return load_catalog(args.catalog)
     return default_corpus()
 
 
 def _resolve_group(selector: str, args) -> PermGroup:
-    """A catalog label, or a builtin spec like "psl2:17" or "symmetric:4"."""
+    """A catalog label, or a builtin spec like "psl2:17", "symmetric:4" or
+    "sl23".  A catalog label wins over a builtin of the same name."""
     for entry in _entries(args):
         if entry.label == selector:
             return entry.build()
-    if ":" in selector:
-        name, _, rest = selector.partition(":")
-        return builtin_group(name, *(int(tok) for tok in rest.split(",") if tok))
-    raise ValueError(f"unknown group selector: {selector!r}")
+    name, colon, rest = selector.partition(":")
+    if not colon and name not in dict(builtin_names()):
+        raise ValueError(f"unknown group selector: {selector!r}")
+    return builtin_group(name, *(int(tok) for tok in rest.split(",") if tok))
 
 
 def cmd_analyze(args) -> int:
@@ -184,18 +186,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p_cmd, prime=False):
-        p_cmd.add_argument("--catalog", help="path to a JSONL catalog file")
-        p_cmd.add_argument(
-            "--format", choices=("text", "records"), default="text", dest="format"
-        )
+    def common(p_cmd, catalog=True, records=True, prime=False):
+        if catalog:
+            p_cmd.add_argument("--catalog", help="path to a JSONL catalog file")
+        if records:
+            p_cmd.add_argument(
+                "--format", choices=("text", "records"), default="text", dest="format"
+            )
         p_cmd.add_argument("--strict-caps", action="store_true", dest="strict_caps")
         if prime:
             p_cmd.add_argument("--prime", type=int, required=True)
 
     p_an = sub.add_parser("analyze", help="structural summary of one group at a prime")
     p_an.add_argument("group")
-    common(p_an, prime=True)
+    common(p_an, records=False, prime=True)
     p_an.set_defaults(func=cmd_analyze)
 
     p_ver = sub.add_parser("verify", help="run one checker on one group")
@@ -212,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.set_defaults(func=cmd_scan)
 
     p_wit = sub.add_parser("witness", help="verify the named-group witness facts")
-    common(p_wit)
+    common(p_wit, catalog=False, records=False)
     p_wit.set_defaults(func=cmd_witness)
 
     p_b = sub.add_parser("builtin", help="built-in group constructors")

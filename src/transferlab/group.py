@@ -7,6 +7,11 @@ orderings and transversals, which keeps every downstream computation
 (including transfer values) reproducible.  Derived subgroups and the
 like are kept on the group they come from (`memoized`).
 
+A subgroup built from a list of elements, by `span` or by scanning a
+group's elements (`_scan_subgroup`), goes through one path
+(`_from_elements`): one chain build over the list, whose result keeps as
+gens only the elements that build used, and keeps that chain.
+
 Right cosets are told apart by their coset key (`_coset_key`): the
 images of one canonical element of the coset Hg, found by walking H's
 stabilizer chain and, at each level, stepping to the coset element that
@@ -180,16 +185,9 @@ class PermGroup:
 
     @property
     def chain(self) -> list[_Level]:
-        """The stabilizer chain, built on first access.
-
-        Only a group built from its member list (`_scan_subgroup`) knows
-        its order before its chain: its build stops at that order, and it
-        keeps as gens only the members the build used.
-        """
+        """The stabilizer chain, built on first access."""
         if self._chain is None:
-            self._chain, used = _build_chain(self.degree, self.gens, self._order)
-            if self._order is not None:
-                self.gens = tuple(used)
+            self._chain, _ = _build_chain(self.degree, self.gens)
         return self._chain
 
     def order(self) -> int:
@@ -301,15 +299,24 @@ def trivial_group(degree: int) -> PermGroup:
     return PermGroup(degree, [], "1")
 
 
+def _from_elements(
+    degree: int, elems: Iterable[Perm], order: int | None = None
+) -> PermGroup:
+    """<elems> from one chain build over elems, stopped at order if given.
+
+    The group's gens are the elements whose insert changed the chain, so
+    it keeps the chain just built: a build from those gens alone gives
+    the same chain (see `_build_chain`).
+    """
+    levels, used = _build_chain(degree, PermGroup(degree, elems).gens, order)
+    h = PermGroup(degree, used)
+    h._chain = levels
+    return h
+
+
 def span(degree: int, elems: Iterable[Perm]) -> PermGroup:
-    """<elems>, built incrementally so the generator list stays short."""
-    gens: list[Perm] = []
-    current = PermGroup(degree, [])
-    for x in elems:
-        if not current.contains(x):
-            gens.append(x)
-            current = PermGroup(degree, gens)
-    return current
+    """<elems>, generated by the elements its one chain build used."""
+    return _from_elements(degree, elems)
 
 
 # subgroup operations ------------------------------------------------------
@@ -323,18 +330,14 @@ def conjugate_subgroup(h: PermGroup, g: Perm) -> PermGroup:
 def _scan_subgroup(g: PermGroup, keep, caps: Caps) -> PermGroup:
     """The subgroup of the elements x of G with keep(x).
 
-    Its chain is the chain of PermGroup(degree, members), with the
-    members in G's elements() order: the build takes them in that order
-    but stops at the known order |members| (see `_build_chain`), which
-    leaves the chain unchanged.  The group keeps as gens only the members
-    whose insert changed the chain, and its member set as the set
-    `contains` looks up.
+    Built like `span` over the members in G's elements() order, but the
+    build stops at the known order |members| (see `_build_chain`), which
+    leaves the chain unchanged.  The group keeps its member set as the
+    set `contains` looks up.
     """
     members = [x for x in g.elements(caps) if keep(x)]
-    h = PermGroup(g.degree, members)
-    h._order = len(members)
+    h = _from_elements(g.degree, members, len(members))
     h._element_set = frozenset(x.images for x in members)
-    h.chain  # the first access builds the chain and trims gens
     return h
 
 

@@ -4,6 +4,10 @@ centrality-height predicates.
 
 Everything is computed by exact enumeration under the global caps; the
 corpus tops out at order 2448 so nothing here needs to be clever.
+A subgroup defined as a set of elements (the center, the terms of the
+upper central series, the norm) is scanned from the group's elements
+(`_scan_subgroup`); a subgroup defined by generators (Phi, Omega, O^p,
+O_{p'}) is a `span`.
 """
 
 from __future__ import annotations
@@ -13,11 +17,14 @@ from dataclasses import dataclass
 from .caps import DEFAULT_CAPS, Caps
 from .group import (
     PermGroup,
+    _scan_subgroup,
+    centralizer,
     commutator_subgroup,
     derived_subgroup,
     intersection,
     join,
     memoized,
+    normal_closure,
     quotient_group,
     span,
     trivial_group,
@@ -28,9 +35,12 @@ from .perm import Perm, commutator
 
 @dataclass
 class SeriesResult:
-    kind: str  # derived | lower_central | upper_central | norm | p_series
     terms: list[PermGroup]
-    length: int
+    factors: list[str] | None = None  # p_series only: "p" or "p'" per step
+
+    @property
+    def length(self) -> int:
+        return len(self.terms) - 1
 
 
 def p_part(n: int, p: int) -> int:
@@ -71,7 +81,7 @@ def derived_series(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> SeriesResult:
         terms.append(nxt)
         if nxt.is_trivial():
             break
-    return SeriesResult("derived", terms, len(terms) - 1)
+    return SeriesResult(terms)
 
 
 def is_solvable(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:
@@ -89,7 +99,7 @@ def lower_central_series(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> SeriesResul
         terms.append(nxt)
         if nxt.is_trivial():
             break
-    return SeriesResult("lower_central", terms, len(terms) - 1)
+    return SeriesResult(terms)
 
 
 def is_nilpotent(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:
@@ -106,32 +116,23 @@ def nilpotency_class(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> int | None:
 # upper central series -----------------------------------------------------
 
 def center(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    return span(
-        g.degree,
-        (x for x in g.elements(caps) if all(x * s == s * x for s in g.gens)),
-    )
+    return centralizer(g, g, caps)
 
 
 @memoized
 def upper_central_series(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> SeriesResult:
     terms = [trivial_group(g.degree)]
-    elems = g.elements(caps)
     while True:
         prev = terms[-1]
-        nxt = span(
-            g.degree,
-            (
-                x
-                for x in elems
-                if all(prev.contains(commutator(x, s)) for s in g.gens)
-            ),
+        nxt = _scan_subgroup(
+            g, lambda x: all(prev.contains(commutator(x, s)) for s in g.gens), caps
         )
         if nxt.order() == prev.order():
             break
         terms.append(nxt)
         if nxt.order() == g.order():
             break
-    return SeriesResult("upper_central", terms, len(terms) - 1)
+    return SeriesResult(terms)
 
 
 def z_k(g: PermGroup, k: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
@@ -158,11 +159,11 @@ def norm(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
             z = z * y
             powers.add(z.images)
         power_sets.append((y, powers))
-    members = []
-    for x in elems:
-        if all(y.conjugate(x).images in powers for y, powers in power_sets):
-            members.append(x)
-    return span(p.degree, members)
+    return _scan_subgroup(
+        p,
+        lambda x: all(y.conjugate(x).images in powers for y, powers in power_sets),
+        caps,
+    )
 
 
 def is_dedekind(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:
@@ -177,14 +178,11 @@ def norm_series(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> SeriesResult:
         if prev.order() == p.order():
             break
         q = quotient_group(p, prev, caps)
-        zq = norm(q.image, caps)
-        nxt = PermGroup(
-            p.degree, q.preimage_subgroup(zq, caps).gens, None
-        )
+        nxt = q.preimage_subgroup(norm(q.image, caps), caps)
         if nxt.order() == prev.order():
             break  # norm of the quotient is trivial; series has stalled
         terms.append(nxt)
-    return SeriesResult("norm", terms, len(terms) - 1)
+    return SeriesResult(terms)
 
 
 def norm_length(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> int | None:
@@ -250,40 +248,22 @@ def o_p(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
 
 def o_p_by_closure(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """O_p(G) as <x : the normal closure of x is a p-group> (oracle route)."""
-    target = p_part(g.order(), p)
     good: list[Perm] = []
     for rep, orbit in conjugacy_classes(g, caps):
         if rep.is_identity() or p_part(rep.order(), p) != rep.order():
             continue
-        if _closure_is_pi_group(g, rep, lambda n: p_part(n, p) == n, target, caps):
+        if is_p_group(normal_closure(g, [rep], caps), p):
             good.extend(orbit)
     return span(g.degree, good)
 
 
-def _closure_is_pi_group(g, x, pred, max_order, caps) -> bool:
-    current = PermGroup(g.degree, [x])
-    while True:
-        if not pred(current.order()) or current.order() > max_order:
-            return False
-        new = []
-        for s in current.gens:
-            for t in g.gens:
-                c = s.conjugate(t)
-                if not current.contains(c):
-                    new.append(c)
-        if not new:
-            return True
-        current = PermGroup(g.degree, list(current.gens) + new)
-
-
 def o_p_prime(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """O_{p'}(G): generated by the x whose normal closure is a p'-group."""
-    max_order = p_prime_part(g.order(), p)
     good: list[Perm] = []
     for rep, orbit in conjugacy_classes(g, caps):
         if rep.is_identity() or rep.order() % p == 0:
             continue
-        if _closure_is_pi_group(g, rep, lambda n: n % p != 0, max_order, caps):
+        if normal_closure(g, [rep], caps).order() % p != 0:
             good.extend(orbit)
     return span(g.degree, good)
 
@@ -332,13 +312,11 @@ def p_series(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> SeriesResult:
             want_p = not want_p
             continue
         stalled_once = False
-        current = PermGroup(g.degree, q.preimage_subgroup(nxt_img, caps).gens)
+        current = q.preimage_subgroup(nxt_img, caps)
         terms.append(current)
         factors.append("p" if want_p else "p'")
         want_p = not want_p
-    result = SeriesResult("p_series", terms, len(terms) - 1)
-    result.factors = factors  # type: ignore[attr-defined]
-    return result
+    return SeriesResult(terms, factors)
 
 
 def is_p_solvable(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> bool:

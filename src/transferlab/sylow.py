@@ -141,8 +141,7 @@ def is_tame_intersection(
     n_q_d = intersection(n_g_d, q_syl, caps)
     sylow_order_in_n = p_part(n_g_d.order(), prime)
     tame = n_p_d.order() == sylow_order_in_n and n_q_d.order() == sylow_order_in_n
-    c_g_d = centralizer(g, d, caps)
-    n_over_c = n_g_d.order() // intersection(n_g_d, c_g_d, caps).order()
+    n_over_c = n_g_d.order() // centralizer(g, d, caps).order()  # C_G(D) <= N_G(D)
     rec = TameIntersectionRecord(
         p_subgroup=p_syl,
         q_subgroup=q_syl,

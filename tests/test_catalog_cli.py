@@ -145,6 +145,43 @@ def test_cli_analyze_builtin_spec(capsys):
     assert "order 8" in out
 
 
+def test_cli_analyze_bare_builtin_name(capsys):
+    """A builtin that takes no parameters needs no trailing colon."""
+    assert main(["analyze", "sl23", "--prime", "2"]) == 0
+    assert "group: SL(2,3)  order 24" in capsys.readouterr().out
+
+
+def test_cli_bare_builtin_name_missing_parameters_is_input_error(capsys):
+    assert main(["analyze", "symmetric", "--prime", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: wrong number of parameters for symmetric; usage: symmetric")
+
+
+def test_cli_catalog_label_wins_over_builtin_name(capsys, tmp_path):
+    entry = entry_for(cyclic(3))
+    entry.label = "sl23"
+    path = tmp_path / "shadow.jsonl"
+    save_catalog([entry], str(path))
+    assert main(["analyze", "sl23", "--catalog", str(path), "--prime", "3"]) == 0
+    assert "order 3 " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "S4", "--prime", "2", "--format", "records"],
+        ["witness", "--format", "records"],
+        ["witness", "--catalog", "/nonexistent"],
+    ],
+    ids=["analyze-format", "witness-format", "witness-catalog"],
+)
+def test_cli_rejects_options_it_cannot_honour(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
 def test_cli_verify_pass_and_records(capsys):
     assert main(["verify", "burnside", "A5", "--prime", "2"]) == 0
     capsys.readouterr()

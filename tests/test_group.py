@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+import transferlab.group as group_module
 from transferlab.catalog import (
     alternating,
     cyclic,
@@ -33,6 +34,7 @@ from transferlab.group import (
     trivial_group,
 )
 from transferlab.perm import Perm
+from test_scanned_subgroups import _levels
 
 
 def brute_closure_count(g: PermGroup) -> int:
@@ -100,6 +102,37 @@ def test_span_equals_group(s4, rng):
         assert h.contains(x)
     assert h.order() == PermGroup(4, sample).order()
     assert span(4, elems).order() == 24
+
+
+def test_span_builds_its_chain_once(monkeypatch, s4, rng):
+    """span makes one chain build and keeps that chain: a fresh group on
+    the gens it kept has the same chain and element set."""
+    builds = []
+    real_build = group_module._build_chain
+
+    def counted_build(*args, **kwargs):
+        builds.append(args)
+        return real_build(*args, **kwargs)
+
+    s5 = symmetric(5)
+    inputs = [
+        (4, s4.elements()),
+        (4, [s4.random_element(rng) for _ in range(6)]),
+        (5, [x * y for x in s5.gens for y in s5.gens] + list(s5.gens)),
+        (8, sl23().elements()[::-1]),
+    ]
+    for degree, elems in inputs:
+        monkeypatch.setattr(group_module, "_build_chain", counted_build)
+        builds.clear()
+        h = span(degree, elems)
+        h.elements()
+        assert len(builds) == 1
+        monkeypatch.setattr(group_module, "_build_chain", real_build)
+        fresh = PermGroup(degree, h.gens)
+        assert _levels(h.chain) == _levels(fresh.chain)
+        assert h.element_set() == fresh.element_set()
+        assert {x.images for x in h.gens} <= {x.images for x in elems}
+        assert all(h.contains(x) for x in elems)
 
 
 def test_subgroup_and_normality(s4, a4):

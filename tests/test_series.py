@@ -1,8 +1,10 @@
 import pytest
 
+from transferlab.caps import DEFAULT_CAPS
 from transferlab.catalog import (
     alternating,
     cyclic,
+    default_corpus,
     dihedral,
     direct_product,
     elementary_abelian,
@@ -12,6 +14,7 @@ from transferlab.catalog import (
     wreath_cyclic,
 )
 from transferlab.group import PermGroup, normal_closure, span
+from transferlab.iso import all_subgroups, prime_divisors
 from transferlab.perm import Perm
 from transferlab.series import (
     a_p,
@@ -146,6 +149,24 @@ def test_o_p_prime_and_o_upper_p(s4, a5):
     assert o_upper_p(s4, 2).order() == 12  # A4
     assert o_upper_p(s4, 3).order() == 24
     assert o_upper_p(a5, 2).order() == 60  # perfect
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [e for e in default_corpus() if e.expected_order <= DEFAULT_CAPS.subgroup_enum_cap],
+    ids=lambda e: e.label,
+)
+def test_o_p_prime_is_largest_normal_p_prime_subgroup(entry):
+    """O_{p'}(G) against the full subgroup list: the normal subgroups of
+    p'-order are closed under products, so the largest one is unique."""
+    g = entry.build()
+    subgroups = all_subgroups(g)
+    for p in prime_divisors(g.order()):
+        largest = max(
+            (h for h in subgroups if h.order() % p and h.is_normal_in(g)),
+            key=PermGroup.order,
+        )
+        assert o_p_prime(g, p).element_set() == largest.element_set()
 
 
 def test_a_p(s4):
