@@ -4,7 +4,7 @@ permutation groups.
 The layers, bottom up:
 
 - perm, group: permutations, stabilizer-chain groups, cosets, quotients.
-- iso: isomorphism testing, automorphisms, subgroup enumeration.
+- iso: isomorphism tests, Aut(P) as a permutation group, all subgroups.
 - series: central/derived/norm series and the standard normal functors.
 - sylow: Sylow families, tame intersections, weak closure.
 - transfer: pretransfer and transfer maps, focal subgroups, control of
@@ -41,7 +41,6 @@ from .iso import (
     abelianization_invariants,
     all_subgroups,
     automorphism_group,
-    automorphism_representatives,
     is_isomorphic,
 )
 from .series import (

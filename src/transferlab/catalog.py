@@ -236,6 +236,23 @@ def entry_for(group: PermGroup, tags: list[str] | None = None) -> CatalogEntry:
     )
 
 
+def _is_int(x) -> bool:
+    return type(x) is int  # not bool, which JSON true/false parse to
+
+
+# field -> (type test, what it asks for); tags and annotations are only copied
+_FIELD_TYPES = {
+    "label": (lambda v: isinstance(v, str), "a string"),
+    "degree": (_is_int, "an integer"),
+    "generators": (
+        lambda v: isinstance(v, list)
+        and all(isinstance(g, list) and all(map(_is_int, g)) for g in v),
+        "a list of lists of integers",
+    ),
+    "expected_order": (lambda v: v is None or _is_int(v), "an integer"),
+}
+
+
 def load_catalog(path: str) -> list[CatalogEntry]:
     entries = []
     with open(path) as fh:
@@ -245,6 +262,8 @@ def load_catalog(path: str) -> list[CatalogEntry]:
                 continue
             try:
                 record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError("a record must be a JSON object")
                 entry = CatalogEntry(
                     label=record["label"],
                     degree=record["degree"],
@@ -253,6 +272,9 @@ def load_catalog(path: str) -> list[CatalogEntry]:
                     annotations=record.get("annotations", {}),
                     expected_order=record.get("expected_order"),
                 )
+                for name, (ok, kind) in _FIELD_TYPES.items():
+                    if not ok(getattr(entry, name)):
+                        raise ValueError(f"{name} must be {kind}")
                 entry.build()
             except (KeyError, ValueError, json.JSONDecodeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad catalog entry: {exc}") from exc

@@ -28,6 +28,7 @@ from .checkers import (
     verify_paper_witnesses,
 )
 from .group import PermGroup, is_maximal
+from .iso import prime_divisors
 from .series import (
     a_p,
     center,
@@ -68,12 +69,16 @@ def _resolve_group(selector: str, args) -> PermGroup:
     return builtin_group(name, *(int(tok) for tok in rest.split(",") if tok))
 
 
+def _checked_prime(group: PermGroup, p: int) -> int:
+    """p, if it is a prime that divides |G|; else an input error."""
+    if prime_divisors(p) != [p] or group.order() % p:
+        raise ValueError(f"--prime must be a prime dividing the group order {group.order()}")
+    return p
+
+
 def cmd_analyze(args) -> int:
     group = _resolve_group(args.group, args)
-    p = args.prime
-    if p is None or group.order() % p:
-        print(f"error: --prime must divide the group order {group.order()}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    p = _checked_prime(group, args.prime)
     caps = Caps.default()
     fam = all_sylow_subgroups(group, p, caps)
     p_syl = fam.base_member
@@ -114,10 +119,7 @@ def cmd_verify(args) -> int:
         print(f"error: unknown checker {args.checker!r}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     group = _resolve_group(args.group, args)
-    p = args.prime
-    if p is None or group.order() % p:
-        print(f"error: --prime must divide the group order {group.order()}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    p = _checked_prime(group, args.prime)
     verdict = run_checker(args.checker, group, p, Caps.default())
     if args.format == "records":
         print(verdict.to_json())

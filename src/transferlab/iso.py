@@ -1,8 +1,9 @@
 """Isomorphism testing, automorphism groups, subgroup enumeration.
 
-All searches are capped brute force with invariant pruning: adequate for
-the desk-scale groups this library targets (orders up to a few hundred
-for anything that reaches these routines).
+One capped backtracking search over images of a short generating
+sequence finds isomorphisms.  Aut(P) is a permutation group on the
+positions of P's elements, built level by level from first hits of that
+search; its order is checked against the product of the orbit lengths.
 """
 
 from __future__ import annotations
@@ -11,11 +12,13 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
+from typing import Iterator, Sequence
 
 from .caps import DEFAULT_CAPS, Caps, check_cap
 from .group import (
     InvariantError,
     PermGroup,
+    _orbit_transversal,
     centralizer,
     derived_subgroup,
     join,
@@ -159,34 +162,30 @@ def _fingerprint(g: PermGroup, caps: Caps) -> tuple:
     )
 
 
-def _generating_sequence(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[Perm]:
-    """A short generating sequence, chosen greedily.
+def _generating_sequence(g: PermGroup) -> tuple[PermGroup, list[int]]:
+    """<s_1..s_k> for a short generating sequence s_1..s_k of g (its gens),
+    and the orders |<s_1..s_i>| for i = 1..k.
 
     Each step adjoins the element that grows the generated subgroup the
     most.  Short sequences keep the backtracking searches below small.
     """
-    elems = g.elements(caps)
-    seq: list[Perm] = []
+    orders: list[int] = []
     current = PermGroup(g.degree, [])
-    target = g.order()
-    while current.order() < target:
-        best = None
-        best_group = None
-        best_order = current.order()
-        for x in elems:
+    while current.order() < g.order():
+        best = current
+        for x in g.elements():
             if current.contains(x):
                 continue
-            cand = PermGroup(g.degree, seq + [x])
-            o = cand.order()
-            if o > best_order:
-                best, best_group, best_order = x, cand, o
-                if o == target:
+            cand = PermGroup(g.degree, current.gens + (x,))
+            if cand.order() > best.order():
+                best = cand
+                if cand.order() == g.order():
                     break
-        if best is None:
+        if best is current:
             raise InvariantError("no element grows a proper subgroup")
-        seq.append(best)
-        current = best_group
-    return seq
+        orders.append(best.order())
+        current = best
+    return current, orders
 
 
 def conjugacy_classes(
@@ -219,57 +218,37 @@ def conjugacy_classes(
     return out
 
 
-def _image_pools(
-    seq: list[Perm], target: PermGroup, caps: Caps, reps_first: bool
-) -> list[list[Perm]]:
-    """Candidate images in target for each generator in seq, by element order.
-
-    With reps_first the first image is restricted to conjugacy-class
-    representatives: any map can be post-composed with an inner
-    automorphism of the target.
-    """
+def _image_pools(seq: Sequence[Perm], target: PermGroup, caps: Caps) -> list[list[Perm]]:
+    """Candidate images in target for each generator in seq, by element order."""
     by_order: dict[int, list[Perm]] = {}
     for x in target.elements(caps):
         by_order.setdefault(x.order(), []).append(x)
-    pools = [by_order.get(x.order(), []) for x in seq]
-    if reps_first:
-        first_order = seq[0].order()
-        classes = conjugacy_classes(target, caps)
-        pools[0] = [rep for rep, _ in classes if rep.order() == first_order]
-    return pools
+    return [by_order.get(x.order(), []) for x in seq]
 
 
 def _iso_search(
-    a: PermGroup,
-    b: PermGroup,
-    seq: list[Perm],
-    candidate_pools: list[list[Perm]],
-    collect_all: bool,
-) -> list[GeneratorMap]:
-    """Backtracking over generator images, pruned by subgroup orders."""
-    sub_orders = []
-    for i in range(len(seq)):
-        sub_orders.append(PermGroup(a.degree, seq[: i + 1]).order())
-    found: list[GeneratorMap] = []
+    source: PermGroup,
+    orders: list[int],
+    target: PermGroup,
+    pools: list[list[Perm]],
+    chosen: tuple[Perm, ...] = (),
+) -> Iterator[GeneratorMap]:
+    """Yield each isomorphism source -> target that sends source.gens[i]
+    into pools[i], in pool order.
 
-    def recurse(i: int, chosen: list[Perm]) -> bool:
-        if i == len(seq):
-            gm = GeneratorMap(PermGroup(a.degree, seq), b, tuple(chosen))
-            if gm.is_isomorphism():
-                found.append(gm)
-                return not collect_all
-            return False
-        for cand in candidate_pools[i]:
-            if PermGroup(b.degree, chosen + [cand]).order() != sub_orders[i]:
-                continue
-            if recurse(i + 1, chosen + [cand]):
-                return True
-        return False
-
-    recurse(0, [])
-    # Break the closure's reference to itself, which would keep a and b alive.
-    del recurse
-    return found
+    Backtracking over generator images: a choice of the first i + 1
+    images survives only if they generate a subgroup of order orders[i].
+    """
+    i = len(chosen)
+    if i == len(pools):
+        gm = GeneratorMap(source, target, chosen)
+        if gm.is_isomorphism():
+            yield gm
+        return
+    for cand in pools[i]:
+        images = chosen + (cand,)
+        if PermGroup(target.degree, images).order() == orders[i]:
+            yield from _iso_search(source, orders, target, pools, images)
 
 
 def is_isomorphic(
@@ -283,36 +262,52 @@ def is_isomorphic(
         return True, GeneratorMap(a, b, ())
     if _fingerprint(a, caps) != _fingerprint(b, caps):
         return False, None
-    seq = _generating_sequence(a)
-    pools = _image_pools(seq, b, caps, reps_first=True)
-    found = _iso_search(a, b, seq, pools, collect_all=False)
-    if found:
-        return True, found[0]
-    return False, None
+    source, orders = _generating_sequence(a)
+    pools = _image_pools(source.gens, b, caps)
+    # Post-composing with an inner automorphism of b moves the first
+    # image to its class representative.
+    first = source.gens[0].order()
+    pools[0] = [rep for rep, _ in conjugacy_classes(b, caps) if rep.order() == first]
+    gm = next(_iso_search(source, orders, b, pools), None)
+    return gm is not None, gm
 
 
-def _automorphisms(p: PermGroup, caps: Caps, reps_first: bool) -> list[GeneratorMap]:
-    check_cap("automorphism search", p.order(), caps.aut_cap)
-    if p.order() == 1:
-        return [GeneratorMap(p, p, ())]
-    seq = _generating_sequence(p)
-    return _iso_search(p, p, seq, _image_pools(seq, p, caps, reps_first), collect_all=True)
+def automorphism_group(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+    """Aut(P), acting on the positions of p.elements().
 
-
-def automorphism_group(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[GeneratorMap]:
-    """The complete list of automorphisms, as generator maps."""
-    return _automorphisms(p, caps, reps_first=False)
-
-
-def automorphism_representatives(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[GeneratorMap]:
-    """Automorphisms S with Aut(P) = S . Inn(P).
-
-    The first generator image is restricted to conjugacy-class
-    representatives, so the list covers every automorphism up to
-    composition with an inner one.  Sufficient for testing whether a
-    normal subgroup is characteristic; much smaller than the full list.
+    An automorphism is fixed by its images of the generating sequence
+    s_1..s_k.  Level by level from the deepest, every automorphism found
+    so far fixes s_1..s_{i-1}; for each candidate image of s_i outside
+    the orbit of s_i under them, one first-hit search for an
+    automorphism that fixes s_1..s_{i-1} and sends s_i there adds a
+    generator.  The orbit is then the whole orbit of the stabilizer of
+    s_1..s_{i-1}, so |Aut(P)| is the product of the orbit lengths (Sims's
+    stabilizer search; Holt, Eick and O'Brien, Handbook of CGT, ch. 4).
     """
-    return _automorphisms(p, caps, reps_first=True)
+    check_cap("automorphism search", p.order(), caps.aut_cap)
+    elems = p.elements(caps)
+    position = {x.images: i for i, x in enumerate(elems)}
+    source, orders = _generating_sequence(p)
+    seq = source.gens
+    pools = _image_pools(seq, p, caps)
+    gens: list[Perm] = []
+    orbit_product = 1
+    for i in reversed(range(len(seq))):
+        start = position[seq[i].images]
+        orbit, _ = _orbit_transversal(start, gens, len(elems))
+        for cand in pools[i]:
+            if position[cand.images] in orbit:
+                continue
+            fixing = [[s] for s in seq[:i]] + [[cand]] + pools[i + 1 :]
+            phi = next(_iso_search(source, orders, p, fixing), None)
+            if phi is not None:
+                gens.append(Perm(position[phi.apply(x).images] for x in elems))
+                orbit, _ = _orbit_transversal(start, gens, len(elems))
+        orbit_product *= len(orbit)
+    aut = PermGroup(len(elems), gens)
+    if aut.order() != orbit_product:
+        raise InvariantError(f"|Aut| = {aut.order()} != orbit product {orbit_product}")
+    return aut
 
 
 @memoized
@@ -345,10 +340,11 @@ def all_subgroups(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[PermGroup]:
     return subs
 
 
-def is_characteristic(p: PermGroup, c: PermGroup, auts: list[GeneratorMap]) -> bool:
+def is_characteristic(p: PermGroup, c: PermGroup, aut: PermGroup) -> bool:
+    """Does every generator of aut = automorphism_group(p) map C into C?"""
+    elems = p.elements()
+    position = {x.images: i for i, x in enumerate(elems)}
     cset = c.element_set()
-    for phi in auts:
-        for x in c.gens:
-            if phi.apply(x).images not in cset:
-                return False
-    return True
+    return all(
+        elems[phi(position[x.images])].images in cset for phi in aut.gens for x in c.gens
+    )

@@ -17,11 +17,7 @@ from .group import (
     normalizer,
     right_transversal,
 )
-from .iso import (
-    all_subgroups,
-    automorphism_representatives,
-    is_characteristic,
-)
+from .iso import all_subgroups, automorphism_group, is_characteristic
 from .perm import Perm
 from .series import (
     element_p_part,
@@ -215,19 +211,20 @@ def is_weakly_closed(
 def characteristic_subgroups_above(
     p_grp: PermGroup, lower: PermGroup, caps: Caps = DEFAULT_CAPS
 ) -> list[PermGroup]:
-    """All characteristic subgroups C with lower <= C <= P.
+    """All characteristic subgroups C with lower <= C <= P, in the order
+    of all_subgroups.
 
-    A characteristic subgroup is normal, and normal subgroups are fixed
-    by inner automorphisms, so testing automorphism representatives
-    modulo the inner ones suffices.
+    Only normal subgroups can be characteristic, and the cheap normality
+    test runs first; the rest are tested against the generators of
+    Aut(P).
     """
-    auts = automorphism_representatives(p_grp, caps)
+    aut = automorphism_group(p_grp, caps)
     out = []
     for c in all_subgroups(p_grp, caps):
         if (
             lower.is_subgroup_of(c)
             and c.is_normal_in(p_grp)
-            and is_characteristic(p_grp, c, auts)
+            and is_characteristic(p_grp, c, aut)
         ):
             out.append(c)
     return out

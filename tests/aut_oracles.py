@@ -1,0 +1,44 @@
+"""Slow reference version of the automorphism search.
+
+This is the search the iso layer used before Aut(P) became a permutation
+group: every tuple of images of the generating sequence, pruned only by
+subgroup orders, each checked by building its full multiplication
+table.  It stays here, and only here, as the oracle for the
+differential tests in test_iso.py.
+"""
+
+from transferlab.group import PermGroup
+from transferlab.iso import GeneratorMap, _generating_sequence
+from transferlab.perm import Perm
+
+
+def every_automorphism(p: PermGroup) -> list[GeneratorMap]:
+    """Every automorphism of p, as a generator map on the generating
+    sequence."""
+    source, _ = _generating_sequence(p)
+    seq = list(source.gens)
+    by_order: dict[int, list[Perm]] = {}
+    for x in p.elements():
+        by_order.setdefault(x.order(), []).append(x)
+    pools = [by_order.get(x.order(), []) for x in seq]
+    sub_orders = [PermGroup(p.degree, seq[: i + 1]).order() for i in range(len(seq))]
+    found = []
+    partial = [[]]
+    for i in range(len(seq)):
+        partial = [
+            chosen + [cand]
+            for chosen in partial
+            for cand in pools[i]
+            if PermGroup(p.degree, chosen + [cand]).order() == sub_orders[i]
+        ]
+    for chosen in partial:
+        gm = GeneratorMap(source, p, tuple(chosen))
+        if gm.is_isomorphism():
+            found.append(gm)
+    return found
+
+
+def is_characteristic_by_images(c: PermGroup, auts: list[GeneratorMap]) -> bool:
+    """Does every automorphism map every element of c into c?"""
+    cset = c.element_set()
+    return all(phi.apply(x).images in cset for phi in auts for x in c.elements())

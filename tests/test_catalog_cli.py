@@ -216,6 +216,48 @@ def test_cli_input_errors(capsys):
     assert main(["scan", "--catalog", "/definitely/missing.jsonl"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "S4", "--prime", "0"],
+        ["verify", "burnside", "S4", "--prime", "0"],
+        ["verify", "burnside", "S4", "--prime", "6"],
+        ["analyze", "S4", "--prime", "4"],
+        ["analyze", "S4", "--prime", "-2"],
+        ["analyze", "S4", "--prime", "1"],
+        ["analyze", "S4", "--prime", "5"],
+    ],
+    ids=["analyze-0", "verify-0", "verify-6", "analyze-4", "analyze-neg2", "analyze-1", "analyze-5"],
+)
+def test_cli_prime_must_be_a_prime_dividing_the_order(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --prime must be a prime dividing the group order 24\n"
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("[1, 2]", "a record must be a JSON object"),
+        ('{"label": "x", "degree": 2, "generators": [5]}', "generators must be"),
+        ('{"label": "x", "degree": 3, "generators": [[1, 0, "2"]]}', "generators must be"),
+        (
+            '{"label": "x", "degree": 2, "generators": [[1, 0]], "expected_order": "2"}',
+            "expected_order must be an integer",
+        ),
+        ('{"label": "x", "degree": "3", "generators": [[1, 0, 2]]}', "degree must be an integer"),
+    ],
+    ids=["list-record", "int-generator", "str-image", "str-expected-order", "str-degree"],
+)
+def test_cli_catalog_record_with_wrong_field_type_is_input_error(capsys, tmp_path, line, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(default_corpus()[0].to_json() + "\n" + line + "\n")
+    assert main(["scan", "--catalog", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: bad catalog entry: {message}")
+
+
 def test_cli_strict_caps_exit(monkeypatch, capsys):
     # The CLI reads the element cap from the environment on every command.
     monkeypatch.setenv("TRANSFERLAB_ELEMENT_CAP", "50")

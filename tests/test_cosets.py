@@ -159,8 +159,9 @@ def test_collapsed_cosets_raise_invariant_error(monkeypatch, s4):
     [
         "test_cosets.py::test_collapsed_cosets_raise_invariant_error",
         "test_transfer.py::test_control_cross_check_raises_invariant_error",
+        "test_iso.py::test_orbit_product_mismatch_raises_invariant_error",
     ],
-    ids=["collapsed_cosets", "control_cross_check"],
+    ids=["collapsed_cosets", "control_cross_check", "aut_orbit_product"],
 )
 def test_invariant_error_survives_python_O(test_id):
     """The same test in a fresh interpreter under -O, which strips asserts."""

@@ -1,26 +1,42 @@
-import pytest
+import functools
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from transferlab import iso
+from transferlab.caps import CapExceeded, Caps
 from transferlab.catalog import (
     cyclic,
+    default_corpus,
     dihedral,
     direct_product,
     elementary_abelian,
     generalized_quaternion,
+    psl2,
     symmetric,
+    wreath_cyclic,
 )
-from transferlab.group import PermGroup
+from transferlab.group import InvariantError, PermGroup, span
 from transferlab.iso import (
     GeneratorMap,
     abelian_invariants,
     abelianization_invariants,
     all_subgroups,
     automorphism_group,
-    automorphism_representatives,
     is_characteristic,
     is_isomorphic,
+    prime_divisors,
 )
 from transferlab.perm import Perm
 from transferlab.series import center
+from transferlab.sylow import sylow_subgroup
+
+from aut_oracles import every_automorphism, is_characteristic_by_images
+
+CORPUS = {e.label: e for e in default_corpus()}
+PAIRS = [
+    (label, p) for label, e in CORPUS.items() for p in prime_divisors(e.expected_order)
+]
 
 
 def test_abelian_invariants_closed_forms():
@@ -64,20 +80,107 @@ def test_automorphism_group_sizes():
     assert len(automorphism_group(generalized_quaternion(8))) == 24
 
 
-def test_automorphism_representatives_cover_full_group():
-    """Every automorphism is (representative) . (inner)."""
-    for g in (dihedral(8), generalized_quaternion(8), symmetric(3)):
-        full = automorphism_group(g)
-        reps = automorphism_representatives(g)
-        elems = g.elements()
-        images_full = {tuple(gm.apply(x).images for x in g.gens) for gm in full}
-        images_covered = set()
-        for gm in reps:
-            for c in elems:
-                images_covered.add(
-                    tuple((c.inverse() * gm.apply(x) * c).images for x in g.gens)
-                )
-        assert images_full == images_covered
+def _matches_oracle(p_grp: PermGroup) -> None:
+    """|Aut(P)| and the characteristic test on every normal subgroup agree
+    with the brute-force list of all automorphisms."""
+    aut = automorphism_group(p_grp)
+    auts = every_automorphism(p_grp)
+    assert isinstance(aut, PermGroup) and aut.degree == p_grp.order()
+    assert len(aut) == len(auts)
+    for c in all_subgroups(p_grp):
+        if c.is_normal_in(p_grp):
+            assert is_characteristic(p_grp, c, aut) == is_characteristic_by_images(c, auts)
+
+
+@pytest.mark.parametrize("label,p", PAIRS, ids=[f"{label}-p{p}" for label, p in PAIRS])
+def test_automorphism_group_matches_oracle_on_corpus_sylows(label, p):
+    _matches_oracle(sylow_subgroup(CORPUS[label].build(), p))
+
+
+@functools.cache
+def _sylow_of_symmetric(n: int, p: int) -> PermGroup:
+    return sylow_subgroup(symmetric(n), p)
+
+
+@st.composite
+def small_p_groups(draw) -> PermGroup:
+    """A subgroup of a Sylow p-subgroup of S_n, n <= 8, from 1-3 elements."""
+    n = draw(st.integers(2, 8))
+    p = draw(st.sampled_from([q for q in (2, 3, 5, 7) if q <= n]))
+    elems = _sylow_of_symmetric(n, p).elements()
+    picks = draw(st.lists(st.sampled_from(elems), min_size=1, max_size=3))
+    return span(n, picks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_p_groups())
+def test_automorphism_group_matches_oracle_on_small_p_groups(p_grp):
+    # The oracle builds a table per automorphism: order 128 takes seconds.
+    assume(p_grp.order() <= 32)
+    _matches_oracle(p_grp)
+
+
+def test_automorphism_group_cap():
+    with pytest.raises(CapExceeded, match="automorphism search: needs 8, cap is 7"):
+        automorphism_group(dihedral(8), Caps(aut_cap=7))
+    assert len(automorphism_group(dihedral(8), Caps(aut_cap=8))) == 8
+
+
+def test_orbit_product_mismatch_raises_invariant_error(monkeypatch):
+    """An orbit that comes out one point short makes the orbit product
+    smaller than the order of the group the generators make."""
+    real = iso._orbit_transversal
+
+    def short(base, gens, degree):
+        trans, invs = real(base, gens, degree)
+        if len(trans) > 1:
+            trans.pop(max(trans))
+        return trans, invs
+
+    monkeypatch.setattr(iso, "_orbit_transversal", short)
+    with pytest.raises(InvariantError):
+        automorphism_group(dihedral(8))
+    with pytest.raises(AssertionError):
+        automorphism_group(dihedral(8))
+
+
+# case -> (builds a and b, the witness's source gens, their images in b).
+# Pinned so that a change to the search order shows as a changed witness.
+WITNESS_PINS = {
+    "s4_sylow_wreath": (
+        lambda: (sylow_subgroup(symmetric(4), 2), wreath_cyclic(2)),
+        [(3, 2, 0, 1), (2, 3, 0, 1)],
+        [(2, 3, 1, 0), (0, 1, 3, 2)],
+    ),
+    "psl217_sylow_d16": (
+        lambda: (sylow_subgroup(psl2(17), 2), dihedral(16)),
+        [
+            (0, 1, 7, 10, 5, 13, 9, 6, 15, 12, 8, 16, 11, 14, 3, 4, 17, 2),
+            (1, 0, 2, 5, 10, 3, 16, 17, 15, 11, 4, 9, 12, 14, 13, 8, 6, 7),
+        ],
+        [(1, 2, 3, 4, 5, 6, 7, 0), (0, 7, 6, 5, 4, 3, 2, 1)],
+    ),
+    "s3_d6": (
+        lambda: (symmetric(3), dihedral(6)),
+        [(1, 2, 0), (0, 2, 1)],
+        [(1, 2, 0), (0, 2, 1)],
+    ),
+    "c4": (
+        lambda: (cyclic(4), PermGroup(4, [Perm.from_cycles(4, [(0, 1, 2, 3)])])),
+        [(1, 2, 3, 0)],
+        [(1, 2, 3, 0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", WITNESS_PINS)
+def test_is_isomorphic_witness_is_pinned(case):
+    """The witnesses of verify_paper_witnesses and test_is_isomorphic_positive."""
+    build, source_gens, images = WITNESS_PINS[case]
+    ok, gm = is_isomorphic(*build())
+    assert ok and gm.is_isomorphism()
+    assert [x.images for x in gm.source.gens] == source_gens
+    assert [x.images for x in gm.images] == images
 
 
 def test_generator_map_homomorphism_detection(s3):
@@ -131,17 +234,17 @@ def test_all_subgroups_deterministic():
 
 def test_is_characteristic():
     d8 = dihedral(8)
-    auts = automorphism_representatives(d8)
+    aut = automorphism_group(d8)
     z = center(d8)
-    assert is_characteristic(d8, z, auts)
+    assert is_characteristic(d8, z, aut)
     # The cyclic subgroup of order 4 is the unique one, hence characteristic.
     c4 = next(h for h in all_subgroups(d8) if h.order() == 4 and len(
         [x for x in h.elements() if x.order() == 4]) == 2)
-    assert is_characteristic(d8, c4, auts)
+    assert is_characteristic(d8, c4, aut)
     # A non-central reflection subgroup of order 2 is not characteristic
     # (not even normal, but the test sees an automorphism moving it).
     refl = next(
         h for h in all_subgroups(d8)
         if h.order() == 2 and not h.is_subgroup_of(z)
     )
-    assert not is_characteristic(d8, refl, auts)
+    assert not is_characteristic(d8, refl, aut)

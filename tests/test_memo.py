@@ -9,7 +9,7 @@ import importlib
 import pytest
 
 from transferlab.caps import DEFAULT_CAPS, CapExceeded, Caps
-from transferlab.catalog import symmetric
+from transferlab.catalog import symmetric, wreath_cyclic
 from transferlab.checkers import (
     CHECKERS,
     _ngp_controls,
@@ -17,7 +17,7 @@ from transferlab.checkers import (
     run_checker,
 )
 from transferlab.group import PermGroup, derived_subgroup
-from transferlab.iso import all_subgroups
+from transferlab.iso import all_subgroups, automorphism_group
 from transferlab.series import (
     nilpotency_class,
     norm,
@@ -123,20 +123,25 @@ def test_capped_call_is_not_kept():
 
 def test_checkers_leave_no_cyclic_garbage():
     """Memoized results never point back at their group, and the
-    isomorphism searches leave no self-referencing closure behind, so a
-    group and everything kept on it are freed by reference counting."""
-    gc.collect()
-    gc.disable()
-    try:
-        g = symmetric(4)
-        verdicts = [
-            run_checker(cid, g, 2, DEFAULT_CAPS)
-            for cid, spec in CHECKERS.items()
-            if spec.applies(g, 2, DEFAULT_CAPS)
-        ]
-        del g
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
-    assert len(verdicts) == 21
-    assert all(v.verdict != "skipped:cap" for v in verdicts)
+    isomorphism and automorphism searches leave no self-referencing
+    closure or generator behind, so a group and everything kept on it are
+    freed by reference counting.  Z3wrZ3 at p = 3 runs the automorphism
+    search with several levels: |Aut| = 324 from 4 generators."""
+    z3wrz3_aut = automorphism_group(wreath_cyclic(3))
+    assert (len(z3wrz3_aut), len(z3wrz3_aut.gens)) == (324, 4)
+    for build, prime in ((lambda: symmetric(4), 2), (lambda: wreath_cyclic(3), 3)):
+        gc.collect()
+        gc.disable()
+        try:
+            g = build()
+            verdicts = [
+                run_checker(cid, g, prime, DEFAULT_CAPS)
+                for cid, spec in CHECKERS.items()
+                if spec.applies(g, prime, DEFAULT_CAPS)
+            ]
+            del g
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert len(verdicts) == 21
+        assert all(v.verdict != "skipped:cap" for v in verdicts)
