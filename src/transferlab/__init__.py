@@ -42,6 +42,7 @@ from .iso import (
     all_subgroups,
     automorphism_group,
     is_isomorphic,
+    normal_subgroups,
 )
 from .series import (
     SeriesResult,

@@ -18,12 +18,13 @@ from .group import (
     InvariantError,
     PermGroup,
     intersection,
+    is_abelian,
     is_maximal,
     memoized,
     normalizer,
     quotient_group,
 )
-from .iso import all_subgroups, is_isomorphic, prime_divisors
+from .iso import all_subgroups, is_isomorphic, normal_subgroups, prime_divisors
 from .series import (
     center,
     frattini_p,
@@ -90,10 +91,8 @@ class Context:
 
     @property
     def norm_p(self) -> PermGroup:
-        """Z*(P), the norm of P; P itself when Z*(P) = P, so that what is
-        kept on P (its subgroup list) serves Z*(P) too."""
-        zn = norm(self.p_syl, self.caps)
-        return self.p_syl if zn.order() == self.p_syl.order() else zn
+        """Z*(P), the norm of P."""
+        return norm(self.p_syl, self.caps)
 
     @property
     def max_intersection(self) -> int:
@@ -152,13 +151,9 @@ def _sub_label(h: PermGroup) -> str:
 # to the witnesses it was returned with.
 
 
-def _is_abelian(g: PermGroup) -> bool:
-    return all(a * b == b * a for a in g.gens for b in g.gens)
-
-
 def _chk_burnside(ctx: Context):
     wit = {"sylow": _sub_label(ctx.p_syl)}
-    return wit, ctx.controls_ngp if _is_abelian(ctx.p_syl) else None
+    return wit, ctx.controls_ngp if is_abelian(ctx.p_syl) else None
 
 
 def _chk_hall_wielandt(ctx: Context):
@@ -173,10 +168,8 @@ def _has_wreath_quotient(p_syl: PermGroup, p: int, caps: Caps) -> bool:
     if p_syl.order() % target:
         return False
     wreath = wreath_cyclic(p)
-    for n in all_subgroups(p_syl, caps):
+    for n in normal_subgroups(p_syl, caps):
         if n.order() * target != p_syl.order():
-            continue
-        if not n.is_normal_in(p_syl):
             continue
         quot = quotient_group(p_syl, n, caps).image
         if is_isomorphic(quot, wreath, caps)[0]:

@@ -271,6 +271,11 @@ class PermGroup:
         return f"<{label} deg={self.degree} |G|={self.order()}>"
 
 
+def is_abelian(g: PermGroup) -> bool:
+    """Do the generators of g commute pairwise?"""
+    return all(a * b == b * a for a in g.gens for b in g.gens)
+
+
 def memoized(fn):
     """Keep fn(g, *args, **kwargs) on g, keyed by (fn, args, kwargs).
 

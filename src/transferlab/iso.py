@@ -1,9 +1,11 @@
-"""Isomorphism testing, automorphism groups, subgroup enumeration.
+"""Isomorphism testing, automorphism groups, subgroup lattices.
 
 One capped backtracking search over images of a short generating
 sequence finds isomorphisms.  Aut(P) is a permutation group on the
 positions of P's elements, built level by level from first hits of that
 search; its order is checked against the product of the orbit lengths.
+One join-closure over a partition of P's elements lists all, normal
+or characteristic subgroups (`_subgroup_lattice`).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .caps import DEFAULT_CAPS, Caps, check_cap
 from .group import (
@@ -21,9 +23,10 @@ from .group import (
     _orbit_transversal,
     centralizer,
     derived_subgroup,
+    is_abelian,
     join,
-    memoized,
     quotient_group,
+    span,
 )
 from .perm import Perm
 
@@ -91,10 +94,8 @@ def abelian_invariants(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> tuple[int, ..
     cyclic factors of order >= p^k is log_p of the ratio of consecutive
     counts.
     """
-    for a in g.gens:
-        for b in g.gens:
-            if a * b != b * a:
-                raise ValueError("group is not abelian")
+    if not is_abelian(g):
+        raise ValueError("group is not abelian")
     n = g.order()
     if n == 1:
         return ()
@@ -310,26 +311,27 @@ def automorphism_group(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     return aut
 
 
-@memoized
-def all_subgroups(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[PermGroup]:
-    """Every subgroup, by join-closure of the cyclic subgroups.
-
-    Deterministic output order: sorted by (order, sorted element tuple).
-    """
+def _subgroup_lattice(
+    p: PermGroup, orbits: Iterable[list[Perm]], caps: Caps
+) -> list[PermGroup]:
+    """Every join of the atoms <orbit>, one per block of a partition of
+    p's elements, sorted by (order, sorted element tuple).  For the orbits
+    of a group of operators (none, P by conjugation, Aut(P)) these are
+    the subgroups closed under them: each is the join of the atoms of its
+    elements (Holt, Eick and O'Brien, Handbook of CGT).  The identity's
+    block spans 1."""
     check_cap("subgroup enumeration", p.order(), caps.subgroup_enum_cap)
-    cyclics: dict[frozenset, PermGroup] = {}
-    for x in p.elements(caps):
-        c = PermGroup(p.degree, [x])
-        cyclics.setdefault(c.element_set(caps), c)
-    known: dict[frozenset, PermGroup] = dict(cyclics)
-    trivial = PermGroup(p.degree, [])
-    known.setdefault(trivial.element_set(caps), trivial)
-    frontier = list(cyclics.values())
+    atoms: dict[frozenset, PermGroup] = {}
+    for orbit in orbits:
+        a = span(p.degree, orbit)
+        atoms.setdefault(a.element_set(caps), a)
+    known: dict[frozenset, PermGroup] = dict(atoms)
+    frontier = list(atoms.values())
     while frontier:
         nxt = []
         for h in frontier:
-            for c in cyclics.values():
-                j = join(h, c)
+            for a in atoms.values():
+                j = join(h, a)
                 key = j.element_set(caps)
                 if key not in known:
                     known[key] = j
@@ -340,11 +342,11 @@ def all_subgroups(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[PermGroup]:
     return subs
 
 
-def is_characteristic(p: PermGroup, c: PermGroup, aut: PermGroup) -> bool:
-    """Does every generator of aut = automorphism_group(p) map C into C?"""
-    elems = p.elements()
-    position = {x.images: i for i, x in enumerate(elems)}
-    cset = c.element_set()
-    return all(
-        elems[phi(position[x.images])].images in cset for phi in aut.gens for x in c.gens
-    )
+def all_subgroups(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[PermGroup]:
+    """Every subgroup: the joins of the cyclic subgroups."""
+    return _subgroup_lattice(p, ([x] for x in p.elements(caps)), caps)
+
+
+def normal_subgroups(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[PermGroup]:
+    """Every normal subgroup: the joins of the normal closures of classes."""
+    return _subgroup_lattice(p, (cls for _, cls in conjugacy_classes(p, caps)), caps)

@@ -44,6 +44,8 @@ class SeriesResult:
 
 
 def p_part(n: int, p: int) -> int:
+    if p < 2:
+        raise ValueError(f"p-part needs p >= 2, got {p}")
     q = 1
     while n % p == 0:
         n //= p

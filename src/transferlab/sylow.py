@@ -1,5 +1,6 @@
 """Sylow subgroups, Sylow intersections, tame-intersection and
-weak-closure predicates, characteristic subgroup enumeration.
+weak-closure predicates, characteristic subgroups: the joins of the
+subgroups generated by the Aut(P)-orbits on P's elements.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from .caps import DEFAULT_CAPS, Caps, check_cap
 from .group import (
     InvariantError,
     PermGroup,
+    _orbit_transversal,
     centralizer,
     conjugate_subgroup,
     intersection,
@@ -17,7 +19,7 @@ from .group import (
     normalizer,
     right_transversal,
 )
-from .iso import all_subgroups, automorphism_group, is_characteristic
+from .iso import _subgroup_lattice, automorphism_group, prime_divisors
 from .perm import Perm
 from .series import (
     element_p_part,
@@ -34,9 +36,9 @@ def sylow_subgroup(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup
     order; while not full, adjoin an element of the normalizer whose
     image in N/current has order p.  Deterministic.
     """
+    if prime_divisors(p) != [p] or g.order() % p:
+        raise ValueError(f"{p} is not a prime dividing the group order")
     target = p_part(g.order(), p)
-    if target == 1:
-        raise ValueError(f"{p} does not divide the group order")
     current: PermGroup | None = None
     for x in g.elements(caps):
         xp = element_p_part(x, p)
@@ -106,8 +108,6 @@ def max_intersection_order(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> i
 
 @dataclass
 class TameIntersectionRecord:
-    p_subgroup: PermGroup  # P
-    q_subgroup: PermGroup  # Q
     d: PermGroup  # P cap Q
     tame: bool
     normalizer: PermGroup  # N_G(D)
@@ -125,8 +125,8 @@ def is_tame_intersection(
 ) -> TameIntersectionRecord:
     """Classify P cap Q, and record the predicates the theorems need.
 
-    Kept on G: the record never references G, and P and Q are members of
-    the Sylow family, which is kept on G already.
+    Kept on G: the record holds only D and N_G(D), subgroups of G that
+    never reference G.
     """
     target = p_part(g.order(), prime)
     if p_syl.order() != target or q_syl.order() != target:
@@ -139,8 +139,6 @@ def is_tame_intersection(
     tame = n_p_d.order() == sylow_order_in_n and n_q_d.order() == sylow_order_in_n
     n_over_c = n_g_d.order() // centralizer(g, d, caps).order()  # C_G(D) <= N_G(D)
     rec = TameIntersectionRecord(
-        p_subgroup=p_syl,
-        q_subgroup=q_syl,
         d=d,
         tame=tame,
         normalizer=n_g_d,
@@ -212,19 +210,15 @@ def characteristic_subgroups_above(
     p_grp: PermGroup, lower: PermGroup, caps: Caps = DEFAULT_CAPS
 ) -> list[PermGroup]:
     """All characteristic subgroups C with lower <= C <= P, in the order
-    of all_subgroups.
-
-    Only normal subgroups can be characteristic, and the cheap normality
-    test runs first; the rest are tested against the generators of
-    Aut(P).
-    """
+    of all_subgroups: the joins of the subgroups generated by the orbits
+    of Aut(P) on P's elements."""
     aut = automorphism_group(p_grp, caps)
-    out = []
-    for c in all_subgroups(p_grp, caps):
-        if (
-            lower.is_subgroup_of(c)
-            and c.is_normal_in(p_grp)
-            and is_characteristic(p_grp, c, aut)
-        ):
-            out.append(c)
-    return out
+    elems = p_grp.elements(caps)
+    seen: set[int] = set()
+    orbits = []
+    for start in range(len(elems)):
+        if start not in seen:
+            orbit, _ = _orbit_transversal(start, aut.gens, len(elems))
+            seen.update(orbit)
+            orbits.append([elems[i] for i in orbit])
+    return [c for c in _subgroup_lattice(p_grp, orbits, caps) if lower.is_subgroup_of(c)]

@@ -185,12 +185,12 @@ def controls_p_transfer(
     p_syl = sylow_subgroup(n, p, caps)
     if p_syl.order() != p_part(g.order(), p):
         raise ValueError("Sylow subgroup of N is not Sylow in G")
-    focal_g = intersection(p_syl, derived_subgroup(g, caps), caps)
+    focal_g = focal_subgroup(g, p_syl, caps)
     inv_g = _ap_quotient_invariants(g, p, caps)
     if n.order() == g.order():
         focal_n, inv_n = focal_g, inv_g
     else:
-        focal_n = intersection(p_syl, derived_subgroup(n, caps), caps)
+        focal_n = focal_subgroup(n, p_syl, caps)
         inv_n = _ap_quotient_invariants(n, p, caps)
     controls = focal_g.same_group_as(focal_n)
     if controls != (inv_g == inv_n):

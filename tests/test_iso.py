@@ -23,13 +23,13 @@ from transferlab.iso import (
     abelianization_invariants,
     all_subgroups,
     automorphism_group,
-    is_characteristic,
     is_isomorphic,
+    normal_subgroups,
     prime_divisors,
 )
 from transferlab.perm import Perm
 from transferlab.series import center
-from transferlab.sylow import sylow_subgroup
+from transferlab.sylow import characteristic_subgroups_above, sylow_subgroup
 
 from aut_oracles import every_automorphism, is_characteristic_by_images
 
@@ -81,20 +81,43 @@ def test_automorphism_group_sizes():
 
 
 def _matches_oracle(p_grp: PermGroup) -> None:
-    """|Aut(P)| and the characteristic test on every normal subgroup agree
-    with the brute-force list of all automorphisms."""
+    """|Aut(P)| and the characteristic subgroups agree with the
+    brute-force list of all automorphisms."""
     aut = automorphism_group(p_grp)
     auts = every_automorphism(p_grp)
     assert isinstance(aut, PermGroup) and aut.degree == p_grp.order()
     assert len(aut) == len(auts)
-    for c in all_subgroups(p_grp):
-        if c.is_normal_in(p_grp):
-            assert is_characteristic(p_grp, c, aut) == is_characteristic_by_images(c, auts)
+    expected = [
+        c.element_set() for c in all_subgroups(p_grp) if is_characteristic_by_images(c, auts)
+    ]
+    trivial = PermGroup(p_grp.degree, [])
+    found = characteristic_subgroups_above(p_grp, trivial)
+    assert [c.element_set() for c in found] == expected
+
+
+def _matches_normal_filter(h: PermGroup) -> None:
+    """normal_subgroups(H) is all_subgroups(H) filtered by normality, in
+    the same order."""
+    expected = [k.element_set() for k in all_subgroups(h) if k.is_normal_in(h)]
+    assert [k.element_set() for k in normal_subgroups(h)] == expected
 
 
 @pytest.mark.parametrize("label,p", PAIRS, ids=[f"{label}-p{p}" for label, p in PAIRS])
 def test_automorphism_group_matches_oracle_on_corpus_sylows(label, p):
     _matches_oracle(sylow_subgroup(CORPUS[label].build(), p))
+
+
+@pytest.mark.parametrize("label,p", PAIRS, ids=[f"{label}-p{p}" for label, p in PAIRS])
+def test_normal_subgroups_match_filter_on_corpus_sylows(label, p):
+    _matches_normal_filter(sylow_subgroup(CORPUS[label].build(), p))
+
+
+SMALL = [label for label, e in CORPUS.items() if e.expected_order <= Caps().subgroup_enum_cap]
+
+
+@pytest.mark.parametrize("label", SMALL)
+def test_normal_subgroups_match_filter_on_small_corpus_groups(label):
+    _matches_normal_filter(CORPUS[label].build())
 
 
 @functools.cache
@@ -118,6 +141,7 @@ def test_automorphism_group_matches_oracle_on_small_p_groups(p_grp):
     # The oracle builds a table per automorphism: order 128 takes seconds.
     assume(p_grp.order() <= 32)
     _matches_oracle(p_grp)
+    _matches_normal_filter(p_grp)
 
 
 def test_automorphism_group_cap():
@@ -234,17 +258,16 @@ def test_all_subgroups_deterministic():
 
 def test_is_characteristic():
     d8 = dihedral(8)
-    aut = automorphism_group(d8)
+    chars = {c.element_set() for c in characteristic_subgroups_above(d8, PermGroup(d8.degree, []))}
     z = center(d8)
-    assert is_characteristic(d8, z, aut)
+    assert z.element_set() in chars
     # The cyclic subgroup of order 4 is the unique one, hence characteristic.
     c4 = next(h for h in all_subgroups(d8) if h.order() == 4 and len(
         [x for x in h.elements() if x.order() == 4]) == 2)
-    assert is_characteristic(d8, c4, aut)
-    # A non-central reflection subgroup of order 2 is not characteristic
-    # (not even normal, but the test sees an automorphism moving it).
+    assert c4.element_set() in chars
+    # A non-central reflection subgroup of order 2 is not characteristic.
     refl = next(
         h for h in all_subgroups(d8)
         if h.order() == 2 and not h.is_subgroup_of(z)
     )
-    assert not is_characteristic(d8, refl, aut)
+    assert refl.element_set() not in chars

@@ -17,7 +17,7 @@ from transferlab.checkers import (
     run_checker,
 )
 from transferlab.group import PermGroup, derived_subgroup
-from transferlab.iso import all_subgroups, automorphism_group
+from transferlab.iso import automorphism_group
 from transferlab.series import (
     nilpotency_class,
     norm,
@@ -57,7 +57,6 @@ CALLS = {
     tame_intersections_between: lambda g, p, z: (
         g, (2, z, False, DEFAULT_CAPS), {"strict_lower": False}
     ),
-    all_subgroups: lambda g, p, z: (p, (), {}),
     _ap_quotient_invariants: lambda g, p, z: (g, (2, DEFAULT_CAPS), {}),
     _nilpotent_maximal_candidates: lambda g, p, z: (g, (DEFAULT_CAPS,), {}),
     _ngp_controls: lambda g, p, z: (g, (2, DEFAULT_CAPS), {}),

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from transferlab.caps import DEFAULT_CAPS
@@ -132,3 +137,31 @@ def test_sylow_conjugacy(s4, rng):
         g = s4.random_element(rng)
         c = PermGroup(4, [x.conjugate(g) for x in fam.base_member.gens])
         assert c.element_set() in keys
+
+
+@pytest.mark.parametrize("p", [1, -1, 0, 4, 6])
+def test_non_prime_is_rejected(p):
+    """sylow_subgroup rejects a p that is not a prime, and p_part a p
+    below 2.  Run in a subprocess with a timeout, so that a p-part loop
+    that never ends fails the test instead of hanging the suite."""
+    code = (
+        "from transferlab.catalog import symmetric\n"
+        "from transferlab.series import p_part\n"
+        "from transferlab.sylow import sylow_subgroup\n"
+        f"for call in (lambda: sylow_subgroup(symmetric(4), {p}), lambda: p_part(24, {p})):\n"
+        "    try:\n"
+        "        print(call())\n"
+        "    except ValueError:\n"
+        "        print('ValueError')\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    p_part_result = "ValueError" if p < 2 else str(p)
+    assert proc.stdout.split() == ["ValueError", p_part_result]
