@@ -254,7 +254,10 @@ _FIELD_TYPES = {
 
 
 def load_catalog(path: str) -> list[CatalogEntry]:
+    """The entries of a JSONL catalog; a bad record or a label that repeats
+    an earlier one raises ValueError naming its line."""
     entries = []
+    lines_by_label: dict[str, int] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -278,6 +281,11 @@ def load_catalog(path: str) -> list[CatalogEntry]:
                 entry.build()
             except (KeyError, ValueError, json.JSONDecodeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad catalog entry: {exc}") from exc
+            first = lines_by_label.setdefault(entry.label, lineno)
+            if first != lineno:
+                raise ValueError(
+                    f"{path}:{lineno}: duplicate label {entry.label!r} (first on line {first})"
+                )
             entries.append(entry)
     return entries
 

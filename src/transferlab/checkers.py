@@ -21,6 +21,7 @@ from .group import (
     is_abelian,
     is_maximal,
     memoized,
+    memoized_by_value,
     normalizer,
     quotient_group,
 )
@@ -55,12 +56,12 @@ from .sylow import (
 from .transfer import controls_p_transfer, lemma23_witness
 
 
-@memoized
-def _ngp_controls(g: PermGroup, p: int, caps: Caps) -> bool:
-    """Does N_G(P) control p-transfer in G?  Kept as a bool, which holds
-    no group."""
-    ngp = all_sylow_subgroups(g, p, caps).normalizer
-    return controls_p_transfer(g, ngp, p, caps).controls
+@memoized_by_value
+def _controls(g: PermGroup, n: PermGroup, p: int, caps: Caps) -> bool:
+    """Does N control p-transfer in G?  Kept as a bool, which holds no
+    group.  The answer depends only on N's elements: another Sylow
+    subgroup of N conjugates both focal subgroups by one element."""
+    return controls_p_transfer(g, n, p, caps).controls
 
 
 @dataclass
@@ -98,11 +99,11 @@ class Context:
     def max_intersection(self) -> int:
         return max_intersection_order(self.group, self.prime, self.caps)
 
-    def control(self, n: PermGroup):
-        return controls_p_transfer(self.group, n, self.prime, self.caps)
+    def control(self, n: PermGroup) -> bool:
+        return _controls(self.group, n, self.prime, self.caps)
 
     def controls_ngp(self) -> bool:
-        return _ngp_controls(self.group, self.prime, self.caps)
+        return self.control(self.ngp)
 
     def p_nilpotent(self) -> bool:
         return is_p_nilpotent(self.group, self.prime, self.caps)
@@ -256,7 +257,7 @@ def _chk_thm_1_10(ctx: Context):
     def every_normalizer_controls() -> bool:
         for k_sub in admissible:
             n_k = normalizer(ctx.group, k_sub, ctx.caps)
-            if not ctx.control(n_k).controls:
+            if not ctx.control(n_k):
                 wit["failing_K"] = _sub_label(k_sub)
                 return False
         return True
@@ -282,7 +283,7 @@ def _chk_aux_gruen_instance(ctx: Context):
     if not closed:
         wit["conjugator"] = conj
         return wit, None
-    return wit, lambda: ctx.control(normalizer(ctx.group, z, ctx.caps)).controls
+    return wit, lambda: ctx.control(normalizer(ctx.group, z, ctx.caps))
 
 
 def _normal_p_subgroup_candidates(ctx: Context) -> list[PermGroup]:

@@ -5,7 +5,11 @@ Everything here is immutable after construction; derived objects
 mutate them.  Identical generator lists always produce identical chains,
 orderings and transversals, which keeps every downstream computation
 (including transfer values) reproducible.  Derived subgroups and the
-like are kept on the group they come from (`memoized`).
+like are kept on the group they come from (`memoized`).  A result that
+depends only on a subgroup argument's elements, such as N_G(H) or the
+control answers of `checkers`, is kept on G keyed by that element set
+(`memoized_by_value`), so a fresh subgroup with the same elements reuses
+it.
 
 A subgroup built from a list of elements, by `span` or by scanning a
 group's elements (`_scan_subgroup`), goes through one path
@@ -285,7 +289,8 @@ def memoized(fn):
     would make g and its memo a reference cycle, and (b) its other group
     arguments are long-lived, since the memo keeps them alive.  Hence
     nilpotency_class is memoized, but not lower_central_series (its first
-    term is g) or normalizer(g, h) (callers pass fresh subgroups h).
+    term is g).  A function of a short-lived subgroup h takes
+    `memoized_by_value` instead, which keeps no h alive.
     """
 
     @functools.wraps(fn)
@@ -293,6 +298,30 @@ def memoized(fn):
         key = (fn, args, frozenset(kwargs.items()))
         if key not in g._memo:
             g._memo[key] = fn(g, *args, **kwargs)
+        return g._memo[key]
+
+    return wrapper
+
+
+def memoized_by_value(fn):
+    """Keep fn(g, h, *args, **kwargs) on g, keyed by h's element set.
+
+    The rules of `memoized` hold, except that h is keyed by its elements,
+    so the memo keeps no h alive and a subgroup with the same elements
+    but other generators gets the kept result.  Use it only when the
+    result depends on h's elements and not on its generators.  The key
+    enumerates h under the Caps among the arguments (the default caps if
+    none).
+    """
+
+    @functools.wraps(fn)
+    def wrapper(g: PermGroup, h: PermGroup, *args, **kwargs):
+        caps = next(
+            (a for a in (*args, *kwargs.values()) if isinstance(a, Caps)), DEFAULT_CAPS
+        )
+        key = (fn, h.element_set(caps), args, frozenset(kwargs.items()))
+        if key not in g._memo:
+            g._memo[key] = fn(g, h, *args, **kwargs)
         return g._memo[key]
 
     return wrapper
@@ -346,8 +375,14 @@ def _scan_subgroup(g: PermGroup, keep, caps: Caps) -> PermGroup:
     return h
 
 
+@memoized_by_value
 def normalizer(g: PermGroup, h: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    """N_G(H) by full element scan (exact at desk scale)."""
+    """N_G(H) by full element scan (exact at desk scale).
+
+    The members are the x of G's elements() with H^x = H as a set, in
+    that order, so the result (gens and chain too) depends only on H's
+    elements.
+    """
     if g.degree != h.degree:
         raise ValueError("degree mismatch")
     hset = h.element_set(caps)

@@ -258,6 +258,18 @@ def test_cli_catalog_record_with_wrong_field_type_is_input_error(capsys, tmp_pat
     assert err.startswith(f"error: {path}:2: bad catalog entry: {message}")
 
 
+def test_cli_catalog_with_a_repeated_label_is_input_error(capsys, tmp_path):
+    """A label names one group: a catalog that repeats one is rejected, not
+    scanned twice."""
+    path = tmp_path / "twice.jsonl"
+    line = default_corpus()[0].to_json()
+    path.write_text(line + "\n# the same entry again\n" + line + "\n")
+    assert main(["scan", "--catalog", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}:3: duplicate label 'S2' (first on line 1)\n"
+
+
 def test_cli_strict_caps_exit(monkeypatch, capsys):
     # The CLI reads the element cap from the environment on every command.
     monkeypatch.setenv("TRANSFERLAB_ELEMENT_CAP", "50")

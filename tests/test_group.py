@@ -34,7 +34,8 @@ from transferlab.group import (
     trivial_group,
 )
 from transferlab.perm import Perm
-from test_scanned_subgroups import _levels
+from transferlab.sylow import all_sylow_subgroups
+from test_scanned_subgroups import PAIRS, _levels, _pair_id
 
 
 def brute_closure_count(g: PermGroup) -> int:
@@ -162,6 +163,32 @@ def test_normalizer_centralizer(s4):
     assert centralizer(s4, v4).order() == 4
     d8 = PermGroup(4, [Perm.from_cycles(4, [(0, 1, 2, 3)]), Perm.from_cycles(4, [(0, 2)])])
     assert normalizer(s4, d8).order() == 8
+
+
+def _normalizer_oracle(g: PermGroup, h: PermGroup) -> frozenset:
+    """N_G(H) by brute force: the x of G with {t^x : t in H} = H, comparing
+    whole element sets."""
+    hset = h.element_set()
+    return frozenset(
+        x.images
+        for x in g.elements()
+        if frozenset(t.conjugate(x).images for t in h.elements()) == hset
+    )
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=_pair_id)
+def test_normalizer_of_sylow_intersections_matches_oracle(pair):
+    """Every D = P cap Q the scan meets: the base Sylow P against each
+    member Q of the family, once per element set of D."""
+    entry, p = pair
+    g = entry.build()
+    fam = all_sylow_subgroups(g, p)
+    seen = set()
+    for q in fam.members:
+        d = intersection(fam.base_member, q)
+        if d.element_set() not in seen:
+            seen.add(d.element_set())
+            assert normalizer(g, d).element_set() == _normalizer_oracle(g, d)
 
 
 def test_intersection_and_join_oracle(s4):

@@ -1,10 +1,14 @@
 """The memo that keeps derived objects on the group they come from:
 repeat calls return the kept object, kept objects equal fresh ones,
-other caps recompute, and running the checkers leaves no cyclic garbage."""
+other caps recompute, a result kept by a subgroup's element set is the
+one any subgroup with those elements gets, and running the checkers
+leaves no cyclic garbage."""
 
 import dataclasses
 import gc
 import importlib
+import random
+import weakref
 
 import pytest
 
@@ -12,11 +16,11 @@ from transferlab.caps import DEFAULT_CAPS, CapExceeded, Caps
 from transferlab.catalog import symmetric, wreath_cyclic
 from transferlab.checkers import (
     CHECKERS,
-    _ngp_controls,
+    _controls,
     _nilpotent_maximal_candidates,
     run_checker,
 )
-from transferlab.group import PermGroup, derived_subgroup
+from transferlab.group import PermGroup, derived_subgroup, normalizer, span
 from transferlab.iso import automorphism_group
 from transferlab.series import (
     nilpotency_class,
@@ -34,6 +38,7 @@ from transferlab.sylow import (
     tame_intersections_between,
 )
 from transferlab.transfer import _ap_quotient_invariants
+from test_scanned_subgroups import PAIRS, _levels, _pair_id
 
 
 def _s4_p2_d8():
@@ -59,7 +64,10 @@ CALLS = {
     ),
     _ap_quotient_invariants: lambda g, p, z: (g, (2, DEFAULT_CAPS), {}),
     _nilpotent_maximal_candidates: lambda g, p, z: (g, (DEFAULT_CAPS,), {}),
-    _ngp_controls: lambda g, p, z: (g, (2, DEFAULT_CAPS), {}),
+    _controls: lambda g, p, z: (
+        g, (all_sylow_subgroups(g, 2).normalizer, 2, DEFAULT_CAPS), {}
+    ),
+    normalizer: lambda g, p, z: (g, (p,), {}),
     is_tame_intersection: lambda g, p, z: (
         g, (p, all_sylow_subgroups(g, 2).members[1], 2, DEFAULT_CAPS), {}
     ),
@@ -118,6 +126,49 @@ def test_capped_call_is_not_kept():
         sylow_subgroup(g, 2, Caps(element_cap=1))
     assert g._memo == {}
     assert sylow_subgroup(g, 2).order() == 8
+
+
+def _respan(h: PermGroup, seed: int) -> PermGroup:
+    """h rebuilt by `span` over its elements in shuffled order."""
+    elems = list(h.elements())
+    random.Random(seed).shuffle(elems)
+    return span(h.degree, elems)
+
+
+def test_normalizer_is_kept_by_element_set():
+    """A D8 with other generators gets the N_G(D8) kept for S4's Sylow D8,
+    the memo keeps that D8 alive no longer than its caller does, and a
+    capped call keeps nothing."""
+    g, d8, _ = _s4_p2_d8()
+    copy = _respan(d8, 0)
+    assert copy.element_set() == d8.element_set() and _plain(copy) != _plain(d8)
+    kept = normalizer(g, d8)
+    assert normalizer(g, copy) is kept
+    for fresh in (normalizer.__wrapped__(g, d8), normalizer.__wrapped__(g, copy)):
+        assert _plain(fresh) == _plain(kept) and _levels(fresh.chain) == _levels(kept.chain)
+    ref = weakref.ref(copy)
+    del copy
+    assert ref() is None
+
+    fresh_s4 = symmetric(4)
+    with pytest.raises(CapExceeded):
+        normalizer(fresh_s4, d8, Caps(element_cap=8))  # D8 is listed, S4 is not
+    assert not any(key[0] is normalizer.__wrapped__ for key in fresh_s4._memo)
+    assert normalizer(fresh_s4, d8).element_set() == kept.element_set()
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=_pair_id)
+def test_value_keyed_results_ignore_generators_on_corpus(pair):
+    """P and N_G(P) rebuilt from shuffled element lists have other
+    generators; N_G(P) and the control answer must not see it."""
+    entry, p = pair
+    g = entry.build()
+    fam = all_sylow_subgroups(g, p)
+    p_syl, ngp = fam.base_member, fam.normalizer
+    of_p, of_copy = (normalizer.__wrapped__(g, h) for h in (p_syl, _respan(p_syl, 1)))
+    assert _plain(of_copy) == _plain(of_p) and _levels(of_copy.chain) == _levels(of_p.chain)
+    answers = {_controls.__wrapped__(g, n, p, DEFAULT_CAPS) for n in (ngp, _respan(ngp, 2))}
+    assert len(answers) == 1
 
 
 def test_checkers_leave_no_cyclic_garbage():
