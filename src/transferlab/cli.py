@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: analyze, verify, scan, witness, builtin.  verify and scan
-take --format text|records; analyze, verify and scan take --catalog.
+take --format text|records and --strict-caps; analyze, verify and scan
+take --catalog.
 Exit codes: 0 pass, 1 violation or witness failure, 2 input error,
-3 cap-limited results under --strict-caps, 141 (128 + SIGPIPE) when the
-reader closes standard output early, as `transferlab scan | head` does.
+3 when a cap stops a command before it gives its answer, or when a
+verify or scan verdict is skipped:cap under --strict-caps, 141
+(128 + SIGPIPE) when the reader closes standard output early, as
+`transferlab scan | head` does.
 """
 
 from __future__ import annotations
@@ -188,20 +191,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p_cmd, catalog=True, records=True, prime=False):
+    def common(p_cmd, catalog=True, verdicts=True, prime=False):
         if catalog:
             p_cmd.add_argument("--catalog", help="path to a JSONL catalog file")
-        if records:
+        if verdicts:
             p_cmd.add_argument(
                 "--format", choices=("text", "records"), default="text", dest="format"
             )
-        p_cmd.add_argument("--strict-caps", action="store_true", dest="strict_caps")
+            p_cmd.add_argument("--strict-caps", action="store_true", dest="strict_caps")
         if prime:
             p_cmd.add_argument("--prime", type=int, required=True)
 
     p_an = sub.add_parser("analyze", help="structural summary of one group at a prime")
     p_an.add_argument("group")
-    common(p_an, records=False, prime=True)
+    common(p_an, verdicts=False, prime=True)
     p_an.set_defaults(func=cmd_analyze)
 
     p_ver = sub.add_parser("verify", help="run one checker on one group")
@@ -218,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.set_defaults(func=cmd_scan)
 
     p_wit = sub.add_parser("witness", help="verify the named-group witness facts")
-    common(p_wit, catalog=False, records=False)
+    common(p_wit, catalog=False, verdicts=False)
     p_wit.set_defaults(func=cmd_witness)
 
     p_b = sub.add_parser("builtin", help="built-in group constructors")
@@ -236,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except CapExceeded as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_CAPPED if getattr(args, "strict_caps", False) else EXIT_PASS
+        return EXIT_CAPPED
     except BrokenPipeError:
         # Point stdout at devnull, so that flushing what is still buffered
         # at interpreter exit writes nowhere instead of failing again.

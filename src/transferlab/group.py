@@ -22,6 +22,13 @@ stabilizer chain and, at each level, stepping to the coset element that
 sends the base point to its smallest image.  Transversals, quotients,
 double cosets and the maximality test look cosets up by this key instead
 of testing g * r^-1 against H for every representative r.
+
+The inner loops compose bare image tuples (`perm._compose`) and wrap a
+Perm only for a value that leaves them: the orbit BFS, the sifts and the
+Schreier loop of `_build_chain` (which wraps a strong generator when it
+is inserted and the transversals when the build ends), `contains`,
+`elements()`, `_coset_key`, and the member tests of `normalizer` and
+`centralizer`.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .caps import DEFAULT_CAPS, Caps, check_cap
-from .perm import Perm, commutator
+from .perm import Perm, _compose, _perm, commutator
 
 
 class InvariantError(AssertionError):
@@ -45,6 +52,10 @@ class InvariantError(AssertionError):
 
 @dataclass
 class _Level:
+    """One level of a stabilizer chain.  While `_build_chain` runs, the
+    transversal and inverses hold image tuples; the finished chain holds
+    Perms."""
+
     base: int
     gens: list[Perm]
     transversal: dict[int, Perm]  # point -> u with u(base) = point
@@ -53,20 +64,21 @@ class _Level:
 
 def _orbit_transversal(
     base: int, gens: Sequence[Perm], degree: int
-) -> tuple[dict[int, Perm], dict[int, Perm]]:
-    """BFS orbit of base: the transversal and the inverse of each element."""
-    ident = Perm.identity(degree)
+) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
+    """BFS orbit of base: the image tuples of the transversal and of the
+    inverse of each transversal element."""
+    ident = tuple(range(degree))
     trans = {base: ident}
     invs = {base: ident}
-    gen_invs = [g.inverse() for g in gens]
+    gen_imgs = [(g.images, g.inverse().images) for g in gens]
     queue = [base]
     for x in queue:
         ux, vx = trans[x], invs[x]
-        for g, g_inv in zip(gens, gen_invs):
-            y = g.images[x]
+        for g, g_inv in gen_imgs:
+            y = g[x]
             if y not in trans:
-                trans[y] = ux * g
-                invs[y] = g_inv * vx
+                trans[y] = _compose(ux, g)
+                invs[y] = _compose(g_inv, vx)
                 queue.append(y)
     return trans, invs
 
@@ -94,8 +106,14 @@ def _build_chain(
     and every input or Schreier generator left would sift to the
     identity.  When every element is an input generator, the first loop
     always reaches it.
+
+    The build sifts and forms Schreier generators on image tuples.  Its
+    levels keep transversals as image tuples until the build ends, and a
+    sifted tuple becomes a Perm only when it is inserted as a strong
+    generator.
     """
     levels: list[_Level] = []
+    ident = tuple(range(degree))
 
     def eff_gens(i: int) -> list[Perm]:
         return [s for lvl in levels[i:] for s in lvl.gens]
@@ -109,23 +127,24 @@ def _build_chain(
                 lvl.base, eff_gens(lvl_i), degree
             )
 
-    def sift(g: Perm) -> tuple[Perm, int]:
+    def sift(g: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
         for i, lvl in enumerate(levels):
-            x = g.images[lvl.base]
+            x = g[lvl.base]
             inv = lvl.inverses.get(x)
             if inv is None:
                 return g, i
             if x != lvl.base:
-                g = g * inv
+                g = _compose(g, inv)
         return g, len(levels)
 
-    def insert(g: Perm) -> bool:
+    def insert(g: tuple[int, ...]) -> bool:
         h, i = sift(g)
-        if h.is_identity():
+        if h == ident:
             return False
+        s = _perm(h)
         if i == len(levels):
-            levels.append(_Level(h.smallest_moved_point(), [], {}, {}))
-        levels[i].gens.append(h)
+            levels.append(_Level(s.smallest_moved_point(), [], {}, {}))
+        levels[i].gens.append(s)
         refresh(i)
         return True
 
@@ -135,12 +154,18 @@ def _build_chain(
             n *= len(lvl.transversal)
         return n
 
+    def finish() -> list[_Level]:
+        for lvl in levels:
+            lvl.transversal = {x: _perm(u) for x, u in lvl.transversal.items()}
+            lvl.inverses = {x: _perm(v) for x, v in lvl.inverses.items()}
+        return levels
+
     used = []
     for g in gens:
-        if insert(g):
+        if insert(g.images):
             used.append(g)
             if orbit_product() == order:
-                return levels, used
+                return finish(), used
 
     # Close under Schreier generators until every one sifts to the identity.
     changed = True
@@ -148,17 +173,17 @@ def _build_chain(
         changed = False
         for i in range(len(levels)):
             lvl = levels[i]
-            level_gens = eff_gens(i)
+            level_gens = [s.images for s in eff_gens(i)]
             for x in sorted(lvl.transversal):
                 ux = lvl.transversal[x]
                 for s in level_gens:
-                    us = ux * s
-                    y = us.images[lvl.base]
+                    us = _compose(ux, s)
+                    y = us[lvl.base]
                     if us == lvl.transversal[y]:
                         continue  # a tree edge: the Schreier generator is 1
-                    if insert(us * lvl.inverses[y]):
+                    if insert(_compose(us, lvl.inverses[y])):
                         changed = True
-    return levels, used
+    return finish(), used
 
 
 class PermGroup:
@@ -168,14 +193,13 @@ class PermGroup:
         if degree < 1:
             raise ValueError("degree must be positive")
         gens = []
-        seen = set()
+        seen = {tuple(range(degree))}
         for g in generators:
             if g.degree != degree:
                 raise ValueError(f"generator degree {g.degree} != group degree {degree}")
-            if g.is_identity() or g.images in seen:
-                continue
-            seen.add(g.images)
-            gens.append(g)
+            if g.images not in seen:
+                seen.add(g.images)
+                gens.append(g)
         self.degree = degree
         self.gens: tuple[Perm, ...] = tuple(gens)
         self.name = name
@@ -208,14 +232,17 @@ class PermGroup:
     def contains(self, g: Perm) -> bool:
         if g.degree != self.degree:
             raise ValueError("degree mismatch")
+        imgs = g.images
         if self._element_set is not None:
-            return g.images in self._element_set
+            return imgs in self._element_set
         for lvl in self.chain:
-            inv = lvl.inverses.get(g.images[lvl.base])
+            x = imgs[lvl.base]
+            inv = lvl.inverses.get(x)
             if inv is None:
                 return False
-            g = g * inv
-        return g.is_identity()
+            if x != lvl.base:
+                imgs = _compose(imgs, inv.images)
+        return imgs == tuple(range(self.degree))
 
     def __contains__(self, g: Perm) -> bool:
         return self.contains(g)
@@ -224,12 +251,12 @@ class PermGroup:
         """All elements, in chain order, each exactly once."""
         if self._elements is None:
             check_cap("element enumeration", self.order(), caps.element_cap)
-            result = [Perm.identity(self.degree)]
+            result = [tuple(range(self.degree))]
             for lvl in reversed(self.chain):
-                reps = [lvl.transversal[x] for x in sorted(lvl.transversal)]
-                result = [h * u for u in reps for h in result]
-            self._elements = result
-            self._element_set = frozenset(p.images for p in result)
+                reps = [lvl.transversal[x].images for x in sorted(lvl.transversal)]
+                result = [_compose(h, u) for u in reps for h in result]
+            self._elements = [_perm(x) for x in result]
+            self._element_set = frozenset(result)
         return self._elements
 
     def element_set(self, caps: Caps = DEFAULT_CAPS) -> frozenset[tuple[int, ...]]:
@@ -386,9 +413,11 @@ def normalizer(g: PermGroup, h: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGro
     if g.degree != h.degree:
         raise ValueError("degree mismatch")
     hset = h.element_set(caps)
+    hgens = [t.images for t in h.gens]
 
     def keep(x: Perm) -> bool:
-        return all(t.conjugate(x).images in hset for t in h.gens)
+        xi, xs = x.inverse().images, x.images
+        return all(_compose(_compose(xi, t), xs) in hset for t in hgens)
 
     return _scan_subgroup(g, keep, caps)
 
@@ -397,8 +426,11 @@ def centralizer(g: PermGroup, h: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGr
     if g.degree != h.degree:
         raise ValueError("degree mismatch")
 
+    hgens = [t.images for t in h.gens]
+
     def keep(x: Perm) -> bool:
-        return all(t * x == x * t for t in h.gens)
+        xs = x.images
+        return all(_compose(t, xs) == _compose(xs, t) for t in hgens)
 
     return _scan_subgroup(g, keep, caps)
 
@@ -466,11 +498,12 @@ def _coset_key(h: PermGroup, g: Perm) -> tuple[int, ...]:
     """
     if g.degree != h.degree:
         raise ValueError("degree mismatch")
+    imgs = g.images
     for lvl in h.chain:
-        y = min(lvl.transversal, key=g.images.__getitem__)
+        y = min(lvl.transversal, key=imgs.__getitem__)
         if y != lvl.base:
-            g = lvl.transversal[y] * g
-    return g.images
+            imgs = _compose(lvl.transversal[y].images, imgs)
+    return imgs
 
 
 class Transversal:

@@ -3,6 +3,12 @@
 Composition is left-to-right: (a * b) applies a first, then b.  This
 matches the right-coset conventions used everywhere else in the library
 (right transversals, the dot action, pretransfer products).
+
+Hot loops (here and in `group`) compose bare image tuples with
+`_compose` and wrap a result in a Perm, with `_perm`, only when it
+leaves the loop.  `_perm` skips the check that `Perm(...)` makes on
+outside input: the composite or inverse of valid permutations of one
+degree is again one, so only such products may be wrapped unchecked.
 """
 
 from __future__ import annotations
@@ -12,23 +18,58 @@ from math import lcm
 from operator import itemgetter
 from typing import Iterable, Iterator
 
+_new = object.__new__
+
+
+def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The image tuple of a then b: entry i is b[a[i]].
+
+    a and b must be image tuples of permutations of one degree; nothing
+    is checked, so callers holding outside input check the degrees first.
+    """
+    # itemgetter with one index returns a bare item; degree <= 1 has only
+    # the identity, so the product is b.
+    return itemgetter(*a)(b) if len(a) > 1 else b
+
+
+def _invert(a: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(a)
+    for i, x in enumerate(a):
+        inv[x] = i
+    return tuple(inv)
+
+
+def _perm(images: tuple[int, ...]) -> "Perm":
+    """A Perm of an image tuple that is already known to be a permutation."""
+    p = _new(Perm)
+    p.images = images
+    p._inverse = None
+    return p
+
 
 class Perm:
-    """A bijection of {0..degree-1}, immutable and hashable."""
+    """A bijection of {0..degree-1}, immutable and hashable.
 
-    __slots__ = ("images",)
+    The inverse is computed once, on the first `inverse()` call, and kept
+    in the `_inverse` slot.  The kept inverse does not point back at its
+    Perm: a Perm and its inverse would otherwise form a reference cycle,
+    which only the cyclic garbage collector could free.
+    """
+
+    __slots__ = ("images", "_inverse")
 
     def __init__(self, images: Iterable[int]):
         imgs = tuple(images)
         if sorted(imgs) != list(range(len(imgs))):
             raise ValueError(f"not a permutation of 0..{len(imgs) - 1}: {imgs!r}")
-        object.__setattr__(self, "images", imgs)
+        self.images = imgs
+        self._inverse = None
 
     # construction helpers -------------------------------------------------
 
     @staticmethod
     def identity(degree: int) -> "Perm":
-        return Perm(range(degree))
+        return _perm(tuple(range(degree)))
 
     @staticmethod
     def from_cycles(degree: int, cycles: Iterable[Iterable[int]]) -> "Perm":
@@ -55,19 +96,13 @@ class Perm:
         a, b = self.images, other.images
         if len(a) != len(b):
             raise ValueError("degree mismatch in composition")
-        p = Perm.__new__(Perm)
-        # itemgetter with one index returns a bare item; degree <= 1 has
-        # only the identity, so the product is b.
-        object.__setattr__(p, "images", itemgetter(*a)(b) if len(a) > 1 else b)
-        return p
+        return _perm(_compose(a, b))
 
     def inverse(self) -> "Perm":
-        inv = [0] * len(self.images)
-        for i, x in enumerate(self.images):
-            inv[x] = i
-        p = Perm.__new__(Perm)
-        object.__setattr__(p, "images", tuple(inv))
-        return p
+        inv = self._inverse
+        if inv is None:
+            inv = self._inverse = _perm(_invert(self.images))
+        return inv
 
     def __pow__(self, n: int) -> "Perm":
         if n < 0:
@@ -83,7 +118,9 @@ class Perm:
 
     def conjugate(self, g: "Perm") -> "Perm":
         """self^g = g^-1 * self * g."""
-        return g.inverse() * self * g
+        if len(g.images) != len(self.images):
+            raise ValueError("degree mismatch in composition")
+        return _perm(_compose(_compose(g.inverse().images, self.images), g.images))
 
     def __call__(self, point: int) -> int:
         return self.images[point]
@@ -140,7 +177,10 @@ class Perm:
 
 def commutator(a: Perm, b: Perm) -> Perm:
     """[a, b] = a^-1 b^-1 a b."""
-    return a.inverse() * b.inverse() * a * b
+    if len(a.images) != len(b.images):
+        raise ValueError("degree mismatch in composition")
+    ai, bi = a.inverse().images, b.inverse().images
+    return _perm(_compose(_compose(_compose(ai, bi), a.images), b.images))
 
 
 def parse_cycles(text: str, degree: int) -> Perm:
@@ -171,4 +211,4 @@ def parse_cycles(text: str, degree: int) -> Perm:
 def all_perms(degree: int) -> Iterator[Perm]:
     """Every permutation of the given degree (use only for tiny degrees)."""
     for imgs in itertools.permutations(range(degree)):
-        yield Perm(imgs)
+        yield _perm(imgs)

@@ -279,6 +279,41 @@ def test_cli_strict_caps_exit(monkeypatch, capsys):
     assert main(args + ["--strict-caps"]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (["analyze", "symmetric:12", "--prime", "2"], None),
+        (["witness"], "50"),
+    ],
+    ids=["analyze-S12", "witness-small-cap"],
+)
+def test_cli_cap_that_stops_a_command_exits_capped(monkeypatch, capsys, argv, cap):
+    """A command that gives no answer because a cap fired exits 3 with
+    nothing on stdout, without --strict-caps."""
+    if cap is None:
+        monkeypatch.delenv("TRANSFERLAB_ELEMENT_CAP", raising=False)
+    else:
+        monkeypatch.setenv("TRANSFERLAB_ELEMENT_CAP", cap)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource cap exceeded: element enumeration: needs ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "S4", "--prime", "2", "--strict-caps"], ["witness", "--strict-caps"]],
+    ids=["analyze", "witness"],
+)
+def test_cli_strict_caps_only_on_verdict_commands(capsys, argv):
+    """--strict-caps governs skipped:cap verdicts, which only verify and
+    scan give; analyze and witness reject it."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --strict-caps" in capsys.readouterr().err
+
+
 def test_cli_scan_subset(capsys, tmp_path):
     entries = [e for e in default_corpus() if e.label in ("S3", "S4", "D8")]
     path = tmp_path / "mini.jsonl"

@@ -154,27 +154,40 @@ def test_collapsed_cosets_raise_invariant_error(monkeypatch, s4):
         right_transversal(s4, d8)
 
 
-@pytest.mark.parametrize(
-    "test_id",
-    [
-        "test_cosets.py::test_collapsed_cosets_raise_invariant_error",
-        "test_transfer.py::test_control_cross_check_raises_invariant_error",
-        "test_iso.py::test_orbit_product_mismatch_raises_invariant_error",
-    ],
-    ids=["collapsed_cosets", "control_cross_check", "aut_orbit_product"],
-)
-def test_invariant_error_survives_python_O(test_id):
-    """The same test in a fresh interpreter under -O, which strips asserts."""
+PYTHON_O_TESTS = {
+    "collapsed_cosets": "test_cosets.py::test_collapsed_cosets_raise_invariant_error",
+    "control_cross_check": "test_transfer.py::test_control_cross_check_raises_invariant_error",
+    "aut_orbit_product": "test_iso.py::test_orbit_product_mismatch_raises_invariant_error",
+}
+
+
+@pytest.fixture(scope="module")
+def python_O_report():
+    """One fresh interpreter under -O, which strips asserts, runs every
+    test in PYTHON_O_TESTS; -rA lists each outcome as "PASSED <id>"."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(transferlab.__file__)))
-    test_id = os.path.join(os.path.dirname(os.path.abspath(__file__)), test_id)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", test_id],
+    here = os.path.dirname(os.path.abspath(__file__))
+    ids = [os.path.join(here, test_id) for test_id in PYTHON_O_TESTS.values()]
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider", *ids],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert proc.returncode == 0 and "1 passed" in proc.stdout, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("name", list(PYTHON_O_TESTS))
+def test_invariant_error_survives_python_O(python_O_report, name):
+    """The test named runs and passes under -O."""
+    passed = [
+        line.split()[1]
+        for line in python_O_report.stdout.splitlines()
+        if line.startswith("PASSED ")
+    ]
+    assert any(test_id.endswith(PYTHON_O_TESTS[name]) for test_id in passed), (
+        python_O_report.stdout + python_O_report.stderr
+    )
 
 
 class _ScriptedRng:

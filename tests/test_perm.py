@@ -1,6 +1,8 @@
+import gc
 import math
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 from transferlab.perm import Perm, all_perms, commutator, parse_cycles
@@ -112,3 +114,68 @@ def test_transposition_and_smallest_moved_point():
     assert t.order() == 2
     assert t.smallest_moved_point() == 1
     assert Perm.identity(5).smallest_moved_point() is None
+
+
+# The kernel composes bare image tuples and wraps the result unchecked;
+# these compare it with products built point by point through the
+# validating Perm(...) constructor.
+
+
+def checked_product(*factors: Perm) -> Perm:
+    """a * b * ... left to right: apply a first, then b."""
+    images = range(factors[0].degree)
+    for f in factors:
+        images = [f.images[i] for i in images]
+    return Perm(images)
+
+
+def checked_inverse(p: Perm) -> Perm:
+    return Perm(sorted(range(p.degree), key=p.images.__getitem__))
+
+
+@given(perms)
+def test_inverse_is_kept(p):
+    assert p.inverse() is p.inverse()
+    assert p.inverse() == checked_inverse(p)
+
+
+@given(perms)
+def test_double_inverse_is_equal_and_holds_no_back_reference(p):
+    inv = p.inverse()
+    assert inv.inverse() == p
+    # The kept inverse must not point back at p (a reference cycle).
+    assert all(ref is not p for ref in gc.get_referents(inv))
+    assert all(ref is not inv for ref in gc.get_referents(inv.inverse()))
+
+
+@given(same_degree_pairs(2))
+def test_products_match_checked_construction(pair):
+    a, b = pair
+    assert a * b == checked_product(a, b)
+    assert a.conjugate(b) == checked_product(checked_inverse(b), a, b)
+    assert commutator(a, b) == checked_product(
+        checked_inverse(a), checked_inverse(b), a, b
+    )
+
+
+@given(perms)
+def test_kernel_results_are_valid_perms(p):
+    for q in (p * p, p.inverse(), p.conjugate(p), commutator(p, p.inverse())):
+        assert sorted(q.images) == list(range(p.degree))
+        assert type(q.images) is tuple and q.degree == p.degree
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda a, b: a * b,
+        lambda a, b: a.conjugate(b),
+        lambda a, b: commutator(a, b),
+    ],
+    ids=["mul", "conjugate", "commutator"],
+)
+def test_degree_mismatch_raises(op):
+    a, b = Perm.from_cycles(3, [(0, 1, 2)]), Perm.transposition(4, 0, 3)
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            op(x, y)

@@ -1,0 +1,116 @@
+"""The group kernel against sympy's permutation groups, an independent
+implementation (sympy is a development-only oracle, never imported by
+the library).
+
+Hypothesis draws random subgroups G of S_n for n <= 8, generated by up
+to three random permutations, and subgroups of G as words in G's
+generators.  The tests that enumerate G (element sets, Sylow ascent)
+draw n <= 6.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+sympy_comb = pytest.importorskip("sympy.combinatorics")
+SymPerm, SymGroup = sympy_comb.Permutation, sympy_comb.PermutationGroup
+
+from transferlab.group import PermGroup, centralizer, normal_closure, normalizer  # noqa: E402
+from transferlab.iso import prime_divisors  # noqa: E402
+from transferlab.perm import Perm  # noqa: E402
+from transferlab.series import (  # noqa: E402
+    derived_series,
+    is_nilpotent,
+    lower_central_series,
+)
+from transferlab.sylow import sylow_subgroup  # noqa: E402
+
+
+def draw_group(data, max_degree):
+    """(degree, generators): up to three random permutations of S_n."""
+    n = data.draw(st.integers(min_value=1, max_value=max_degree), label="n")
+    gens = data.draw(st.lists(st.permutations(range(n)), max_size=3), label="gens")
+    return n, [Perm(g) for g in gens]
+
+
+def draw_words(data, n, gens, min_words, max_words):
+    """Elements of <gens>, each the product of a random word in gens."""
+    out = []
+    for _ in range(data.draw(st.integers(min_value=min_words, max_value=max_words))):
+        x = Perm.identity(n)
+        if gens:
+            for i in data.draw(st.lists(st.integers(0, len(gens) - 1), max_size=6)):
+                x = x * gens[i]
+        out.append(x)
+    return out
+
+
+def sym(p: Perm):
+    return SymPerm(list(p.images))
+
+
+def sym_group(n, gens):
+    return SymGroup([SymPerm(list(range(n)))] + [sym(x) for x in gens])
+
+
+def sym_elements(g) -> frozenset:
+    return frozenset(tuple(x.array_form) for x in g.generate())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_order_and_membership_match_sympy(data):
+    n, gens = draw_group(data, 8)
+    g, s = PermGroup(n, gens), sym_group(n, gens)
+    assert g.order() == s.order()
+    for x in draw_words(data, n, gens, 1, 3):
+        assert g.contains(x) and s.contains(sym(x))
+    for images in data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=4)):
+        x = Perm(images)
+        assert g.contains(x) == s.contains(sym(x))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_centralizer_and_normalizer_match_sympy(data):
+    n, gens = draw_group(data, 6)
+    g, s = PermGroup(n, gens), sym_group(n, gens)
+    h_gens = draw_words(data, n, gens, 2, 3)
+    h, sh = PermGroup(n, h_gens), sym_group(n, h_gens)
+
+    assert centralizer(g, h).element_set() == sym_elements(s.centralizer(sh))
+
+    sym_normalizing = frozenset(
+        tuple(x.array_form)
+        for x in s.generate()
+        if all(sh.contains(t ^ x) for t in sh.generators)
+    )
+    assert normalizer(g, h).element_set() == sym_normalizing
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_normal_closure_matches_sympy(data):
+    n, gens = draw_group(data, 8)
+    g, s = PermGroup(n, gens), sym_group(n, gens)
+    seeds = draw_words(data, n, gens, 1, 2)
+    closure = normal_closure(g, seeds)
+    sym_closure = s.normal_closure(sym_group(n, seeds))
+    # Equal orders and one inside the other: the same subgroup.
+    assert closure.order() == sym_closure.order()
+    assert all(sym_closure.contains(sym(x)) for x in closure.gens)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_series_and_sylow_orders_match_sympy(data):
+    n, gens = draw_group(data, 6)
+    g, s = PermGroup(n, gens), sym_group(n, gens)
+    assert [t.order() for t in derived_series(g).terms] == [
+        t.order() for t in s.derived_series()
+    ]
+    assert [t.order() for t in lower_central_series(g).terms] == [
+        t.order() for t in s.lower_central_series()
+    ]
+    assert is_nilpotent(g) == s.is_nilpotent
+    for p in prime_divisors(g.order()):
+        assert sylow_subgroup(g, p).order() == s.sylow_subgroup(p).order()
