@@ -4,13 +4,18 @@ A checker takes a Context and returns (witnesses, conclusion): the
 conclusion is None when the hypothesis fails, and otherwise a
 zero-argument callable.  run_checker is the one place that calls a
 conclusion, so no conclusion is evaluated without its hypothesis; the
-verdict is implication_ok, vacuous, VIOLATION, or skipped:cap when a
-resource cap interrupts either evaluation.
+verdict is implication_ok, vacuous, VIOLATION, skipped:cap when a
+resource cap interrupts either evaluation, or error when either raises
+anything else.  An error verdict carries the exception's type, message
+and innermost frame as witnesses, and the scan goes on with the next
+checker.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import traceback
 from dataclasses import dataclass, field
 
 from .caps import DEFAULT_CAPS, CapExceeded, Caps
@@ -121,7 +126,7 @@ class CheckerVerdict:
     prime: int
     hypothesis_holds: bool | None
     conclusion_holds: bool | None
-    verdict: str  # implication_ok | vacuous | VIOLATION | skipped:cap
+    verdict: str  # implication_ok | vacuous | VIOLATION | skipped:cap | error
     witnesses: dict = field(default_factory=dict)
     interpretation_notes: str = ""
 
@@ -608,7 +613,8 @@ def run_checker(
     checker_id: str, group: PermGroup, prime: int, caps: Caps = DEFAULT_CAPS
 ) -> CheckerVerdict:
     """Run one checker; its conclusion is evaluated only if it returned one,
-    that is, only when its hypothesis holds."""
+    that is, only when its hypothesis holds.  A cap that fires gives a
+    skipped:cap verdict, any other exception an error verdict."""
     if checker_id not in CHECKERS:
         raise ValueError(f"unknown checker: {checker_id}")
     spec = CHECKERS[checker_id]
@@ -620,6 +626,14 @@ def run_checker(
         return CheckerVerdict(
             checker_id, label, prime, None, None, "skipped:cap", {"cap": str(exc)}, ""
         )
+    except Exception as exc:  # one failing pair must not stop a scan
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        witnesses = {
+            "exception": type(exc).__name__,
+            "message": str(exc),
+            "raised_at": f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}",
+        }
+        return CheckerVerdict(checker_id, label, prime, None, None, "error", witnesses, "")
     hyp = conclusion is not None
     if not hyp:
         verdict = "vacuous"
@@ -661,7 +675,7 @@ def scan_corpus(
                     verdicts.append(run_checker(checker_id, group, p, caps))
 
     verdicts.sort(key=lambda v: (v.group_label, v.prime, v.checker_id))
-    summary = {"implication_ok": 0, "vacuous": 0, "VIOLATION": 0, "skipped:cap": 0}
+    summary = dict.fromkeys(("implication_ok", "vacuous", "VIOLATION", "skipped:cap", "error"), 0)
     for v in verdicts:
         summary[v.verdict] += 1
     violations = [v for v in verdicts if v.verdict == "VIOLATION"]

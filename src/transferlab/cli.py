@@ -3,10 +3,10 @@
 Subcommands: analyze, verify, scan, witness, builtin.  verify and scan
 take --format text|records and --strict-caps; analyze, verify and scan
 take --catalog.
-Exit codes: 0 pass, 1 violation or witness failure, 2 input error,
-3 when a cap stops a command before it gives its answer, or when a
-verify or scan verdict is skipped:cap under --strict-caps, 141
-(128 + SIGPIPE) when the reader closes standard output early, as
+Exit codes: 0 pass, 1 violation, checker error or witness failure, 2
+input error, 3 when a cap stops a command before it gives its answer,
+or when a verify or scan verdict is skipped:cap under --strict-caps,
+141 (128 + SIGPIPE) when the reader closes standard output early, as
 `transferlab scan | head` does.
 """
 
@@ -135,7 +135,7 @@ def cmd_verify(args) -> int:
             print(f"  {k}: {v}")
         if verdict.interpretation_notes:
             print(f"  notes: {verdict.interpretation_notes}")
-    if verdict.verdict == "VIOLATION":
+    if verdict.verdict in ("VIOLATION", "error"):
         return EXIT_VIOLATION
     if verdict.verdict == "skipped:cap" and args.strict_caps:
         return EXIT_CAPPED
@@ -145,6 +145,7 @@ def cmd_verify(args) -> int:
 def cmd_scan(args) -> int:
     entries = _entries(args)
     report = scan_corpus(entries, args.checker or None, Caps.default())
+    errors = [v for v in report.verdicts if v.verdict == "error"]
     if args.format == "records":
         for line in report.record_lines():
             print(line)
@@ -152,14 +153,18 @@ def cmd_scan(args) -> int:
         print(f"corpus: {report.corpus_description}")
         for key in ("implication_ok", "vacuous", "VIOLATION", "skipped:cap"):
             print(f"  {key}: {report.summary[key]}")
+        if errors:
+            print(f"  error: {len(errors)}")
         for v in report.violations:
             print(f"VIOLATION: {v.checker_id} {v.group_label} p={v.prime} {v.witnesses}")
+        for v in errors:
+            print(f"ERROR: {v.checker_id} {v.group_label} p={v.prime} {v.witnesses}")
         for v in report.interpretation_discrepancies:
             print(
                 f"interpretation discrepancy: {v.checker_id} {v.group_label} "
                 f"p={v.prime} (strict reading fails, p'-length reading passes)"
             )
-    if report.violations:
+    if report.violations or errors:
         return EXIT_VIOLATION
     if report.summary["skipped:cap"] and args.strict_caps:
         return EXIT_CAPPED

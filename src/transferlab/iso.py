@@ -5,7 +5,10 @@ sequence finds isomorphisms.  Aut(P) is a permutation group on the
 positions of P's elements, built level by level from first hits of that
 search; its order is checked against the product of the orbit lengths.
 One join-closure over a partition of P's elements lists all, normal
-or characteristic subgroups (`_subgroup_lattice`).
+or characteristic subgroups (`_subgroup_lattice`).  Each join's element
+set comes first, closed by whole cosets of the smaller subgroup on image
+tuples; only a set not seen before becomes a subgroup, with one chain
+build stopped at its known order.
 """
 
 from __future__ import annotations
@@ -14,12 +17,14 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .caps import DEFAULT_CAPS, Caps, check_cap
 from .group import (
     InvariantError,
     PermGroup,
+    _build_chain,
     _orbit_transversal,
     centralizer,
     derived_subgroup,
@@ -28,7 +33,7 @@ from .group import (
     quotient_group,
     span,
 )
-from .perm import Perm
+from .perm import Perm, _compose
 
 
 @dataclass
@@ -311,6 +316,32 @@ def automorphism_group(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     return aut
 
 
+def _closure(
+    degree: int, hset: frozenset[tuple[int, ...]], gens: Sequence[Perm]
+) -> frozenset[tuple[int, ...]]:
+    """The element set of <H, gens>, from H's element set, as image tuples.
+
+    The set grows by whole cosets y*H: for each coset rep r found so far
+    (first the identity) and each generator g, a product y = g*r outside
+    the set adds the coset y*H, and y becomes a rep.  The set is then
+    closed under left multiplication by every generator, so it is the
+    group.  Left cosets let one itemgetter over y form every y*x of the
+    coset (`perm._compose(y, x)`); a y outside the set exists only at
+    degree >= 2, where itemgetter returns a tuple.
+    """
+    hlist = list(hset)
+    found = set(hset)
+    gen_imgs = [g.images for g in gens]
+    reps = [tuple(range(degree))]
+    for r in reps:
+        for g in gen_imgs:
+            y = _compose(g, r)
+            if y not in found:
+                found.update(map(itemgetter(*y), hlist))
+                reps.append(y)
+    return frozenset(found)
+
+
 def _subgroup_lattice(
     p: PermGroup, orbits: Iterable[list[Perm]], caps: Caps
 ) -> list[PermGroup]:
@@ -319,23 +350,37 @@ def _subgroup_lattice(
     of a group of operators (none, P by conjugation, Aut(P)) these are
     the subgroups closed under them: each is the join of the atoms of its
     elements (Holt, Eick and O'Brien, Handbook of CGT).  The identity's
-    block spans 1."""
+    block spans 1.
+
+    The frontier is joined with each atom in turn.  An atom inside H is
+    skipped; otherwise the element set of <H, atom> comes first, closed
+    by cosets of H (`_closure`, as in the cyclic extension method of the
+    Handbook).  Only a set not yet known becomes a subgroup,
+    `join(h, a)`, with one chain build stopped at the known order, which
+    leaves the chain as a full build would make it (see `_build_chain`).
+    The first join that reaches a set keeps it, as a build of every join
+    would.
+    """
     check_cap("subgroup enumeration", p.order(), caps.subgroup_enum_cap)
     atoms: dict[frozenset, PermGroup] = {}
     for orbit in orbits:
         a = span(p.degree, orbit)
         atoms.setdefault(a.element_set(caps), a)
     known: dict[frozenset, PermGroup] = dict(atoms)
-    frontier = list(atoms.values())
+    frontier = list(atoms.items())
     while frontier:
         nxt = []
-        for h in frontier:
-            for a in atoms.values():
-                j = join(h, a)
-                key = j.element_set(caps)
+        for hset, h in frontier:
+            for aset, a in atoms.items():
+                if aset <= hset:
+                    continue
+                key = _closure(p.degree, hset, h.gens + a.gens)
                 if key not in known:
+                    j = join(h, a)
+                    j._chain, _ = _build_chain(p.degree, j.gens, len(key))
+                    j._element_set = key
                     known[key] = j
-                    nxt.append(j)
+                    nxt.append((key, j))
         frontier = nxt
     subs = list(known.values())
     subs.sort(key=lambda h: (h.order(), sorted(h.element_set(caps))))

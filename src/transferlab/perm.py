@@ -129,8 +129,20 @@ class Perm:
         return self.images == tuple(range(len(self.images)))
 
     def order(self) -> int:
-        cyc = self.cycles()
-        return lcm(*(len(c) for c in cyc)) if cyc else 1
+        """The lcm of the cycle lengths, from one pass over the images."""
+        imgs = self.images
+        seen = bytearray(len(imgs))
+        n = 1
+        for i, x in enumerate(imgs):
+            if seen[i] or x == i:
+                continue
+            k = 1
+            while x != i:
+                seen[x] = 1
+                x = imgs[x]
+                k += 1
+            n = lcm(n, k)
+        return n
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest point."""

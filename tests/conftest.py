@@ -11,6 +11,7 @@ from transferlab.catalog import (
     symmetric,
 )
 from transferlab.checkers import CHECKERS
+from transferlab.group import InvariantError
 
 
 @pytest.fixture
@@ -24,6 +25,26 @@ def corrupt_burnside(monkeypatch):
         return witnesses, None if conclusion is None else (lambda: False)
 
     monkeypatch.setattr(CHECKERS["burnside"], "run", corrupted)
+
+
+@pytest.fixture
+def failing_burnside(monkeypatch):
+    """Make the burnside checker's conclusion raise InvariantError on the
+    one pair (S4, 3), so a scan over it must report an error there and
+    carry on with every other pair."""
+    run = CHECKERS["burnside"].run
+
+    def failing(ctx):
+        witnesses, conclusion = run(ctx)
+        if (ctx.group.name, ctx.prime) != ("S4", 3):
+            return witnesses, conclusion
+
+        def broken():
+            raise InvariantError("planted failure")
+
+        return witnesses, broken
+
+    monkeypatch.setattr(CHECKERS["burnside"], "run", failing)
 
 
 @pytest.fixture

@@ -369,6 +369,36 @@ def test_cli_scan_text_summary_pinned(capsys):
     ]
 
 
+def test_cli_scan_reports_a_failing_checker_and_goes_on(failing_burnside, capsys):
+    """A checker that raises on one pair gives that pair an error record
+    and exit 1; every other record is the golden one."""
+    assert main(["scan", "--format", "records"]) == 1
+    got = capsys.readouterr().out.splitlines()
+    golden = GOLDEN_RECORDS.read_text().splitlines()
+    assert len(got) == len(golden)
+    changed = [i for i, (a, b) in enumerate(zip(got, golden)) if a != b]
+    assert len(changed) == 1
+    record = json.loads(got[changed[0]])
+    assert (record["checker_id"], record["group_label"], record["prime"]) == ("burnside", "S4", 3)
+    assert record["verdict"] == "error"
+    assert record["witnesses"]["exception"] == "InvariantError"
+    assert record["witnesses"]["message"] == "planted failure"
+
+
+def test_cli_text_scan_and_verify_report_a_failing_checker(failing_burnside, capsys):
+    """The text summary adds an error count line only when there are
+    errors, and names each one."""
+    assert main(["scan", "--checker", "burnside"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[5] == "  error: 1"
+    assert lines[6].startswith("ERROR: burnside S4 p=3 {'exception': 'InvariantError'")
+    assert main(["verify", "burnside", "S4", "--prime", "3"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("burnside on S4 at p=3: error\n")
+    assert "  message: planted failure\n" in out
+    assert main(["verify", "burnside", "S4", "--prime", "2"]) == 0
+
+
 def test_cli_witness(capsys):
     assert main(["witness"]) == 0
     out = capsys.readouterr().out

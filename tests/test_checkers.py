@@ -10,6 +10,7 @@ from transferlab.checkers import (
     scan_corpus,
     verify_paper_witnesses,
 )
+from transferlab.group import InvariantError
 from transferlab.series import is_p_group, norm, z_k
 from transferlab.sylow import sylow_subgroup
 
@@ -101,6 +102,42 @@ def test_cap_inside_conclusion_is_skipped(monkeypatch, s4):
     assert v.verdict == "skipped:cap"
     assert v.hypothesis_holds is None and v.conclusion_holds is None
     assert set(v.witnesses) == {"cap"}
+
+
+@pytest.mark.parametrize("where", ["run", "conclusion"])
+def test_exception_in_checker_is_an_error_verdict(monkeypatch, s4, where):
+    """Any exception but a cap becomes an error verdict that names it."""
+
+    def broken():
+        raise InvariantError("index 3 != 4")
+
+    def run(ctx):
+        if where == "run":
+            broken()
+        return {"sylow": "x"}, broken
+
+    monkeypatch.setattr(CHECKERS["burnside"], "run", run)
+    v = run_checker("burnside", s4, 2, DEFAULT_CAPS)
+    assert v.verdict == "error"
+    assert v.hypothesis_holds is None and v.conclusion_holds is None
+    assert v.witnesses == {
+        "exception": "InvariantError",
+        "message": "index 3 != 4",
+        "raised_at": f"test_checkers.py:{broken.__code__.co_firstlineno + 1} in broken",
+    }
+    assert json.loads(v.to_json())["verdict"] == "error"
+
+
+def test_failing_checker_is_counted_and_the_scan_goes_on(failing_burnside):
+    entries = [e for e in default_corpus() if e.label in ("S3", "S4")]
+    report = scan_corpus(entries, ["burnside"], DEFAULT_CAPS)
+    assert [(v.group_label, v.prime, v.verdict) for v in report.verdicts] == [
+        ("S3", 2, "implication_ok"),
+        ("S3", 3, "implication_ok"),
+        ("S4", 2, "vacuous"),
+        ("S4", 3, "error"),
+    ]
+    assert report.summary["error"] == 1 and not report.violations
 
 
 def test_verdict_json_round_trip(s4):

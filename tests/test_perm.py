@@ -60,6 +60,15 @@ def test_order_is_exact(p):
     assert n == math.lcm(*(len(c) for c in p.cycles())) if p.cycles() else n == 1
 
 
+def test_order_is_lcm_of_cycle_lengths(rng):
+    """order() walks the images once; cycles() gives the reference."""
+    samples = [random_perm(rng, degree) for degree in range(1, 41) for _ in range(25)]
+    samples += [Perm.identity(1), Perm.identity(18), Perm.from_cycles(18, [(0, 17)])]
+    for p in samples:
+        assert p.order() == math.lcm(1, *(len(c) for c in p.cycles()))
+    assert Perm.identity(1).order() == Perm.identity(18).order() == 1
+
+
 @given(same_degree_pairs(2))
 def test_conjugation_is_action(pair):
     a, g = pair
