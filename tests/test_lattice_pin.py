@@ -10,7 +10,7 @@ of a sha256) covers, for every subgroup in list order, its gens, each
 chain level's base point, level generators and sorted transversal
 points, and its elements() order.  The digests were taken before the
 lattice closure found each join's element set by cosets, while every
-(subgroup, atom) join still built its own chain from scratch.
+(subgroup, atom) join still built a chain of its own.
 """
 
 import hashlib
