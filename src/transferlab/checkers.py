@@ -659,11 +659,17 @@ class TheoremReport:
 def scan_corpus(
     entries, checker_ids: list[str] | None = None, caps: Caps = DEFAULT_CAPS
 ) -> TheoremReport:
-    """Run every applicable checker over every (group, prime) pair."""
+    """Run every applicable checker over every (group, prime) pair.
+
+    An unknown or repeated checker id is a ValueError, raised before any
+    checker runs: a repeated one would give each of its verdicts twice.
+    """
     ids = sorted(checker_ids or CHECKERS.keys())
-    for checker_id in ids:
+    for i, checker_id in enumerate(ids):
         if checker_id not in CHECKERS:
             raise ValueError(f"unknown checker: {checker_id}")
+        if i and ids[i - 1] == checker_id:
+            raise ValueError(f"repeated checker: {checker_id}")
     verdicts: list[CheckerVerdict] = []
     pairs = 0
     for entry in entries:

@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="run checkers over the corpus")
     p_scan.add_argument(
-        "--checker", action="append", help="checker id (repeatable; default all)"
+        "--checker", action="append", help="checker id (repeatable, each id once; default all)"
     )
     common(p_scan)
     p_scan.set_defaults(func=cmd_scan)

@@ -28,7 +28,10 @@ Perm only for a value that leaves them: the orbit BFS, the sifts and the
 Schreier loop of `_build_chain` (which wraps a strong generator when it
 is inserted and the transversals when the build ends), `contains`,
 `elements()`, `_coset_key`, and the member tests of `normalizer` and
-`centralizer`.
+`centralizer`.  The member tests compose through prebuilt getters
+(`perm._getter`): one per generator of H, built before the scan, and one
+per scanned element (of x^-1 in `normalizer`, of x in `centralizer`),
+so each product is one itemgetter call and makes no new itemgetter.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .caps import DEFAULT_CAPS, Caps, check_cap
-from .perm import Perm, _compose, _perm, commutator
+from .perm import Perm, _compose, _getter, _perm, commutator
 
 
 class InvariantError(AssertionError):
@@ -213,9 +216,15 @@ class PermGroup:
 
     @property
     def chain(self) -> list[_Level]:
-        """The stabilizer chain, built on first access."""
+        """The stabilizer chain, built on first access.
+
+        A group whose order is already known (a conjugate, see
+        `conjugate_subgroup`) passes it to the build, which then stops as
+        soon as the orbit lengths multiply to it.  The early stop leaves
+        the chain as the full build makes it (see `_build_chain`).
+        """
         if self._chain is None:
-            self._chain, _ = _build_chain(self.degree, self.gens)
+            self._chain, _ = _build_chain(self.degree, self.gens, self._order)
         return self._chain
 
     def order(self) -> int:
@@ -383,9 +392,17 @@ def span(degree: int, elems: Iterable[Perm]) -> PermGroup:
 # subgroup operations ------------------------------------------------------
 
 def conjugate_subgroup(h: PermGroup, g: Perm) -> PermGroup:
+    """H^g, generated by the conjugates of H's gens.
+
+    H^g has the order of H, so the conjugate knows its order without a
+    chain, and a chain built later stops at that order (see
+    `PermGroup.chain`).
+    """
     if g.degree != h.degree:
         raise ValueError("degree mismatch")
-    return PermGroup(h.degree, [x.conjugate(g) for x in h.gens])
+    c = PermGroup(h.degree, [x.conjugate(g) for x in h.gens])
+    c._order = h.order()
+    return c
 
 
 def _scan_subgroup(g: PermGroup, keep, caps: Caps) -> PermGroup:
@@ -413,11 +430,12 @@ def normalizer(g: PermGroup, h: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGro
     if g.degree != h.degree:
         raise ValueError("degree mismatch")
     hset = h.element_set(caps)
-    hgens = [t.images for t in h.gens]
+    getters = [_getter(t.images) for t in h.gens]
 
     def keep(x: Perm) -> bool:
-        xi, xs = x.inverse().images, x.images
-        return all(_compose(_compose(xi, t), xs) in hset for t in hgens)
+        # t^x = x^-1 * (t * x), composed as x^-1's getter of t's getter of x
+        xs, xi = x.images, _getter(x.inverse().images)
+        return all(xi(t(xs)) in hset for t in getters)
 
     return _scan_subgroup(g, keep, caps)
 
@@ -426,11 +444,13 @@ def centralizer(g: PermGroup, h: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGr
     if g.degree != h.degree:
         raise ValueError("degree mismatch")
 
-    hgens = [t.images for t in h.gens]
+    hgens = [(t.images, _getter(t.images)) for t in h.gens]
 
     def keep(x: Perm) -> bool:
+        # t * x == x * t, composed as t's getter of x and x's getter of t
         xs = x.images
-        return all(_compose(t, xs) == _compose(xs, t) for t in hgens)
+        gx = _getter(xs)
+        return all(gt(xs) == gx(t) for t, gt in hgens)
 
     return _scan_subgroup(g, keep, caps)
 

@@ -1,10 +1,12 @@
 """Isomorphism testing, automorphism groups, subgroup lattices.
 
 One capped backtracking search over images of a short generating
-sequence finds isomorphisms.  Aut(P) is a permutation group on the
-positions of P's elements, built level by level from first hits of that
-search; its order is checked against the product of the orbit lengths.
-One join-closure over a partition of P's elements lists all, normal
+sequence finds isomorphisms.  The sequence, and each choice of images
+the search tries, is sized by its element set (`_closure`), not by a
+chain build.  Aut(P) is a permutation group on the positions of P's
+elements, built level by level from first hits of that search; its
+order is checked against the product of the orbit lengths.  One
+join-closure over a partition of P's elements lists all, normal
 or characteristic subgroups (`_subgroup_lattice`).  Each join's element
 set comes first, closed by whole cosets of the smaller subgroup on image
 tuples; only a set not seen before becomes a subgroup, with one chain
@@ -173,25 +175,35 @@ def _generating_sequence(g: PermGroup) -> tuple[PermGroup, list[int]]:
     and the orders |<s_1..s_i>| for i = 1..k.
 
     Each step adjoins the element that grows the generated subgroup the
-    most.  Short sequences keep the backtracking searches below small.
+    most, the first such in g's elements() order.  Short sequences keep
+    the backtracking searches below small.  The subgroups are element
+    sets grown by `_closure`, stopped once a set reaches |g| (a subset of
+    g that large is g), so no chain is built; the group returned carries
+    its order and element set.
     """
+    n = g.order()
+    gens: tuple[Perm, ...] = ()
+    current = frozenset([tuple(range(g.degree))])
     orders: list[int] = []
-    current = PermGroup(g.degree, [])
-    while current.order() < g.order():
-        best = current
+    while len(current) < n:
+        best, best_set = None, current
         for x in g.elements():
-            if current.contains(x):
+            if x.images in current:
                 continue
-            cand = PermGroup(g.degree, current.gens + (x,))
-            if cand.order() > best.order():
-                best = cand
-                if cand.order() == g.order():
+            cand = _closure(g.degree, current, gens + (x,), n)
+            if len(cand) > len(best_set):
+                best, best_set = x, cand
+                if len(cand) == n:
                     break
-        if best is current:
+        if best is None:
             raise InvariantError("no element grows a proper subgroup")
-        orders.append(best.order())
-        current = best
-    return current, orders
+        gens += (best,)
+        current = best_set
+        orders.append(len(current))
+    seq = PermGroup(g.degree, gens)
+    seq._order = n
+    seq._element_set = current
+    return seq, orders
 
 
 def conjugacy_classes(
@@ -238,12 +250,17 @@ def _iso_search(
     target: PermGroup,
     pools: list[list[Perm]],
     chosen: tuple[Perm, ...] = (),
+    chosen_set: frozenset[tuple[int, ...]] | None = None,
 ) -> Iterator[GeneratorMap]:
     """Yield each isomorphism source -> target that sends source.gens[i]
     into pools[i], in pool order.
 
     Backtracking over generator images: a choice of the first i + 1
     images survives only if they generate a subgroup of order orders[i].
+    That subgroup is sized by its element set, closed from the set of
+    the first i images (chosen_set, the identity alone at the root) by
+    `_closure`, which gives up once the set exceeds orders[i]; no
+    candidate builds a chain.
     """
     i = len(chosen)
     if i == len(pools):
@@ -251,10 +268,13 @@ def _iso_search(
         if gm.is_isomorphism():
             yield gm
         return
+    if chosen_set is None:
+        chosen_set = frozenset([tuple(range(target.degree))])
     for cand in pools[i]:
         images = chosen + (cand,)
-        if PermGroup(target.degree, images).order() == orders[i]:
-            yield from _iso_search(source, orders, target, pools, images)
+        key = _closure(target.degree, chosen_set, images, orders[i] + 1)
+        if len(key) == orders[i]:
+            yield from _iso_search(source, orders, target, pools, images, key)
 
 
 def is_isomorphic(
@@ -317,17 +337,27 @@ def automorphism_group(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
 
 
 def _closure(
-    degree: int, hset: frozenset[tuple[int, ...]], gens: Sequence[Perm]
+    degree: int,
+    hset: frozenset[tuple[int, ...]],
+    gens: Sequence[Perm],
+    stop: int,
 ) -> frozenset[tuple[int, ...]]:
     """The element set of <H, gens>, from H's element set, as image tuples.
 
-    The set grows by whole cosets y*H: for each coset rep r found so far
-    (first the identity) and each generator g, a product y = g*r outside
-    the set adds the coset y*H, and y becomes a rep.  The set is then
-    closed under left multiplication by every generator, so it is the
-    group.  Left cosets let one itemgetter over y form every y*x of the
-    coset (`perm._compose(y, x)`); a y outside the set exists only at
+    gens must generate H together with the new elements (H's gens among
+    them).  The set grows by whole cosets y*H: for each coset rep r found
+    so far (first the identity) and each generator g, a product y = g*r
+    outside the set adds the coset y*H, and y becomes a rep.  The set is
+    then closed under left multiplication by every generator, so it is
+    the group.  Left cosets let one itemgetter over y form every y*x of
+    the coset (`perm._compose(y, x)`); a y outside the set exists only at
     degree >= 2, where itemgetter returns a tuple.
+
+    The closure returns as soon as the set has at least stop elements;
+    it is then a part of the group that large.  A caller that rejects a
+    group larger than m passes stop = m + 1; one that closes inside a
+    known group of order m passes m, since a subset that large is the
+    whole group.
     """
     hlist = list(hset)
     found = set(hset)
@@ -338,6 +368,8 @@ def _closure(
             y = _compose(g, r)
             if y not in found:
                 found.update(map(itemgetter(*y), hlist))
+                if len(found) >= stop:
+                    return frozenset(found)
                 reps.append(y)
     return frozenset(found)
 
@@ -355,13 +387,16 @@ def _subgroup_lattice(
     The frontier is joined with each atom in turn.  An atom inside H is
     skipped; otherwise the element set of <H, atom> comes first, closed
     by cosets of H (`_closure`, as in the cyclic extension method of the
-    Handbook).  Only a set not yet known becomes a subgroup,
-    `join(h, a)`, with one chain build stopped at the known order, which
-    leaves the chain as a full build would make it (see `_build_chain`).
+    Handbook), stopped at |P|: a subset of P with |P| elements is P's
+    element set, so the key is the same.  Only a set not yet known
+    becomes a subgroup, `join(h, a)`, with one chain build stopped at the
+    known order, which leaves the chain as a full build would make it
+    (see `_build_chain`).
     The first join that reaches a set keeps it, as a build of every join
     would.
     """
-    check_cap("subgroup enumeration", p.order(), caps.subgroup_enum_cap)
+    order = p.order()
+    check_cap("subgroup enumeration", order, caps.subgroup_enum_cap)
     atoms: dict[frozenset, PermGroup] = {}
     for orbit in orbits:
         a = span(p.degree, orbit)
@@ -374,7 +409,7 @@ def _subgroup_lattice(
             for aset, a in atoms.items():
                 if aset <= hset:
                     continue
-                key = _closure(p.degree, hset, h.gens + a.gens)
+                key = _closure(p.degree, hset, h.gens + a.gens, order)
                 if key not in known:
                     j = join(h, a)
                     j._chain, _ = _build_chain(p.degree, j.gens, len(key))

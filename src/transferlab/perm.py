@@ -5,10 +5,11 @@ matches the right-coset conventions used everywhere else in the library
 (right transversals, the dot action, pretransfer products).
 
 Hot loops (here and in `group`) compose bare image tuples with
-`_compose` and wrap a result in a Perm, with `_perm`, only when it
-leaves the loop.  `_perm` skips the check that `Perm(...)` makes on
-outside input: the composite or inverse of valid permutations of one
-degree is again one, so only such products may be wrapped unchecked.
+`_compose`, or with a `_getter` built once for a factor they reuse, and
+wrap a result in a Perm, with `_perm`, only when it leaves the loop.
+`_perm` skips the check that `Perm(...)` makes on outside input: the
+composite or inverse of valid permutations of one degree is again one,
+so only such products may be wrapped unchecked.
 """
 
 from __future__ import annotations
@@ -30,6 +31,20 @@ def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     # itemgetter with one index returns a bare item; degree <= 1 has only
     # the identity, so the product is b.
     return itemgetter(*a)(b) if len(a) > 1 else b
+
+
+def _same(b: tuple[int, ...]) -> tuple[int, ...]:
+    return b
+
+
+def _getter(a: tuple[int, ...]):
+    """The function b -> _compose(a, b), to apply a to many b.
+
+    A loop that composes one a with many tuples builds this once instead
+    of an itemgetter per product.  At degree <= 1 it returns b, as
+    `_compose` does.
+    """
+    return itemgetter(*a) if len(a) > 1 else _same
 
 
 def _invert(a: tuple[int, ...]) -> tuple[int, ...]:

@@ -137,7 +137,8 @@ def is_tame_intersection(
     n_q_d = intersection(n_g_d, q_syl, caps)
     sylow_order_in_n = p_part(n_g_d.order(), prime)
     tame = n_p_d.order() == sylow_order_in_n and n_q_d.order() == sylow_order_in_n
-    n_over_c = n_g_d.order() // centralizer(g, d, caps).order()  # C_G(D) <= N_G(D)
+    # C_G(D) <= N_G(D), so C_N(D) is C_G(D): scan N's elements, not G's.
+    n_over_c = n_g_d.order() // centralizer(n_g_d, d, caps).order()
     rec = TameIntersectionRecord(
         d=d,
         tame=tame,

@@ -270,6 +270,19 @@ def test_cli_catalog_with_a_repeated_label_is_input_error(capsys, tmp_path):
     assert captured.err == f"error: {path}:3: duplicate label 'S2' (first on line 1)\n"
 
 
+def test_cli_scan_with_a_repeated_checker_is_input_error(capsys):
+    """A checker given twice would print each of its records twice and
+    double its counts in the summary; it is rejected before anything
+    runs."""
+    argv = ["scan", "--checker", "burnside", "--checker", "yoshida", "--checker", "burnside"]
+    assert main([*argv, "--format", "records"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: repeated checker: burnside\n"
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: repeated checker: burnside\n"
+
+
 def test_cli_strict_caps_exit(monkeypatch, capsys):
     # The CLI reads the element cap from the environment on every command.
     monkeypatch.setenv("TRANSFERLAB_ELEMENT_CAP", "50")
