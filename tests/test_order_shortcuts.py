@@ -27,12 +27,14 @@ from transferlab.group import (
     _build_chain,
     centralizer,
     conjugate_subgroup,
+    intersection,
     normalizer,
     right_transversal,
     span,
 )
 from transferlab.iso import _closure, _generating_sequence, automorphism_group
 from transferlab.perm import Perm, _compose, _getter, all_perms
+from transferlab.series import p_part
 from transferlab.sylow import all_sylow_subgroups, is_tame_intersection, sylow_subgroup
 
 CORPUS = {e.label: e for e in default_corpus()}
@@ -111,19 +113,22 @@ def test_stopped_closure_decides_as_the_full_one(seed):
 
 @pytest.mark.parametrize("pair", PAIRS, ids=_pair_id)
 def test_centralizer_inside_the_normalizer_is_c_g_d(pair):
-    """For every D = P cap Q (deduplicated by D), C_{N_G(D)}(D) = C_G(D)."""
+    """For every D = P cap Q (deduplicated by D), C_{N_G(D)}(D) = C_G(D),
+    and the record's N/C answer is the one C_G(D) gives."""
     entry, p = pair
     g = entry.build()
     fam = all_sylow_subgroups(g, p)
     seen = set()
     for q_syl in fam.members:
-        rec = is_tame_intersection(g, fam.base_member, q_syl, p)
-        key = rec.d.element_set()
+        key = intersection(fam.base_member, q_syl).element_set()
         if key in seen:
             continue
         seen.add(key)
-        in_n = centralizer(rec.normalizer, rec.d)
-        assert in_n.element_set() == centralizer(g, rec.d).element_set()
+        rec = is_tame_intersection(g, fam.base_member, q_syl, p)
+        c_g_d = centralizer(g, rec.d)
+        assert centralizer(rec.normalizer, rec.d).element_set() == c_g_d.element_set()
+        n_over_c = rec.normalizer.order() // c_g_d.order()
+        assert rec.n_over_c_is_p_group == (p_part(n_over_c, p) == n_over_c)
 
 
 def _subgroups_by_brute_force(degree: int) -> list[PermGroup]:
