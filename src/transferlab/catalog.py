@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from .group import InvariantError, PermGroup
+from .iso import prime_divisors
 from .perm import Perm
 
 
@@ -20,10 +21,6 @@ def _checked_order(g: PermGroup, order: int) -> PermGroup:
     if g.order() != order:
         raise InvariantError(f"{g.name} has order {g.order()}, expected {order}")
     return g
-
-
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, n))
 
 
 # built-in constructors ------------------------------------------------------
@@ -96,7 +93,7 @@ def generalized_quaternion(order: int) -> PermGroup:
 
 
 def elementary_abelian(p: int, k: int) -> PermGroup:
-    if not _is_prime(p) or k < 1:
+    if prime_divisors(p) != [p] or k < 1:
         raise ValueError("need a prime p and k >= 1")
     gens = []
     degree = p * k
@@ -128,7 +125,7 @@ def psl2(q: int) -> PermGroup:
     Points 0..q-1 are the affine line, point q is infinity; generators
     are the Mobius maps z -> z+1 and z -> z/(z+1).
     """
-    if q < 3 or not _is_prime(q):
+    if q < 3 or prime_divisors(q) != [q]:
         raise ValueError("q must be an odd prime")
     inf = q
 

@@ -14,7 +14,11 @@ it.
 A subgroup built from a list of elements, by `span` or by scanning a
 group's elements (`_scan_subgroup`), goes through one path
 (`_from_elements`): one chain build over the list, whose result keeps as
-gens only the elements that build used, and keeps that chain.
+gens only the elements that build used, and keeps that chain.  A
+subgroup whose element set is already known (a lattice join, the
+generating sequence of the isomorphism searches) is made by
+`_known_subgroup`, which keeps its order and set; its chain is built on
+first use, stopped at that order.
 
 Right cosets are told apart by their coset key (`_coset_key`): the
 images of one canonical element of the coset Hg, found by walking H's
@@ -23,21 +27,25 @@ sends the base point to its smallest image.  Transversals, quotients,
 double cosets and the maximality test look cosets up by this key instead
 of testing g * r^-1 against H for every representative r.
 
-The inner loops compose bare image tuples (`perm._compose`) and wrap a
-Perm only for a value that leaves them: the orbit BFS, the sifts and the
+A chain level (`_Level`) keeps its transversal and inverses as image
+tuples, during the build and after it; only strong generators are
+Perms.  The build and `contains` sift through one loop (`_sift`).  The
+inner loops compose bare image tuples (`perm._compose`) and wrap a Perm
+only for a value that leaves them: the orbit BFS, the sifts and the
 Schreier loop of `_build_chain` (which wraps a strong generator when it
-is inserted and the transversals when the build ends), `contains`,
-`elements()`, `_coset_key`, and the member tests of `normalizer` and
-`centralizer`.  The member tests compose through prebuilt getters
-(`perm._getter`): one per generator of H, built before the scan, and one
-per scanned element (of x^-1 in `normalizer`, of x in `centralizer`),
-so each product is one itemgetter call and makes no new itemgetter.
+is inserted), `contains`, `elements()`, `_coset_key`, and the member
+tests of `normalizer` and `centralizer`.  The member tests compose
+through prebuilt getters (`perm._getter`): one per generator of H, built
+before the scan, and one per scanned element (of x^-1 in `normalizer`,
+of x in `centralizer`), so each product is one itemgetter call and makes
+no new itemgetter.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Iterator, Sequence
 
 from .caps import DEFAULT_CAPS, Caps, check_cap
@@ -55,14 +63,14 @@ class InvariantError(AssertionError):
 
 @dataclass
 class _Level:
-    """One level of a stabilizer chain.  While `_build_chain` runs, the
-    transversal and inverses hold image tuples; the finished chain holds
-    Perms."""
+    """One level of a stabilizer chain: the strong generators first found
+    at this level, as Perms, and the transversal and inverses as image
+    tuples."""
 
     base: int
     gens: list[Perm]
-    transversal: dict[int, Perm]  # point -> u with u(base) = point
-    inverses: dict[int, Perm]  # point -> u^-1 for the u above
+    transversal: dict[int, tuple[int, ...]]  # point -> u with u(base) = point
+    inverses: dict[int, tuple[int, ...]]  # point -> u^-1 for the u above
 
 
 def _orbit_transversal(
@@ -84,6 +92,20 @@ def _orbit_transversal(
                 invs[y] = _compose(g_inv, vx)
                 queue.append(y)
     return trans, invs
+
+
+def _sift(levels: Sequence[_Level], g: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """Sift g down the chain: the residue and the level where it stopped,
+    len(levels) if it passed every level.  g is in the group iff the
+    residue is the identity."""
+    for i, lvl in enumerate(levels):
+        x = g[lvl.base]
+        inv = lvl.inverses.get(x)
+        if inv is None:
+            return g, i
+        if x != lvl.base:
+            g = _compose(g, inv)
+    return g, len(levels)
 
 
 def _build_chain(
@@ -110,10 +132,10 @@ def _build_chain(
     identity.  When every element is an input generator, the first loop
     always reaches it.
 
-    The build sifts and forms Schreier generators on image tuples.  Its
-    levels keep transversals as image tuples until the build ends, and a
-    sifted tuple becomes a Perm only when it is inserted as a strong
-    generator.
+    The build sifts (`_sift`) and forms Schreier generators on image
+    tuples.  The levels keep transversals and inverses as image tuples,
+    and a sifted tuple becomes a Perm only when it is inserted as a
+    strong generator.
     """
     levels: list[_Level] = []
     ident = tuple(range(degree))
@@ -130,18 +152,8 @@ def _build_chain(
                 lvl.base, eff_gens(lvl_i), degree
             )
 
-    def sift(g: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-        for i, lvl in enumerate(levels):
-            x = g[lvl.base]
-            inv = lvl.inverses.get(x)
-            if inv is None:
-                return g, i
-            if x != lvl.base:
-                g = _compose(g, inv)
-        return g, len(levels)
-
     def insert(g: tuple[int, ...]) -> bool:
-        h, i = sift(g)
+        h, i = _sift(levels, g)
         if h == ident:
             return False
         s = _perm(h)
@@ -151,24 +163,12 @@ def _build_chain(
         refresh(i)
         return True
 
-    def orbit_product() -> int:
-        n = 1
-        for lvl in levels:
-            n *= len(lvl.transversal)
-        return n
-
-    def finish() -> list[_Level]:
-        for lvl in levels:
-            lvl.transversal = {x: _perm(u) for x, u in lvl.transversal.items()}
-            lvl.inverses = {x: _perm(v) for x, v in lvl.inverses.items()}
-        return levels
-
     used = []
     for g in gens:
         if insert(g.images):
             used.append(g)
-            if orbit_product() == order:
-                return finish(), used
+            if prod(len(lvl.transversal) for lvl in levels) == order:
+                return levels, used
 
     # Close under Schreier generators until every one sifts to the identity.
     changed = True
@@ -186,7 +186,7 @@ def _build_chain(
                         continue  # a tree edge: the Schreier generator is 1
                     if insert(_compose(us, lvl.inverses[y])):
                         changed = True
-    return finish(), used
+    return levels, used
 
 
 class PermGroup:
@@ -218,10 +218,10 @@ class PermGroup:
     def chain(self) -> list[_Level]:
         """The stabilizer chain, built on first access.
 
-        A group whose order is already known (a conjugate, see
-        `conjugate_subgroup`) passes it to the build, which then stops as
-        soon as the orbit lengths multiply to it.  The early stop leaves
-        the chain as the full build makes it (see `_build_chain`).
+        A group whose order is already known (see `conjugate_subgroup`
+        and `_known_subgroup`) passes it to the build, which then stops
+        as soon as the orbit lengths multiply to it.  The early stop
+        leaves the chain as the full build makes it (see `_build_chain`).
         """
         if self._chain is None:
             self._chain, _ = _build_chain(self.degree, self.gens, self._order)
@@ -229,10 +229,7 @@ class PermGroup:
 
     def order(self) -> int:
         if self._order is None:
-            n = 1
-            for lvl in self.chain:
-                n *= len(lvl.transversal)
-            self._order = n
+            self._order = prod(len(lvl.transversal) for lvl in self.chain)
         return self._order
 
     def __len__(self) -> int:
@@ -241,17 +238,9 @@ class PermGroup:
     def contains(self, g: Perm) -> bool:
         if g.degree != self.degree:
             raise ValueError("degree mismatch")
-        imgs = g.images
         if self._element_set is not None:
-            return imgs in self._element_set
-        for lvl in self.chain:
-            x = imgs[lvl.base]
-            inv = lvl.inverses.get(x)
-            if inv is None:
-                return False
-            if x != lvl.base:
-                imgs = _compose(imgs, inv.images)
-        return imgs == tuple(range(self.degree))
+            return g.images in self._element_set
+        return _sift(self.chain, g.images)[0] == tuple(range(self.degree))
 
     def __contains__(self, g: Perm) -> bool:
         return self.contains(g)
@@ -262,7 +251,7 @@ class PermGroup:
             check_cap("element enumeration", self.order(), caps.element_cap)
             result = [tuple(range(self.degree))]
             for lvl in reversed(self.chain):
-                reps = [lvl.transversal[x].images for x in sorted(lvl.transversal)]
+                reps = [lvl.transversal[x] for x in sorted(lvl.transversal)]
                 result = [_compose(h, u) for u in reps for h in result]
             self._elements = [_perm(x) for x in result]
             self._element_set = frozenset(result)
@@ -285,10 +274,10 @@ class PermGroup:
     def random_element(self, rng) -> Perm:
         """A uniformly random element: one rng.choice of a transversal
         element per chain level, multiplied in elements() order."""
-        g = self.identity()
+        g = tuple(range(self.degree))
         for lvl in reversed(self.chain):
-            g = g * lvl.transversal[rng.choice(sorted(lvl.transversal))]
-        return g
+            g = _compose(g, lvl.transversal[rng.choice(sorted(lvl.transversal))])
+        return _perm(g)
 
     # relations ------------------------------------------------------------
 
@@ -381,6 +370,18 @@ def _from_elements(
     levels, used = _build_chain(degree, PermGroup(degree, elems).gens, order)
     h = PermGroup(degree, used)
     h._chain = levels
+    return h
+
+
+def _known_subgroup(
+    degree: int, gens: Iterable[Perm], elements: frozenset[tuple[int, ...]]
+) -> PermGroup:
+    """<gens>, whose element set (as image tuples) is known.  Order and
+    membership need no chain; the chain is built on first use, stopped at
+    the order (see `PermGroup.chain`)."""
+    h = PermGroup(degree, gens)
+    h._order = len(elements)
+    h._element_set = elements
     return h
 
 
@@ -522,7 +523,7 @@ def _coset_key(h: PermGroup, g: Perm) -> tuple[int, ...]:
     for lvl in h.chain:
         y = min(lvl.transversal, key=imgs.__getitem__)
         if y != lvl.base:
-            imgs = _compose(lvl.transversal[y].images, imgs)
+            imgs = _compose(lvl.transversal[y], imgs)
     return imgs
 
 

@@ -9,8 +9,9 @@ order is checked against the product of the orbit lengths.  One
 join-closure over a partition of P's elements lists all, normal
 or characteristic subgroups (`_subgroup_lattice`).  Each join's element
 set comes first, closed by whole cosets of the smaller subgroup on image
-tuples; only a set not seen before becomes a subgroup, with one chain
-build stopped at its known order.
+tuples; only a set not seen before becomes a subgroup, made by
+`group._known_subgroup` (so is the generating sequence), and builds its
+chain only on first use.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ from .caps import DEFAULT_CAPS, Caps, check_cap
 from .group import (
     InvariantError,
     PermGroup,
-    _build_chain,
+    _known_subgroup,
     _orbit_transversal,
     centralizer,
     derived_subgroup,
     is_abelian,
-    join,
     quotient_group,
     span,
 )
@@ -200,10 +200,7 @@ def _generating_sequence(g: PermGroup) -> tuple[PermGroup, list[int]]:
         gens += (best,)
         current = best_set
         orders.append(len(current))
-    seq = PermGroup(g.degree, gens)
-    seq._order = n
-    seq._element_set = current
-    return seq, orders
+    return _known_subgroup(g.degree, gens, current), orders
 
 
 def conjugacy_classes(
@@ -389,11 +386,10 @@ def _subgroup_lattice(
     by cosets of H (`_closure`, as in the cyclic extension method of the
     Handbook), stopped at |P|: a subset of P with |P| elements is P's
     element set, so the key is the same.  Only a set not yet known
-    becomes a subgroup, `join(h, a)`, with one chain build stopped at the
-    known order, which leaves the chain as a full build would make it
-    (see `_build_chain`).
-    The first join that reaches a set keeps it, as a build of every join
-    would.
+    becomes a subgroup, generated by the gens of H and the atom and made
+    by `_known_subgroup`: its chain, built on first use and stopped at
+    the known order, is the one a full build makes.  The first join that
+    reaches a set keeps it, as a build of every join would.
     """
     order = p.order()
     check_cap("subgroup enumeration", order, caps.subgroup_enum_cap)
@@ -411,11 +407,8 @@ def _subgroup_lattice(
                     continue
                 key = _closure(p.degree, hset, h.gens + a.gens, order)
                 if key not in known:
-                    j = join(h, a)
-                    j._chain, _ = _build_chain(p.degree, j.gens, len(key))
-                    j._element_set = key
-                    known[key] = j
-                    nxt.append((key, j))
+                    known[key] = _known_subgroup(p.degree, h.gens + a.gens, key)
+                    nxt.append((key, known[key]))
         frontier = nxt
     subs = list(known.values())
     subs.sort(key=lambda h: (h.order(), sorted(h.element_set(caps))))

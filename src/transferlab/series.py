@@ -291,11 +291,13 @@ def is_p_nilpotent(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> bool:
 
 # upper p-series -----------------------------------------------------------
 
+@memoized
 def p_series(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> SeriesResult:
     """1 <= O_{p'} <= O_{p',p} <= ... ; factors alternate p' and p.
 
     Terms are subgroups of g (preimages under the successive quotients).
-    The series stops when it reaches g or stalls.
+    The series stops when it reaches g or stalls.  Kept on g: no term is
+    g itself, so the result never references g.
     """
     terms = [trivial_group(g.degree)]
     factors: list[str] = []

@@ -93,17 +93,30 @@ def all_sylow_subgroups(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> Sylo
 
 
 @memoized
-def max_intersection_order(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> int:
-    """Largest |P cap Q| over distinct Sylow p-subgroups P, Q.
-
-    Every pair is conjugate to a pair containing the base member, so the
-    intersections with the base member attain the maximum.
+def sylow_intersections(
+    g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS
+) -> list[tuple[PermGroup, PermGroup]]:
+    """The distinct D = P cap Q, for the base member P and each member Q
+    of the Sylow p-family, as (D, Q) pairs with the first Q in family
+    order that gives D.  The first pair is (P cap P, P); no other member
+    meets P in P.  Every pair of Sylow subgroups is conjugate to one
+    containing P, so every Sylow intersection is conjugate to one of
+    these.  Kept on G: D and Q never reference G.
     """
     fam = all_sylow_subgroups(g, p, caps)
     base = fam.base_member
-    return max(
-        (intersection(base, q, caps).order() for q in fam.members[1:]), default=1
-    )
+    first: dict[frozenset, tuple[PermGroup, PermGroup]] = {}
+    for q_syl in fam.members:
+        d = intersection(base, q_syl, caps)
+        first.setdefault(d.element_set(caps), (d, q_syl))
+    return list(first.values())
+
+
+@memoized
+def max_intersection_order(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> int:
+    """Largest |P cap Q| over distinct Sylow p-subgroups P, Q: the largest
+    proper intersection of the base member (see `sylow_intersections`)."""
+    return max((d.order() for d, _ in sylow_intersections(g, p, caps)[1:]), default=1)
 
 
 @dataclass
@@ -117,21 +130,22 @@ class TameIntersectionRecord:
 
 @memoized
 def is_tame_intersection(
-    g: PermGroup,
-    p_syl: PermGroup,
-    q_syl: PermGroup,
-    prime: int,
-    caps: Caps = DEFAULT_CAPS,
+    g: PermGroup, p_syl: PermGroup, q_syl: PermGroup, prime: int, caps: Caps = DEFAULT_CAPS
 ) -> TameIntersectionRecord:
-    """Classify P cap Q, and record the predicates the theorems need.
-
-    Kept on G: the record holds only D and N_G(D), subgroups of G that
-    never reference G.
-    """
+    """Classify P cap Q for two Sylow p-subgroups P and Q of G, and record
+    the predicates the theorems need (see `_tame_record`)."""
     target = p_part(g.order(), prime)
     if p_syl.order() != target or q_syl.order() != target:
         raise ValueError("both subgroups must be Sylow p-subgroups")
-    d = intersection(p_syl, q_syl, caps)
+    return _tame_record(g, p_syl, intersection(p_syl, q_syl, caps), q_syl, prime, caps)
+
+
+@memoized
+def _tame_record(
+    g: PermGroup, p_syl: PermGroup, d: PermGroup, q_syl: PermGroup, prime: int, caps: Caps
+) -> TameIntersectionRecord:
+    """The record of D = P cap Q.  Kept on G: it holds only D and N_G(D),
+    subgroups of G that never reference G."""
     n_g_d = normalizer(g, d, caps)
     n_p_d = intersection(n_g_d, p_syl, caps)
     n_q_d = intersection(n_g_d, q_syl, caps)
@@ -163,30 +177,21 @@ def tame_intersections_between(
     strict_lower: bool = True,
 ) -> list[TameIntersectionRecord]:
     """Tame intersections D = P cap Q with `lower` below D (strictly by
-    default), and D < P when strict_upper, deduplicated by D.
+    default), and D < P when strict_upper, one record per D.
 
-    The base Sylow subgroup P is the family's distinguished member; Q
-    ranges over the whole family (including Q = P when strict_upper is
-    off, which yields D = P).
+    P is the family's base member and Q the first member that gives D
+    (see `sylow_intersections`); D = P, from Q = P, only when
+    strict_upper is off.
     """
-    fam = all_sylow_subgroups(g, p, caps)
-    p_syl = fam.base_member
+    p_syl = all_sylow_subgroups(g, p, caps).base_member
     lower_order = lower.order()
-    seen: set[frozenset] = set()
     out = []
-    for q_syl in fam.members[1:] if strict_upper else fam.members:
-        d = intersection(p_syl, q_syl, caps)
-        if strict_upper and d.order() == p_syl.order():
-            continue
+    for d, q_syl in sylow_intersections(g, p, caps)[1 if strict_upper else 0 :]:
         if d.order() < lower_order or not lower.is_subgroup_of(d):
             continue
         if strict_lower and d.order() == lower_order:
             continue
-        key = d.element_set(caps)
-        if key in seen:
-            continue
-        seen.add(key)
-        rec = is_tame_intersection(g, p_syl, q_syl, p, caps)
+        rec = _tame_record(g, p_syl, d, q_syl, p, caps)
         if rec.tame:
             out.append(rec)
     return out

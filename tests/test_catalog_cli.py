@@ -60,6 +60,12 @@ def test_elementary_abelian_rejects_bad_parameters(args):
         builtin_group("elementary_abelian", *args)
 
 
+@pytest.mark.parametrize("q", [1, 2, 4, 9])
+def test_psl2_rejects_q_not_an_odd_prime(q):
+    with pytest.raises(ValueError, match="odd prime"):
+        builtin_group("psl2", q)
+
+
 @pytest.mark.parametrize(
     "spec", ["symmetric:4,5", "elementary_abelian:2", "sl23:3", "elementary_abelian:4,2"]
 )

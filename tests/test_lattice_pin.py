@@ -147,10 +147,12 @@ def test_all_subgroups_pinned(label):
 
 @pytest.mark.parametrize("label", ["PSL(2,7)", "S5"])
 def test_all_subgroups_builds_a_chain_only_for_each_new_subgroup(monkeypatch, label):
-    """A join's element set comes first, so a chain is built once per atom
-    and once per new subgroup, not once per (subgroup, atom) join, which
-    for PSL(2,7) made 14,309 builds for 179 subgroups.  Every module that
-    holds `_build_chain` under its own name is counted."""
+    """A join's element set comes first, and a new subgroup keeps that set
+    and builds its chain only on first use, so listing the lattice builds
+    one chain per atom (the span of one element) and none per join.  A
+    chain per (subgroup, atom) join made 14,309 builds for PSL(2,7)'s 179
+    subgroups, and a chain per new subgroup 268.  Every module that holds
+    `_build_chain` under its own name is counted."""
     g = CORPUS[label].build()
     g.elements()
     real = group_module._build_chain
@@ -163,5 +165,5 @@ def test_all_subgroups_builds_a_chain_only_for_each_new_subgroup(monkeypatch, la
     for name, module in list(sys.modules.items()):
         if name.startswith("transferlab") and getattr(module, "_build_chain", None) is real:
             monkeypatch.setattr(module, "_build_chain", counting)
-    subs = all_subgroups(g)
-    assert calls and len(calls) <= g.order() + len(subs)
+    all_subgroups(g)
+    assert calls and len(calls) <= g.order()

@@ -27,13 +27,16 @@ from transferlab.series import (
     norm,
     o_p,
     o_upper_p,
+    p_series,
     upper_central_series,
     z_k,
 )
 from transferlab.sylow import (
+    _tame_record,
     all_sylow_subgroups,
     is_tame_intersection,
     max_intersection_order,
+    sylow_intersections,
     sylow_subgroup,
     tame_intersections_between,
 )
@@ -70,6 +73,11 @@ CALLS = {
     normalizer: lambda g, p, z: (g, (p,), {}),
     is_tame_intersection: lambda g, p, z: (
         g, (p, all_sylow_subgroups(g, 2).members[1], 2, DEFAULT_CAPS), {}
+    ),
+    p_series: lambda g, p, z: (g, (2,), {}),
+    sylow_intersections: lambda g, p, z: (g, (2,), {}),
+    _tame_record: lambda g, p, z: (
+        g, (p, *sylow_intersections(g, 2)[1], 2, DEFAULT_CAPS), {}
     ),
 }
 IDS = [fn.__name__ for fn in CALLS]

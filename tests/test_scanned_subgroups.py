@@ -130,8 +130,8 @@ def _levels(chain):
         (
             lvl.base,
             [s.images for s in lvl.gens],
-            [(x, u.images) for x, u in lvl.transversal.items()],
-            [(x, u.images) for x, u in lvl.inverses.items()],
+            list(lvl.transversal.items()),
+            list(lvl.inverses.items()),
         )
         for lvl in chain
     ]

@@ -20,3 +20,51 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"assert statements in {path.name} at lines {lines}"
+
+
+GROUP_PRIVATE_FIELDS = {"_chain", "_order", "_element_set", "_elements", "_memo"}
+
+
+def _private_field_writes(tree: ast.AST) -> list[int]:
+    """Lines that assign or delete a PermGroup private field on any
+    object, by attribute or by setattr with a literal name."""
+    lines = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, (ast.Store, ast.Del))
+            and node.attr in GROUP_PRIVATE_FIELDS
+        ):
+            lines.append(node.lineno)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("setattr", "delattr")
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value in GROUP_PRIVATE_FIELDS
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_private_field_rule_sees_writes():
+    source = (
+        "g._chain = c\n"
+        "h._order, x = 1, 2\n"
+        "del g._memo\n"
+        "setattr(g, '_elements', [])\n"
+        "y = g._chain\n"
+    )
+    assert _private_field_writes(ast.parse(source)) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in MODULES if path.name != "group.py"], ids=lambda path: path.name
+)
+def test_only_group_writes_group_private_fields(path):
+    """A PermGroup's chain, order, element list and set, and memo are set
+    only in `group`; other modules make subgroups through its helpers."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = _private_field_writes(tree)
+    assert lines == [], f"{path.name} writes a PermGroup private field at lines {lines}"

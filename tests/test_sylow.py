@@ -16,16 +16,18 @@ from transferlab.catalog import (
 from transferlab.group import PermGroup, intersection, normalizer
 from transferlab.iso import is_isomorphic
 from transferlab.perm import Perm
-from transferlab.series import is_p_group, p_part
+from transferlab.series import is_p_group, norm, p_part, z_k
 from transferlab.sylow import (
     all_sylow_subgroups,
     characteristic_subgroups_above,
     is_tame_intersection,
     is_weakly_closed,
     max_intersection_order,
+    sylow_intersections,
     sylow_subgroup,
     tame_intersections_between,
 )
+from test_scanned_subgroups import PAIRS, _levels, _pair_id
 
 
 @pytest.mark.parametrize(
@@ -91,6 +93,86 @@ def test_tame_intersections_between_bounds(s4):
     assert len(recs_all) == len(recs_proper) + 1
     orders_proper = sorted(r.d.order() for r in recs_proper)
     assert orders_proper == [4]
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=_pair_id)
+def test_sylow_intersections_on_corpus(pair):
+    """Each D is P cap Q for its Q, as an element set and as the subgroup
+    `intersection` makes; every member's intersection with P is listed
+    once, in family order, with the first member that gives it."""
+    entry, p = pair
+    g = entry.build()
+    fam = all_sylow_subgroups(g, p, DEFAULT_CAPS)
+    p_syl = fam.base_member
+    first = {}
+    for q_syl in fam.members:
+        first.setdefault(p_syl.element_set() & q_syl.element_set(), q_syl)
+    found = sylow_intersections(g, p, DEFAULT_CAPS)
+    assert [d.element_set() for d, _ in found] == list(first)
+    assert all(q is kept for (_, q), kept in zip(found, first.values()))
+    for d, q_syl in found:
+        fresh = intersection(p_syl, q_syl)
+        assert [x.images for x in d.gens] == [x.images for x in fresh.gens]
+        assert _levels(d.chain) == _levels(fresh.chain)
+    assert max_intersection_order(g, p) == max(
+        (len(dset) for dset in list(first)[1:]), default=1
+    )
+
+
+def _tame_loop(g, p, lower, strict_upper, caps, strict_lower):
+    """tame_intersections_between as it was before `sylow_intersections`:
+    P cap Q formed for every member Q, deduplicated by D after the
+    filters, and classified by `is_tame_intersection`."""
+    fam = all_sylow_subgroups(g, p, caps)
+    p_syl = fam.base_member
+    lower_order = lower.order()
+    seen = set()
+    out = []
+    for q_syl in fam.members[1:] if strict_upper else fam.members:
+        d = intersection(p_syl, q_syl, caps)
+        if strict_upper and d.order() == p_syl.order():
+            continue
+        if d.order() < lower_order or not lower.is_subgroup_of(d):
+            continue
+        if strict_lower and d.order() == lower_order:
+            continue
+        key = d.element_set(caps)
+        if key in seen:
+            continue
+        seen.add(key)
+        rec = is_tame_intersection(g, p_syl, q_syl, p, caps)
+        if rec.tame:
+            out.append(rec)
+    return out
+
+
+def _record(rec):
+    return (
+        [x.images for x in rec.d.gens],
+        rec.d.element_set(),
+        rec.tame,
+        [x.images for x in rec.normalizer.gens],
+        rec.normalizer_p_nilpotent,
+        rec.n_over_c_is_p_group,
+    )
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=_pair_id)
+def test_tame_intersections_between_matches_the_per_member_loop(pair):
+    """For the lower bounds the checkers and `analyze` use, and every
+    choice of strict ends, the records equal those of the loop that
+    intersected P with each member itself."""
+    entry, p = pair
+    g = entry.build()
+    p_syl = sylow_subgroup(g, p)
+    lowers = [PermGroup(g.degree, []), z_k(p_syl, p - 1), norm(p_syl)]
+    for lower in lowers:
+        for strict_upper in (True, False):
+            for strict_lower in (True, False):
+                args = (g, p, lower, strict_upper, DEFAULT_CAPS)
+                found = tame_intersections_between(*args, strict_lower=strict_lower)
+                expected = _tame_loop(*args, strict_lower)
+                assert [_record(r) for r in found] == [_record(r) for r in expected]
 
 
 def test_weak_closure(s4, a5):
