@@ -374,14 +374,14 @@ def _from_elements(
 
 
 def _known_subgroup(
-    degree: int, gens: Iterable[Perm], elements: frozenset[tuple[int, ...]]
+    degree: int, gens: Iterable[Perm], element_set: frozenset[tuple[int, ...]]
 ) -> PermGroup:
     """<gens>, whose element set (as image tuples) is known.  Order and
     membership need no chain; the chain is built on first use, stopped at
     the order (see `PermGroup.chain`)."""
     h = PermGroup(degree, gens)
-    h._order = len(elements)
-    h._element_set = elements
+    h._order = len(element_set)
+    h._element_set = element_set
     return h
 
 
