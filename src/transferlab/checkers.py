@@ -26,7 +26,6 @@ from .group import (
     is_abelian,
     is_maximal,
     memoized,
-    memoized_by_value,
     normalizer,
     quotient_group,
 )
@@ -61,7 +60,7 @@ from .sylow import (
 from .transfer import controls_p_transfer, lemma23_witness
 
 
-@memoized_by_value
+@memoized
 def _controls(g: PermGroup, n: PermGroup, p: int, caps: Caps) -> bool:
     """Does N control p-transfer in G?  Kept as a bool, which holds no
     group.  The answer depends only on N's elements: another Sylow
@@ -113,9 +112,9 @@ class Context:
     def p_nilpotent(self) -> bool:
         return is_p_nilpotent(self.group, self.prime, self.caps)
 
-    def tame(self, lower: PermGroup, strict_upper: bool, strict_lower: bool):
+    def tame(self, lower: PermGroup, strict: bool):
         return tame_intersections_between(
-            self.group, self.prime, lower, strict_upper, self.caps, strict_lower
+            self.group, self.prime, lower, strict, self.caps, strict
         )
 
 
@@ -192,7 +191,7 @@ def _tame_checker(ctx: Context, lower: PermGroup, conclusion, strict: bool, weak
     """The tame-intersection results: every tame intersection between
     `lower` and P (exclusive of both when `strict`) has a p-nilpotent
     normalizer N, or with `weak` an N/C that is a p-group."""
-    records = ctx.tame(lower, strict, strict)
+    records = ctx.tame(lower, strict)
     failing = None
     for rec in records:
         ok = rec.n_over_c_is_p_group if weak else rec.normalizer_p_nilpotent

@@ -30,7 +30,7 @@ from .checkers import (
     scan_corpus,
     verify_paper_witnesses,
 )
-from .group import PermGroup, is_maximal
+from .group import PermGroup, is_maximal, trivial_group
 from .iso import prime_divisors
 from .series import (
     a_p,
@@ -89,7 +89,7 @@ def cmd_analyze(args) -> int:
     zn = norm(p_syl, caps)
     report = controls_p_transfer(group, ngp, p, caps)
     tame = tame_intersections_between(
-        group, p, PermGroup(group.degree, []), True, caps, strict_lower=False
+        group, p, trivial_group(group.degree), True, caps, strict_lower=False
     )
     lines = [
         f"group: {group.name}  order {group.order()}  degree {group.degree}",

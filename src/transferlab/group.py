@@ -5,11 +5,10 @@ Everything here is immutable after construction; derived objects
 mutate them.  Identical generator lists always produce identical chains,
 orderings and transversals, which keeps every downstream computation
 (including transfer values) reproducible.  Derived subgroups and the
-like are kept on the group they come from (`memoized`).  A result that
-depends only on a subgroup argument's elements, such as N_G(H) or the
-control answers of `checkers`, is kept on G keyed by that element set
-(`memoized_by_value`), so a fresh subgroup with the same elements reuses
-it.
+like are kept on the group they come from by one decorator
+(`memoized`), keyed by the call's arguments with defaults filled in and
+each other group argument by its element set, so a fresh subgroup with
+the same elements gets the kept result.
 
 A subgroup built from a list of elements, by `span` or by scanning a
 group's elements (`_scan_subgroup`), goes through one path
@@ -44,6 +43,7 @@ no new itemgetter.
 from __future__ import annotations
 
 import functools
+import inspect
 from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Iterator, Sequence
@@ -254,7 +254,8 @@ class PermGroup:
                 reps = [lvl.transversal[x] for x in sorted(lvl.transversal)]
                 result = [_compose(h, u) for u in reps for h in result]
             self._elements = [_perm(x) for x in result]
-            self._element_set = frozenset(result)
+            if self._element_set is None:
+                self._element_set = frozenset(result)
         return self._elements
 
     def element_set(self, caps: Caps = DEFAULT_CAPS) -> frozenset[tuple[int, ...]]:
@@ -306,47 +307,40 @@ def is_abelian(g: PermGroup) -> bool:
 
 
 def memoized(fn):
-    """Keep fn(g, *args, **kwargs) on g, keyed by (fn, args, kwargs).
+    """Keep fn(g, ...) on g, keyed by fn and the call's other arguments.
 
-    Arguments compare by value (a call under other Caps is a fresh call),
-    groups by identity.  A call that raises, CapExceeded included, keeps
-    nothing.  Memoize fn only if (a) its result never references g, which
-    would make g and its memo a reference cycle, and (b) its other group
-    arguments are long-lived, since the memo keeps them alive.  Hence
-    nilpotency_class is memoized, but not lower_central_series (its first
-    term is g).  A function of a short-lived subgroup h takes
-    `memoized_by_value` instead, which keeps no h alive.
+    The arguments are bound to fn's parameters with defaults filled in,
+    so a default passed or left out is one call.  Arguments compare by
+    value (a call under other Caps is a fresh call), and each group
+    argument by its element set, enumerated under the call's caps; fn
+    must take a `caps` parameter.  A call that raises, CapExceeded
+    included, keeps nothing.  Memoize fn only if (a) its result never
+    references g, which would make g and its memo a reference cycle
+    (hence nilpotency_class is memoized, but not lower_central_series,
+    whose first term is g), and (b) its result depends only on the
+    element sets of its other group arguments.  A subgroup in the result
+    may carry the generators of the first call's arguments.
     """
+    params = list(inspect.signature(fn).parameters.values())[1:]
+    names = [q.name for q in params]
+    if "caps" not in names:
+        raise TypeError(f"memoized {fn.__qualname__} takes no caps parameter")
+    caps_at = names.index("caps")
+    defaults = [q.default for q in params]
 
     @functools.wraps(fn)
     def wrapper(g: PermGroup, *args, **kwargs):
-        key = (fn, args, frozenset(kwargs.items()))
+        bound = [*args, *defaults[len(args) :]]
+        for name, value in kwargs.items():
+            if name not in names:
+                return fn(g, *args, **kwargs)  # raises fn's TypeError
+            bound[names.index(name)] = value
+        caps = bound[caps_at]
+        if caps is inspect.Parameter.empty:
+            return fn(g, *args, **kwargs)  # raises fn's TypeError
+        key = (fn, *[a.element_set(caps) if isinstance(a, PermGroup) else a for a in bound])
         if key not in g._memo:
             g._memo[key] = fn(g, *args, **kwargs)
-        return g._memo[key]
-
-    return wrapper
-
-
-def memoized_by_value(fn):
-    """Keep fn(g, h, *args, **kwargs) on g, keyed by h's element set.
-
-    The rules of `memoized` hold, except that h is keyed by its elements,
-    so the memo keeps no h alive and a subgroup with the same elements
-    but other generators gets the kept result.  Use it only when the
-    result depends on h's elements and not on its generators.  The key
-    enumerates h under the Caps among the arguments (the default caps if
-    none).
-    """
-
-    @functools.wraps(fn)
-    def wrapper(g: PermGroup, h: PermGroup, *args, **kwargs):
-        caps = next(
-            (a for a in (*args, *kwargs.values()) if isinstance(a, Caps)), DEFAULT_CAPS
-        )
-        key = (fn, h.element_set(caps), args, frozenset(kwargs.items()))
-        if key not in g._memo:
-            g._memo[key] = fn(g, h, *args, **kwargs)
         return g._memo[key]
 
     return wrapper
@@ -420,7 +414,7 @@ def _scan_subgroup(g: PermGroup, keep, caps: Caps) -> PermGroup:
     return h
 
 
-@memoized_by_value
+@memoized
 def normalizer(g: PermGroup, h: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """N_G(H) by full element scan (exact at desk scale).
 

@@ -128,7 +128,6 @@ class TameIntersectionRecord:
     n_over_c_is_p_group: bool
 
 
-@memoized
 def is_tame_intersection(
     g: PermGroup, p_syl: PermGroup, q_syl: PermGroup, prime: int, caps: Caps = DEFAULT_CAPS
 ) -> TameIntersectionRecord:

@@ -34,7 +34,8 @@ from transferlab.group import (
     trivial_group,
 )
 from transferlab.perm import Perm
-from transferlab.sylow import all_sylow_subgroups
+from transferlab.iso import all_subgroups
+from transferlab.sylow import all_sylow_subgroups, sylow_subgroup
 from test_scanned_subgroups import PAIRS, _levels, _pair_id
 
 
@@ -163,6 +164,19 @@ def test_normalizer_centralizer(s4):
     assert centralizer(s4, v4).order() == 4
     d8 = PermGroup(4, [Perm.from_cycles(4, [(0, 1, 2, 3)]), Perm.from_cycles(4, [(0, 2)])])
     assert normalizer(s4, d8).order() == 8
+
+
+def test_elements_keep_the_known_element_set():
+    """Enumerating a group whose element set is already known (a scanned
+    subgroup such as N_{S5}(Syl_2), a lattice join such as S4 among its
+    subgroups) keeps that set instead of building a second one."""
+    s5 = symmetric(5)
+    n = normalizer(s5, sylow_subgroup(s5, 2))
+    join_s4 = all_subgroups(symmetric(4))[-1]
+    for h in (n, join_s4):
+        before = h.element_set()
+        h.elements()
+        assert h.element_set() is before
 
 
 def _normalizer_oracle(g: PermGroup, h: PermGroup) -> frozenset:

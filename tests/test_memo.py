@@ -1,8 +1,9 @@
 """The memo that keeps derived objects on the group they come from:
 repeat calls return the kept object, kept objects equal fresh ones,
-other caps recompute, a result kept by a subgroup's element set is the
-one any subgroup with those elements gets, and running the checkers
-leaves no cyclic garbage."""
+a call is keyed by its arguments bound with defaults filled in, other
+caps recompute, a result kept by a subgroup's element set is the one
+any subgroup with those elements gets, and running the checkers leaves
+no cyclic garbage."""
 
 import dataclasses
 import gc
@@ -20,7 +21,7 @@ from transferlab.checkers import (
     _nilpotent_maximal_candidates,
     run_checker,
 )
-from transferlab.group import PermGroup, derived_subgroup, normalizer, span
+from transferlab.group import PermGroup, derived_subgroup, memoized, normalizer, span
 from transferlab.iso import automorphism_group
 from transferlab.series import (
     nilpotency_class,
@@ -71,9 +72,6 @@ CALLS = {
         g, (all_sylow_subgroups(g, 2).normalizer, 2, DEFAULT_CAPS), {}
     ),
     normalizer: lambda g, p, z: (g, (p,), {}),
-    is_tame_intersection: lambda g, p, z: (
-        g, (p, all_sylow_subgroups(g, 2).members[1], 2, DEFAULT_CAPS), {}
-    ),
     p_series: lambda g, p, z: (g, (2,), {}),
     sylow_intersections: lambda g, p, z: (g, (2,), {}),
     _tame_record: lambda g, p, z: (
@@ -121,6 +119,41 @@ def test_kept_result_equals_a_fresh_call(fn):
     assert _plain(kept) == _plain(fresh)
 
 
+def test_a_default_passed_or_left_out_is_one_call():
+    g = symmetric(4)
+    kept = all_sylow_subgroups(g, 2)
+    assert all_sylow_subgroups(g, 2, DEFAULT_CAPS) is kept
+    assert all_sylow_subgroups(g, caps=DEFAULT_CAPS, p=2) is kept
+
+
+def test_keyword_and_positional_arguments_are_one_call():
+    g, _, z = _s4_p2_d8()
+    kept = tame_intersections_between(g, 2, z, False, strict_lower=False)
+    assert tame_intersections_between(g, 2, z, False, DEFAULT_CAPS, False) is kept
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        tame_intersections_between(g, 2, z, False, strict=False)
+    with pytest.raises(TypeError, match="missing"):
+        _controls(g, z, 2)
+
+
+def test_memoized_rejects_a_function_without_caps():
+    def no_caps(g: PermGroup, p: int) -> int:
+        return p
+
+    with pytest.raises(TypeError, match="caps"):
+        memoized(no_caps)
+
+
+def test_repeat_tame_intersection_returns_the_kept_record():
+    """`is_tame_intersection` forms a fresh P cap Q on every call; the
+    `_tame_record` memo, keyed by that D's element set, returns the
+    record the first call kept."""
+    g, p_syl, _ = _s4_p2_d8()
+    q_syl = all_sylow_subgroups(g, 2).members[1]
+    kept = is_tame_intersection(g, p_syl, q_syl, 2)
+    assert is_tame_intersection(g, p_syl, q_syl, 2) is kept
+
+
 def test_other_caps_recompute():
     g = symmetric(4)
     kept = derived_subgroup(g, DEFAULT_CAPS)
@@ -163,6 +196,18 @@ def test_normalizer_is_kept_by_element_set():
         normalizer(fresh_s4, d8, Caps(element_cap=8))  # D8 is listed, S4 is not
     assert not any(key[0] is normalizer.__wrapped__ for key in fresh_s4._memo)
     assert normalizer(fresh_s4, d8).element_set() == kept.element_set()
+
+
+def test_a_respanned_lower_gets_the_kept_list():
+    """V4 = O_2(S4) rebuilt by `span` from its shuffled elements has other
+    generators and gets the tame intersections kept for V4."""
+    g = symmetric(4)
+    v4 = o_p(g, 2)
+    copy = _respan(v4, 1)
+    assert copy.element_set() == v4.element_set() and _plain(copy) != _plain(v4)
+    kept = tame_intersections_between(g, 2, v4, True, strict_lower=False)
+    assert len(kept) == 1
+    assert tame_intersections_between(g, 2, copy, True, strict_lower=False) is kept
 
 
 @pytest.mark.parametrize("pair", PAIRS, ids=_pair_id)

@@ -68,3 +68,48 @@ def test_only_group_writes_group_private_fields(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = _private_field_writes(tree)
     assert lines == [], f"{path.name} writes a PermGroup private field at lines {lines}"
+
+
+STDLIB_MEMOS = {"cache", "lru_cache"}
+
+
+def _stdlib_memo_uses(tree: ast.AST) -> list[int]:
+    """Lines that name functools.cache or functools.lru_cache, as an
+    attribute of functools or imported from it."""
+    lines = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+            and node.attr in STDLIB_MEMOS
+        ):
+            lines.append(node.lineno)
+        elif (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "functools"
+            and any(alias.name in STDLIB_MEMOS for alias in node.names)
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_stdlib_memo_rule_sees_uses():
+    source = (
+        "@functools.cache\ndef f(): pass\n"
+        "from functools import lru_cache, wraps\n"
+        "g = functools.lru_cache(maxsize=None)(f)\n"
+        "h = functools.wraps(f)\n"
+    )
+    assert _stdlib_memo_uses(ast.parse(source)) == [1, 3, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_stdlib_memo(path):
+    """`group.memoized` is the one memo on groups: it keys other group
+    arguments by element set and keeps results on the group, so they go
+    when the group goes.  A functools cache would key groups by identity
+    and keep them alive."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = _stdlib_memo_uses(tree)
+    assert lines == [], f"{path.name} uses a functools cache at lines {lines}"
