@@ -39,7 +39,7 @@ from .series import (
     is_p_solvable,
     is_pi_central_of_height,
     is_solvable,
-    lemma_condition_iterated_commutator,
+    iterated_commutator,
     nilpotency_class,
     norm,
     norm_length,
@@ -320,12 +320,27 @@ def _quotient_controls(ctx: Context, z: PermGroup) -> bool:
     return controls_p_transfer(quot.image, n_bar, ctx.prime, ctx.caps).controls
 
 
+def _lemma_condition_a(p_grp: PermGroup, z: PermGroup, p: int, caps: Caps) -> bool:
+    """[z, g, ..., g]_{p-1} in Phi(Z) for every g in P and every z in Z.
+
+    Every candidate Z is normal in G and lies in P, so Z/Phi(Z) is an
+    elementary abelian P-module, and there [z, g, ..., g]_{p-1} is
+    z(g - 1)^{p-1}, linear in z: the generators of Z are enough.
+    """
+    phi_z = frattini_p(z, p, caps) if not z.is_trivial() else z
+    return all(
+        phi_z.contains(iterated_commutator(zz, g, p - 1))
+        for zz in z.gens
+        for g in p_grp.elements(caps)
+    )
+
+
 def _chk_lemma_3_1(ctx: Context):
     qualifying = []
     for z in _normal_p_subgroup_candidates(ctx):
         if not _quotient_controls(ctx, z):
             continue
-        cond_a = lemma_condition_iterated_commutator(ctx.p_syl, z, ctx.prime, ctx.caps)
+        cond_a = _lemma_condition_a(ctx.p_syl, z, ctx.prime, ctx.caps)
         cond_b = z.is_subgroup_of(frattini_p(ctx.p_syl, ctx.prime, ctx.caps))
         if cond_a or cond_b:
             qualifying.append((z, "a" if cond_a else "b"))
@@ -660,15 +675,18 @@ def scan_corpus(
 ) -> TheoremReport:
     """Run every applicable checker over every (group, prime) pair.
 
-    An unknown or repeated checker id is a ValueError, raised before any
-    checker runs: a repeated one would give each of its verdicts twice.
+    An unknown checker id, a repeated one or a repeated entry label is a
+    ValueError, raised before any checker runs: a repeated one would give
+    each of its verdicts twice.
     """
     ids = sorted(checker_ids or CHECKERS.keys())
-    for i, checker_id in enumerate(ids):
+    for checker_id in ids:
         if checker_id not in CHECKERS:
             raise ValueError(f"unknown checker: {checker_id}")
-        if i and ids[i - 1] == checker_id:
-            raise ValueError(f"repeated checker: {checker_id}")
+    for what, names in (("checker", ids), ("entry label", sorted(e.label for e in entries))):
+        for a, b in zip(names, names[1:]):
+            if a == b:
+                raise ValueError(f"repeated {what}: {a}")
     verdicts: list[CheckerVerdict] = []
     pairs = 0
     for entry in entries:

@@ -19,12 +19,17 @@ generating sequence of the isomorphism searches) is made by
 `_known_subgroup`, which keeps its order and set; its chain is built on
 first use, stopped at that order.
 
-Right cosets are told apart by their coset key (`_coset_key`): the
-images of one canonical element of the coset Hg, found by walking H's
-stabilizer chain and, at each level, stepping to the coset element that
-sends the base point to its smallest image.  Transversals, quotients,
-double cosets and the maximality test look cosets up by this key instead
-of testing g * r^-1 against H for every representative r.
+Every orbit is found by one breadth-first search (`_orbit`): right
+cosets (`right_transversal`), double cosets, conjugacy classes, the
+<u>-orbits of the transfer evaluation and the Aut(P)-orbits.  Only the
+chain build keeps its own search (`_orbit_transversal`), because it
+also needs the transversal.  Right cosets are told apart by their coset
+key (`_coset_key`): the images of one canonical element of the coset
+Hg, found by walking H's stabilizer chain and, at each level, stepping
+to the coset element that sends the base point to its smallest image.
+Transversals, quotients, double cosets and the maximality test look
+cosets up by this key instead of testing g * r^-1 against H for every
+representative r.
 
 A chain level (`_Level`) keeps its transversal and inverses as image
 tuples, during the build and after it; only strong generators are
@@ -46,7 +51,7 @@ import functools
 import inspect
 from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .caps import DEFAULT_CAPS, Caps, check_cap
 from .perm import Perm, _compose, _getter, _perm, commutator
@@ -71,6 +76,28 @@ class _Level:
     gens: list[Perm]
     transversal: dict[int, tuple[int, ...]]  # point -> u with u(base) = point
     inverses: dict[int, tuple[int, ...]]  # point -> u^-1 for the u above
+
+
+def _orbit(start, gens: Sequence, act: Callable, key: Callable | None = None) -> list:
+    """The orbit of start under gens, in breadth-first order.
+
+    act(x, s) is the image of the point x under the generator s, and
+    key(x) tells points apart (the point itself when key is None); of
+    points with one key, the first one found is kept.  The points are
+    visited first in, first out, generators in order, so the order is
+    the level-by-level order of a frontier search (Holt, Eick and
+    O'Brien, Handbook of CGT, ch. 4).
+    """
+    seen = {start if key is None else key(start)}
+    orbit = [start]
+    for x in orbit:
+        for s in gens:
+            y = act(x, s)
+            k = y if key is None else key(y)
+            if k not in seen:
+                seen.add(k)
+                orbit.append(y)
+    return orbit
 
 
 def _orbit_transversal(
@@ -575,21 +602,8 @@ def right_transversal(
         raise ValueError("H is not a subgroup of G")
     index = g.order() // h.order()
     check_cap("transversal", index, caps.element_cap)
-    reps = [Perm.identity(g.degree)]
-    seen = {_coset_key(h, reps[0])}
-    frontier = [reps[0]]
-    # BFS over cosets; a coset is new when its key has not been seen.
-    while frontier:
-        nxt = []
-        for r in frontier:
-            for s in g.gens:
-                c = r * s
-                key = _coset_key(h, c)
-                if key not in seen:
-                    seen.add(key)
-                    reps.append(c)
-                    nxt.append(c)
-        frontier = nxt
+    # A coset is new when its key has not been seen.
+    reps = _orbit(Perm.identity(g.degree), g.gens, Perm.__mul__, lambda c: _coset_key(h, c))
     if len(reps) != index:
         raise InvariantError(f"coset BFS found {len(reps)} cosets, expected {index}")
     ordered = [reps[0]] + sorted(reps[1:])
@@ -606,23 +620,13 @@ def double_coset_reps(
     deterministic.
     """
     trans = right_transversal(g, h, caps)
-    n = len(trans.reps)
     actions = [trans.action(s) for s in k.gens]
-    unseen = set(range(n))
+    seen: set[int] = set()
     out = []
-    while unseen:
-        start = min(unseen)
-        orbit = {start}
-        queue = [start]
-        while queue:
-            i = queue.pop(0)
-            for act in actions:
-                j = act[i]
-                if j not in orbit:
-                    orbit.add(j)
-                    queue.append(j)
-        unseen -= orbit
-        out.append(trans.reps[start])
+    for i, r in enumerate(trans.reps):
+        if i not in seen:
+            seen.update(_orbit(i, actions, lambda j, act: act[j]))
+            out.append(r)
     return out
 
 

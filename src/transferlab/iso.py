@@ -28,7 +28,7 @@ from .group import (
     InvariantError,
     PermGroup,
     _known_subgroup,
-    _orbit_transversal,
+    _orbit,
     centralizer,
     derived_subgroup,
     is_abelian,
@@ -213,23 +213,13 @@ def conjugacy_classes(
     class lists its elements in breadth-first order from the
     representative under conjugation by the generators.
     """
-    seen: set[tuple[int, ...]] = set()
+    seen: set[Perm] = set()
     out = []
     for x in g.elements(caps):
-        if x.images in seen:
-            continue
-        orbit = [x]
-        seen.add(x.images)
-        queue = [x]
-        while queue:
-            y = queue.pop(0)
-            for s in g.gens:
-                c = y.conjugate(s)
-                if c.images not in seen:
-                    seen.add(c.images)
-                    orbit.append(c)
-                    queue.append(c)
-        out.append((x, orbit))
+        if x not in seen:
+            orbit = _orbit(x, g.gens, Perm.conjugate)
+            seen.update(orbit)
+            out.append((x, orbit))
     return out
 
 
@@ -317,7 +307,7 @@ def automorphism_group(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     orbit_product = 1
     for i in reversed(range(len(seq))):
         start = position[seq[i].images]
-        orbit, _ = _orbit_transversal(start, gens, len(elems))
+        orbit = set(_orbit(start, gens, lambda x, s: s(x)))
         for cand in pools[i]:
             if position[cand.images] in orbit:
                 continue
@@ -325,7 +315,7 @@ def automorphism_group(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
             phi = next(_iso_search(source, orders, p, fixing), None)
             if phi is not None:
                 gens.append(Perm(position[phi.apply(x).images] for x in elems))
-                orbit, _ = _orbit_transversal(start, gens, len(elems))
+                orbit = set(_orbit(start, gens, lambda x, s: s(x)))
         orbit_product *= len(orbit)
     aut = PermGroup(len(elems), gens)
     if aut.order() != orbit_product:

@@ -359,18 +359,6 @@ def iterated_commutator(u: Perm, g: Perm, k: int) -> Perm:
     return c
 
 
-def lemma_condition_iterated_commutator(
-    p_grp: PermGroup, z: PermGroup, p: int, caps: Caps = DEFAULT_CAPS
-) -> bool:
-    """[Z, g, ..., g]_{p-1} <= Phi(Z) for all g in P, all starting z in Z."""
-    phi_z = frattini_p(z, p, caps) if not z.is_trivial() else z
-    for zz in z.elements(caps):
-        for g in p_grp.elements(caps):
-            if not phi_z.contains(iterated_commutator(zz, g, p - 1)):
-                return False
-    return True
-
-
 def is_pi_central_of_height(
     p_grp: PermGroup,
     p: int,

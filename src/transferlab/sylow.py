@@ -11,7 +11,7 @@ from .caps import DEFAULT_CAPS, Caps, check_cap
 from .group import (
     InvariantError,
     PermGroup,
-    _orbit_transversal,
+    _orbit,
     centralizer,
     conjugate_subgroup,
     intersection,
@@ -202,11 +202,10 @@ def is_weakly_closed(
     """Is K weakly closed in P (wrt G)?  On failure, return a conjugating
     element g with K^g <= P but K^g != K."""
     n = normalizer(g, k, caps)
-    kset = k.element_set(caps)
     trans = right_transversal(g, n, caps)
+    # Every rep t after the first lies outside N_G(K), so K^t != K.
     for t in trans.reps[1:]:
-        conj = conjugate_subgroup(k, t)
-        if conj.is_subgroup_of(p_syl) and conj.element_set(caps) != kset:
+        if conjugate_subgroup(k, t).is_subgroup_of(p_syl):
             return False, t
     return True, None
 
@@ -223,7 +222,7 @@ def characteristic_subgroups_above(
     orbits = []
     for start in range(len(elems)):
         if start not in seen:
-            orbit, _ = _orbit_transversal(start, aut.gens, len(elems))
+            orbit = _orbit(start, aut.gens, lambda x, s: s(x))
             seen.update(orbit)
             orbits.append([elems[i] for i in orbit])
     return [c for c in _subgroup_lattice(p_grp, orbits, caps) if lower.is_subgroup_of(c)]

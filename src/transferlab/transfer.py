@@ -14,6 +14,7 @@ from .group import (
     InvariantError,
     PermGroup,
     Transversal,
+    _orbit,
     conjugate_subgroup,
     derived_subgroup,
     double_coset_reps,
@@ -120,21 +121,13 @@ def transfer_evaluation(
     the full product agrees with the pretransfer mod R'.
     """
     trans = right_transversal(p_grp, r, caps)
-    index_of = {t.images: i for i, t in enumerate(trans.reps)}
-    unseen = set(range(len(trans.reps)))
+    seen: set[Perm] = set()
     out: list[tuple[Perm, int]] = []
-    while unseen:
-        start = min(unseen)
-        s = trans.reps[start]
-        length = 0
-        t = s
-        while True:
-            unseen.discard(index_of[t.images])
-            length += 1
-            t = trans.dot(t, u)
-            if t == s:
-                break
-        out.append((s, length))
+    for s in trans.reps:
+        if s not in seen:
+            orbit = _orbit(s, [u], trans.dot)
+            seen.update(orbit)
+            out.append((s, len(orbit)))
     if sum(n for _, n in out) != len(trans.reps):
         raise InvariantError("<u>-orbit lengths do not add up to the index")
     product = Perm.identity(p_grp.degree)

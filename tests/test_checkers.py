@@ -6,13 +6,17 @@ from transferlab.caps import DEFAULT_CAPS, CapExceeded
 from transferlab.catalog import default_corpus, entry_for, symmetric
 from transferlab.checkers import (
     CHECKERS,
+    Context,
+    _lemma_condition_a,
+    _normal_p_subgroup_candidates,
     run_checker,
     scan_corpus,
     verify_paper_witnesses,
 )
 from transferlab.group import InvariantError
-from transferlab.series import is_p_group, norm, z_k
+from transferlab.series import frattini_p, is_p_group, iterated_commutator, norm, z_k
 from transferlab.sylow import sylow_subgroup
+from test_scanned_subgroups import PAIRS, _pair_id
 
 
 def test_registry_is_complete():
@@ -247,3 +251,35 @@ def test_thm_4_10_property_on_p_groups():
             assert v.verdict != "VIOLATION"
             count += 1
     assert count >= 15
+
+
+def _lemma_condition_a_all_z(p_grp, z, p, caps):
+    """Lemma 3.1 (a) as stated: [z, g, ..., g]_{p-1} in Phi(Z) for every
+    g in P and every z in Z, each z tested."""
+    phi_z = frattini_p(z, p, caps) if not z.is_trivial() else z
+    return all(
+        phi_z.contains(iterated_commutator(zz, g, p - 1))
+        for zz in z.elements(caps)
+        for g in p_grp.elements(caps)
+    )
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=_pair_id)
+def test_lemma_condition_a_on_generators_matches_every_z(pair):
+    """The checker tests Lemma 3.1 (a) on the generators of each
+    candidate Z; on every corpus candidate that agrees with testing
+    every z in Z."""
+    entry, p = pair
+    ctx = Context(entry.build(), p)
+    for z in _normal_p_subgroup_candidates(ctx):
+        expected = _lemma_condition_a_all_z(ctx.p_syl, z, p, ctx.caps)
+        assert _lemma_condition_a(ctx.p_syl, z, p, ctx.caps) == expected
+
+
+def test_repeated_entry_label_is_rejected_before_any_checker_runs(monkeypatch):
+    s3 = next(e for e in default_corpus() if e.label == "S3")
+    ran = []
+    monkeypatch.setattr(CHECKERS["burnside"], "run", ran.append)
+    with pytest.raises(ValueError, match="repeated entry label: S3"):
+        scan_corpus([s3, s3], ["burnside"])
+    assert ran == []

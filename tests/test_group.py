@@ -17,6 +17,7 @@ from transferlab.catalog import (
 )
 from transferlab.group import (
     PermGroup,
+    _orbit,
     centralizer,
     commutator_subgroup,
     conjugate_subgroup,
@@ -245,6 +246,61 @@ def test_commutator_subgroup_mixed(s4):
     )
     c = commutator_subgroup(s4, v4, s4)
     assert c.same_group_as(v4)  # [S4, V4] = V4
+
+
+def _frontier_orbit(start, gens, act, key):
+    """The orbit of start, level by level: each level is the new points
+    found from the one before, in the order found."""
+    seen = {key(start)}
+    orbit = frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s in gens:
+                y = act(x, s)
+                if key(y) not in seen:
+                    seen.add(key(y))
+                    nxt.append(y)
+        orbit = orbit + nxt
+        frontier = nxt
+    return orbit
+
+
+def test_orbit_is_breadth_first_from_start():
+    a = Perm.from_cycles(6, [(0, 1, 2, 3, 4, 5)])
+    b = Perm.from_cycles(6, [(0, 3)])
+    # From 0: a and b reach 1 and 3; then 2 (from 1), 4 (from 3); then 5.
+    assert _orbit(0, [a, b], lambda x, s: s(x)) == [0, 1, 3, 2, 4, 5]
+    assert _orbit(4, [a, b], lambda x, s: s(x)) == [4, 5, 0, 1, 3, 2]
+
+
+@pytest.mark.parametrize("g", [symmetric(4), dihedral(8), alternating(5)], ids=lambda g: g.name)
+def test_orbit_matches_the_frontier_search(g):
+    """On points, and on right cosets of a Sylow subgroup told apart by
+    their coset key, the orbit comes out in frontier order."""
+    on_point = lambda x, s: s(x)
+    assert _orbit(0, g.gens, on_point) == _frontier_orbit(0, g.gens, on_point, lambda x: x)
+    h = sylow_subgroup(g, 2)
+    key = lambda c: group_module._coset_key(h, c)
+    cosets = _orbit(g.identity(), g.gens, Perm.__mul__, key)
+    assert cosets == _frontier_orbit(g.identity(), g.gens, Perm.__mul__, key)
+    assert len(cosets) == g.order() // h.order()
+
+
+def test_orbit_keeps_the_first_point_per_key():
+    # From 0: 2 and 1 are new residues mod 3; 4, 3, 3 and 2 are not.
+    assert _orbit(0, [2, 1], lambda x, s: x + s, key=lambda x: x % 3) == [0, 2, 1]
+
+
+def test_orbit_without_key_compares_points(s4):
+    """With key None the points themselves are told apart: the orbit of
+    x under conjugation is its conjugacy class, each element once."""
+    for x in s4.elements():
+        cls = _orbit(x, s4.gens, Perm.conjugate)
+        assert cls[0] == x
+        assert len(set(cls)) == len(cls)
+        assert set(cls) == {x.conjugate(g) for g in s4.elements()}
+    assert _orbit(s4.identity(), [], Perm.conjugate) == [s4.identity()]
 
 
 def test_right_transversal_properties(s4, rng):

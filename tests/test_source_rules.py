@@ -113,3 +113,20 @@ def test_no_stdlib_memo(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = _stdlib_memo_uses(tree)
     assert lines == [], f"{path.name} uses a functools cache at lines {lines}"
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in MODULES if path.name != "group.py"], ids=lambda path: path.name
+)
+def test_only_group_uses_the_chain_orbit_search(path):
+    """`_orbit_transversal` also builds a transversal, which only the chain
+    build needs; every other orbit comes from `group._orbit`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "_orbit_transversal")
+        or (isinstance(node, ast.alias) and node.name == "_orbit_transversal")
+        or (isinstance(node, ast.Attribute) and node.attr == "_orbit_transversal")
+    )
+    assert lines == [], f"{path.name} names _orbit_transversal at lines {lines}"

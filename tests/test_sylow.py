@@ -13,7 +13,7 @@ from transferlab.catalog import (
     sl23,
     symmetric,
 )
-from transferlab.group import PermGroup, intersection, normalizer
+from transferlab.group import PermGroup, conjugate_subgroup, intersection, normalizer
 from transferlab.iso import is_isomorphic
 from transferlab.perm import Perm
 from transferlab.series import is_p_group, norm, p_part, z_k
@@ -192,6 +192,22 @@ def test_weak_closure(s4, a5):
     moved = PermGroup(4, [x.conjugate(mover_z) for x in z.gens])
     assert moved.is_subgroup_of(p)
     assert not moved.same_group_as(z)
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=_pair_id)
+def test_weak_closure_conjugators_on_corpus(pair):
+    """For the K the checkers test (Z_{p-1}(P) and the characteristic
+    subgroups above it), each returned conjugator t moves K into P and
+    lies outside N_G(K), so K^t != K."""
+    entry, p = pair
+    g = entry.build()
+    p_syl = sylow_subgroup(g, p)
+    z = z_k(p_syl, p - 1)
+    for k in [z, *characteristic_subgroups_above(p_syl, z)]:
+        closed, t = is_weakly_closed(g, p_syl, k)
+        if not closed:
+            assert conjugate_subgroup(k, t).is_subgroup_of(p_syl)
+            assert not normalizer(g, k).contains(t)
 
 
 def test_characteristic_subgroups_above(d8):
