@@ -3,14 +3,15 @@
 Every registered checker runs on every (group, prime) pair it applies
 to.  Each verdict is an implication test: the conclusion is evaluated
 only when the hypothesis holds, so a hypothesis that never fires shows
-up as "vacuous" rather than silently passing.
+up as "vacuous" rather than silently passing.  The scan runs under the
+caps in force, DEFAULT_CAPS here: a `transferlab.limits` block around it
+would set others.
 """
 
 import time
 from collections import Counter
 
 from transferlab import scan_corpus
-from transferlab.caps import DEFAULT_CAPS
 from transferlab.catalog import default_corpus
 
 
@@ -20,7 +21,7 @@ def main():
           f"{max(e.expected_order for e in entries)}")
 
     start = time.monotonic()
-    report = scan_corpus(entries, None, DEFAULT_CAPS)
+    report = scan_corpus(entries)
     elapsed = time.monotonic() - start
 
     print(f"\n{len(report.verdicts)} verdicts in {elapsed:.1f}s")

@@ -13,7 +13,7 @@ The layers, bottom up:
 - catalog, cli: built-in groups, catalog files, command line.
 """
 
-from .caps import CapExceeded, Caps, DEFAULT_CAPS
+from .caps import CapExceeded, Caps, DEFAULT_CAPS, current_caps, limits
 from .perm import Perm, commutator, parse_cycles
 from .group import (
     InvariantError,

@@ -1,14 +1,25 @@
 """Resource caps for enumeration-heavy operations.
 
-All caps are configurable per call site through a `Caps` instance.
-`Caps.default()`, which the command line uses, also reads the element
-cap from the environment variable TRANSFERLAB_ELEMENT_CAP.
+A cap never changes an answer; it only decides whether the answer is
+computed.  The caps in force are one setting, read by the functions that
+check a cap (`current_caps`) and set for a block by `limits`, the way
+`decimal.localcontext` sets the precision:
+
+    with limits(Caps(element_cap=1000)):
+        ...
+
+Outside any `limits` block the caps in force are `DEFAULT_CAPS`.
+`Caps.default()`, which the command line puts in force, also reads the
+element cap from the environment variable TRANSFERLAB_ELEMENT_CAP.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import Iterator
 
 
 class CapExceeded(Exception):
@@ -49,6 +60,25 @@ class Caps:
 
 
 DEFAULT_CAPS = Caps()
+
+_in_force: ContextVar[Caps] = ContextVar("caps_in_force", default=DEFAULT_CAPS)
+
+
+def current_caps() -> Caps:
+    """The caps in force: those of the innermost `limits` block, else
+    DEFAULT_CAPS."""
+    return _in_force.get()
+
+
+@contextmanager
+def limits(in_force: Caps) -> Iterator[Caps]:
+    """Make in_force the caps in force for the block, then restore the caps
+    that were in force before it."""
+    token = _in_force.set(in_force)
+    try:
+        yield in_force
+    finally:
+        _in_force.reset(token)
 
 
 def check_cap(what: str, needed: int, cap: int) -> None:

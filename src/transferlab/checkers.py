@@ -18,7 +18,7 @@ import os
 import traceback
 from dataclasses import dataclass, field
 
-from .caps import DEFAULT_CAPS, CapExceeded, Caps
+from .caps import CapExceeded
 from .group import (
     InvariantError,
     PermGroup,
@@ -61,11 +61,11 @@ from .transfer import controls_p_transfer, lemma23_witness
 
 
 @memoized
-def _controls(g: PermGroup, n: PermGroup, p: int, caps: Caps) -> bool:
+def _controls(g: PermGroup, n: PermGroup, p: int) -> bool:
     """Does N control p-transfer in G?  Kept as a bool, which holds no
     group.  The answer depends only on N's elements: another Sylow
     subgroup of N conjugates both focal subgroups by one element."""
-    return controls_p_transfer(g, n, p, caps).controls
+    return controls_p_transfer(g, n, p).controls
 
 
 @dataclass
@@ -75,11 +75,10 @@ class Context:
 
     group: PermGroup
     prime: int
-    caps: Caps = DEFAULT_CAPS
 
     @property
     def family(self):
-        return all_sylow_subgroups(self.group, self.prime, self.caps)
+        return all_sylow_subgroups(self.group, self.prime)
 
     @property
     def p_syl(self) -> PermGroup:
@@ -92,30 +91,28 @@ class Context:
     @property
     def z_lower(self) -> PermGroup:
         """Z_{p-1}(P)."""
-        return z_k(self.p_syl, self.prime - 1, self.caps)
+        return z_k(self.p_syl, self.prime - 1)
 
     @property
     def norm_p(self) -> PermGroup:
         """Z*(P), the norm of P."""
-        return norm(self.p_syl, self.caps)
+        return norm(self.p_syl)
 
     @property
     def max_intersection(self) -> int:
-        return max_intersection_order(self.group, self.prime, self.caps)
+        return max_intersection_order(self.group, self.prime)
 
     def control(self, n: PermGroup) -> bool:
-        return _controls(self.group, n, self.prime, self.caps)
+        return _controls(self.group, n, self.prime)
 
     def controls_ngp(self) -> bool:
         return self.control(self.ngp)
 
     def p_nilpotent(self) -> bool:
-        return is_p_nilpotent(self.group, self.prime, self.caps)
+        return is_p_nilpotent(self.group, self.prime)
 
     def tame(self, lower: PermGroup, strict: bool):
-        return tame_intersections_between(
-            self.group, self.prime, lower, strict, self.caps, strict
-        )
+        return tame_intersections_between(self.group, self.prime, lower, strict, strict)
 
 
 @dataclass
@@ -162,28 +159,28 @@ def _chk_burnside(ctx: Context):
 
 
 def _chk_hall_wielandt(ctx: Context):
-    cls = nilpotency_class(ctx.p_syl, ctx.caps)
+    cls = nilpotency_class(ctx.p_syl)
     return {"class": cls}, ctx.controls_ngp if cls < ctx.prime else None
 
 
-def _has_wreath_quotient(p_syl: PermGroup, p: int, caps: Caps) -> bool:
+def _has_wreath_quotient(p_syl: PermGroup, p: int) -> bool:
     from .catalog import wreath_cyclic
 
     target = p ** (p + 1)
     if p_syl.order() % target:
         return False
     wreath = wreath_cyclic(p)
-    for n in normal_subgroups(p_syl, caps):
+    for n in normal_subgroups(p_syl):
         if n.order() * target != p_syl.order():
             continue
-        quot = quotient_group(p_syl, n, caps).image
-        if is_isomorphic(quot, wreath, caps)[0]:
+        quot = quotient_group(p_syl, n).image
+        if is_isomorphic(quot, wreath)[0]:
             return True
     return False
 
 
 def _chk_yoshida(ctx: Context):
-    has_quot = _has_wreath_quotient(ctx.p_syl, ctx.prime, ctx.caps)
+    has_quot = _has_wreath_quotient(ctx.p_syl, ctx.prime)
     return {"has_wreath_quotient": has_quot}, None if has_quot else ctx.controls_ngp
 
 
@@ -250,8 +247,8 @@ def _chk_thm_4_1(ctx: Context):
 
 def _chk_thm_1_10(ctx: Context):
     admissible = []
-    for k_sub in all_subgroups(ctx.norm_p, ctx.caps):
-        closed, _ = is_weakly_closed(ctx.group, ctx.p_syl, k_sub, ctx.caps)
+    for k_sub in all_subgroups(ctx.norm_p):
+        closed, _ = is_weakly_closed(ctx.group, ctx.p_syl, k_sub)
         if closed:
             admissible.append(k_sub)
     wit = {"weakly_closed_count": len(admissible), "norm_order": ctx.norm_p.order()}
@@ -260,7 +257,7 @@ def _chk_thm_1_10(ctx: Context):
 
     def every_normalizer_controls() -> bool:
         for k_sub in admissible:
-            n_k = normalizer(ctx.group, k_sub, ctx.caps)
+            n_k = normalizer(ctx.group, k_sub)
             if not ctx.control(n_k):
                 wit["failing_K"] = _sub_label(k_sub)
                 return False
@@ -270,10 +267,10 @@ def _chk_thm_1_10(ctx: Context):
 
 
 def _chk_prop_3_4(ctx: Context):
-    chars = characteristic_subgroups_above(ctx.p_syl, ctx.z_lower, ctx.caps)
+    chars = characteristic_subgroups_above(ctx.p_syl, ctx.z_lower)
     wit = {"characteristic_count": len(chars)}
     for c in chars:
-        closed, _ = is_weakly_closed(ctx.group, ctx.p_syl, c, ctx.caps)
+        closed, _ = is_weakly_closed(ctx.group, ctx.p_syl, c)
         if not closed:
             wit["not_weakly_closed"] = _sub_label(c)
             return wit, None
@@ -282,24 +279,24 @@ def _chk_prop_3_4(ctx: Context):
 
 def _chk_aux_gruen_instance(ctx: Context):
     z = ctx.z_lower
-    closed, conj = is_weakly_closed(ctx.group, ctx.p_syl, z, ctx.caps)
+    closed, conj = is_weakly_closed(ctx.group, ctx.p_syl, z)
     wit = {"Z": _sub_label(z), "weakly_closed": closed}
     if not closed:
         wit["conjugator"] = conj
         return wit, None
-    return wit, lambda: ctx.control(normalizer(ctx.group, z, ctx.caps))
+    return wit, lambda: ctx.control(normalizer(ctx.group, z))
 
 
 def _normal_p_subgroup_candidates(ctx: Context) -> list[PermGroup]:
-    op = o_p(ctx.group, ctx.prime, ctx.caps)
+    op = o_p(ctx.group, ctx.prime)
     candidates = [op]
     if not op.is_trivial():
-        candidates.append(omega(op, ctx.prime, 1, ctx.caps))
-        candidates.append(intersection(center(ctx.p_syl, ctx.caps), op, ctx.caps))
+        candidates.append(omega(op, ctx.prime, 1))
+        candidates.append(intersection(center(ctx.p_syl), op))
     out = []
     seen = set()
     for z in candidates:
-        key = z.element_set(ctx.caps)
+        key = z.element_set()
         if key in seen:
             continue
         seen.add(key)
@@ -313,25 +310,25 @@ def _quotient_controls(ctx: Context, z: PermGroup) -> bool:
     if z.is_trivial():
         # Avoid the regular-representation quotient.
         return ctx.controls_ngp()
-    quot = quotient_group(ctx.group, z, ctx.caps)
+    quot = quotient_group(ctx.group, z)
     if quot.image.order() % ctx.prime:
         return True
     n_bar = quot.project_subgroup(ctx.ngp)
-    return controls_p_transfer(quot.image, n_bar, ctx.prime, ctx.caps).controls
+    return controls_p_transfer(quot.image, n_bar, ctx.prime).controls
 
 
-def _lemma_condition_a(p_grp: PermGroup, z: PermGroup, p: int, caps: Caps) -> bool:
+def _lemma_condition_a(p_grp: PermGroup, z: PermGroup, p: int) -> bool:
     """[z, g, ..., g]_{p-1} in Phi(Z) for every g in P and every z in Z.
 
     Every candidate Z is normal in G and lies in P, so Z/Phi(Z) is an
     elementary abelian P-module, and there [z, g, ..., g]_{p-1} is
     z(g - 1)^{p-1}, linear in z: the generators of Z are enough.
     """
-    phi_z = frattini_p(z, p, caps) if not z.is_trivial() else z
+    phi_z = frattini_p(z, p) if not z.is_trivial() else z
     return all(
         phi_z.contains(iterated_commutator(zz, g, p - 1))
         for zz in z.gens
-        for g in p_grp.elements(caps)
+        for g in p_grp.elements()
     )
 
 
@@ -340,8 +337,8 @@ def _chk_lemma_3_1(ctx: Context):
     for z in _normal_p_subgroup_candidates(ctx):
         if not _quotient_controls(ctx, z):
             continue
-        cond_a = _lemma_condition_a(ctx.p_syl, z, ctx.prime, ctx.caps)
-        cond_b = z.is_subgroup_of(frattini_p(ctx.p_syl, ctx.prime, ctx.caps))
+        cond_a = _lemma_condition_a(ctx.p_syl, z, ctx.prime)
+        cond_b = z.is_subgroup_of(frattini_p(ctx.p_syl, ctx.prime))
         if cond_a or cond_b:
             qualifying.append((z, "a" if cond_a else "b"))
     wit = {"qualifying_Z": [f"{_sub_label(z)} via ({c})" for z, c in qualifying]}
@@ -361,13 +358,13 @@ def _chk_lemma_3_2(ctx: Context):
         return wit, None
 
     def each_z_leaves_m() -> bool:
-        witness = lemma23_witness(ctx.group, ctx.ngp, ctx.prime, ctx.caps)
+        witness = lemma23_witness(ctx.group, ctx.ngp, ctx.prime)
         if witness == "controls":
             raise InvariantError("lemma23_witness finds control where the test found none")
         covered = {u.images for u, _, _, _ in witness.per_u}
         ok = True
         for z in qualifying:
-            outside = [u for u in z.elements(ctx.caps) if not witness.m.contains(u)]
+            outside = [u for u in z.elements() if not witness.m.contains(u)]
             if not outside or any(u.images not in covered for u in outside):
                 ok = False
                 wit["failing_Z"] = _sub_label(z)
@@ -379,13 +376,13 @@ def _chk_lemma_3_2(ctx: Context):
 
 
 def _chk_thm_4_2(ctx: Context):
-    cls = nilpotency_class(ctx.p_syl, ctx.caps)
+    cls = nilpotency_class(ctx.p_syl)
     ngp = ctx.ngp
     hyp = (
         cls == ctx.prime
         and ngp.order() < ctx.group.order()
-        and is_p_nilpotent(ngp, ctx.prime, ctx.caps)
-        and is_maximal(ctx.group, ngp, ctx.caps)
+        and is_p_nilpotent(ngp, ctx.prime)
+        and is_maximal(ctx.group, ngp)
     )
     wit = {"class": cls, "normalizer": _sub_label(ngp)}
     if not hyp:
@@ -393,9 +390,9 @@ def _chk_thm_4_2(ctx: Context):
 
     def length_one() -> bool:
         # Both readings go into the witnesses; the verdict uses the p'-length one.
-        solvable = is_p_solvable(ctx.group, ctx.prime, ctx.caps)
-        plen = p_length(ctx.group, ctx.prime, ctx.caps)
-        pplen = p_prime_length(ctx.group, ctx.prime, ctx.caps)
+        solvable = is_p_solvable(ctx.group, ctx.prime)
+        plen = p_length(ctx.group, ctx.prime)
+        pplen = p_prime_length(ctx.group, ctx.prime)
         wit.update({"p_solvable": solvable, "p_length": plen, "p_prime_length": pplen})
         wit["strict_reading_ok"] = solvable and plen == 1
         wit["p_prime_reading_ok"] = solvable and pplen is not None and pplen <= 1
@@ -405,7 +402,7 @@ def _chk_thm_4_2(ctx: Context):
 
 
 def _chk_thm_4_3(ctx: Context):
-    cls = nilpotency_class(ctx.p_syl, ctx.caps)
+    cls = nilpotency_class(ctx.p_syl)
     count = len(ctx.family)
     wit = {"class": cls, "sylow_count": count}
     if not (cls == ctx.prime and count == ctx.prime + 1):
@@ -415,7 +412,7 @@ def _chk_thm_4_3(ctx: Context):
         if ctx.controls_ngp():
             wit["branch"] = "controls"
             return True
-        op = o_p(ctx.group, ctx.prime, ctx.caps)
+        op = o_p(ctx.group, ctx.prime)
         wit["branch"] = f"O_p of order {op.order()}"
         return not op.is_trivial()
 
@@ -423,18 +420,18 @@ def _chk_thm_4_3(ctx: Context):
 
 
 @memoized
-def _nilpotent_maximal_candidates(g: PermGroup, caps: Caps) -> list[PermGroup]:
+def _nilpotent_maximal_candidates(g: PermGroup) -> list[PermGroup]:
     out = []
     seen = set()
     for q in prime_divisors(g.order()):
-        m = normalizer(g, sylow_subgroup(g, q, caps), caps)
-        key = m.element_set(caps)
+        m = normalizer(g, sylow_subgroup(g, q))
+        key = m.element_set()
         if key in seen:
             continue
         seen.add(key)
         if m.order() == g.order():
             continue
-        if is_nilpotent(m, caps) and is_maximal(g, m, caps):
+        if is_nilpotent(m) and is_maximal(g, m):
             out.append(m)
     return out
 
@@ -442,15 +439,15 @@ def _nilpotent_maximal_candidates(g: PermGroup, caps: Caps) -> list[PermGroup]:
 def _nilpotent_maximal_checker(ctx: Context, sylow2_measure, key: str):
     """Some nilpotent maximal subgroup M whose Sylow 2-subgroup measures
     at most 2 (0 when |M| is odd) implies G solvable."""
-    candidates = _nilpotent_maximal_candidates(ctx.group, ctx.caps)
+    candidates = _nilpotent_maximal_candidates(ctx.group)
     wit = {"nilpotent_maximal_count": len(candidates)}
     for m in candidates:
-        s2 = None if m.order() % 2 else sylow_subgroup(m, 2, ctx.caps)
-        value = 0 if s2 is None else sylow2_measure(s2, ctx.caps)
+        s2 = None if m.order() % 2 else sylow_subgroup(m, 2)
+        value = 0 if s2 is None else sylow2_measure(s2)
         if value is not None and value <= 2:
             wit["M"] = _sub_label(m)
             wit[key] = value
-            return wit, lambda: is_solvable(ctx.group, ctx.caps)
+            return wit, lambda: is_solvable(ctx.group)
     return wit, None
 
 
@@ -464,10 +461,10 @@ def _chk_thm_4_5(ctx: Context):
 
 def _chk_thm_4_8(ctx: Context):
     p = ctx.prime
-    v1 = is_pi_central_of_height(ctx.p_syl, p, 1, p - 2, caps=ctx.caps)
-    v2 = is_pi_central_of_height(ctx.p_syl, p, 2, p - 1, caps=ctx.caps)
-    d1 = is_pi_central_of_height(ctx.p_syl, p, 1, p - 2, order_divides=True, caps=ctx.caps)
-    d2 = is_pi_central_of_height(ctx.p_syl, p, 2, p - 1, order_divides=True, caps=ctx.caps)
+    v1 = is_pi_central_of_height(ctx.p_syl, p, 1, p - 2)
+    v2 = is_pi_central_of_height(ctx.p_syl, p, 2, p - 1)
+    d1 = v1  # the elements of order dividing p, 1 aside, are those of order p
+    d2 = is_pi_central_of_height(ctx.p_syl, p, 2, p - 1, order_divides=True)
     wit = {
         "p_central_height_p-2": v1,
         "p2_central_height_p-1": v2,
@@ -478,19 +475,19 @@ def _chk_thm_4_8(ctx: Context):
 
 def _chk_thm_4_10(ctx: Context):
     g, p = ctx.group, ctx.prime
-    v1 = p >= 3 and is_pi_central_of_height(g, p, 1, p - 2, caps=ctx.caps)
-    v2 = is_pi_central_of_height(g, p, 2, p - 1, caps=ctx.caps)
+    v1 = p >= 3 and is_pi_central_of_height(g, p, 1, p - 2)
+    v2 = is_pi_central_of_height(g, p, 2, p - 1)
     wit = {"p_central_height_p-2": v1, "p2_central_height_p-1": v2}
     if not (v1 or v2):
         return wit, None
 
     def passes_to_quotient() -> bool:
-        quot = quotient_group(g, omega(g, p, 1, ctx.caps), ctx.caps).image
+        quot = quotient_group(g, omega(g, p, 1)).image
         ok = True
         if quot.order() > 1:
-            if v1 and not is_pi_central_of_height(quot, p, 1, p - 2, caps=ctx.caps):
+            if v1 and not is_pi_central_of_height(quot, p, 1, p - 2):
                 ok = False
-            if v2 and not is_pi_central_of_height(quot, p, 2, p - 1, caps=ctx.caps):
+            if v2 and not is_pi_central_of_height(quot, p, 2, p - 1):
                 ok = False
         wit["quotient_order"] = quot.order()
         return ok
@@ -503,11 +500,11 @@ class CheckerSpec:
     id: str
     description: str
     run: object  # callable(Context) -> (witnesses, conclusion callable or None)
-    applies: object  # callable(PermGroup, prime, caps) -> bool
+    applies: object  # callable(PermGroup, prime) -> bool
     notes: str = ""  # how the checker reads the statement, copied into each verdict
 
 
-def _divides(g: PermGroup, p: int, caps: Caps) -> bool:
+def _divides(g: PermGroup, p: int) -> bool:
     return g.order() % p == 0
 
 
@@ -600,41 +597,42 @@ _register(
     "thm_4_4_janko",
     "nilpotent maximal subgroup with class <= 2 Sylow-2 implies solvable",
     _chk_thm_4_4_janko,
-    applies=lambda g, p, caps: p == 2,
+    applies=lambda g, p: p == 2,
 )
 _register(
     "thm_4_5",
     "nilpotent maximal subgroup with norm length <= 2 Sylow-2 implies solvable",
     _chk_thm_4_5,
-    applies=lambda g, p, caps: p == 2,
+    applies=lambda g, p: p == 2,
 )
 _register(
     "thm_4_8",
     "p-central of height p-2 or p^2-central of height p-1 implies control (p odd)",
     _chk_thm_4_8,
-    applies=lambda g, p, caps: p > 2 and g.order() % p == 0,
+    applies=lambda g, p: p > 2 and g.order() % p == 0,
     notes="strict element-order reading; order-dividing variant recorded in witnesses",
 )
 _register(
     "thm_4_10_property",
     "the centrality property passes to the quotient by Omega (p-groups)",
     _chk_thm_4_10,
-    applies=lambda g, p, caps: g.order() > 1 and is_p_group(g, p),
+    applies=lambda g, p: g.order() > 1 and is_p_group(g, p),
 )
 
 
-def run_checker(
-    checker_id: str, group: PermGroup, prime: int, caps: Caps = DEFAULT_CAPS
-) -> CheckerVerdict:
+def run_checker(checker_id: str, group: PermGroup, prime: int) -> CheckerVerdict:
     """Run one checker; its conclusion is evaluated only if it returned one,
     that is, only when its hypothesis holds.  A cap that fires gives a
-    skipped:cap verdict, any other exception an error verdict."""
+    skipped:cap verdict, any other exception an error verdict.  An unknown
+    checker, or one that does not apply to the pair, is a ValueError."""
     if checker_id not in CHECKERS:
         raise ValueError(f"unknown checker: {checker_id}")
     spec = CHECKERS[checker_id]
     label = group.name or f"group(deg {group.degree})"
+    if not spec.applies(group, prime):
+        raise ValueError(f"checker {checker_id} does not apply to {label} at p={prime}")
     try:
-        witnesses, conclusion = spec.run(Context(group, prime, caps))
+        witnesses, conclusion = spec.run(Context(group, prime))
         concl = None if conclusion is None else conclusion()
     except CapExceeded as exc:
         return CheckerVerdict(
@@ -670,9 +668,7 @@ class TheoremReport:
         return [v.to_json() for v in self.verdicts]
 
 
-def scan_corpus(
-    entries, checker_ids: list[str] | None = None, caps: Caps = DEFAULT_CAPS
-) -> TheoremReport:
+def scan_corpus(entries, checker_ids: list[str] | None = None) -> TheoremReport:
     """Run every applicable checker over every (group, prime) pair.
 
     An unknown checker id, a repeated one or a repeated entry label is a
@@ -694,8 +690,8 @@ def scan_corpus(
         for p in prime_divisors(group.order()):
             pairs += 1
             for checker_id in ids:
-                if CHECKERS[checker_id].applies(group, p, caps):
-                    verdicts.append(run_checker(checker_id, group, p, caps))
+                if CHECKERS[checker_id].applies(group, p):
+                    verdicts.append(run_checker(checker_id, group, p))
 
     verdicts.sort(key=lambda v: (v.group_label, v.prime, v.checker_id))
     summary = dict.fromkeys(("implication_ok", "vacuous", "VIOLATION", "skipped:cap", "error"), 0)
@@ -716,7 +712,7 @@ def scan_corpus(
 # paper witness facts --------------------------------------------------------
 
 
-def verify_paper_witnesses(caps: Caps = DEFAULT_CAPS) -> list[tuple[str, bool]]:
+def verify_paper_witnesses() -> list[tuple[str, bool]]:
     """Evaluate the hard-coded named-group facts the write-up relies on."""
     from .catalog import dihedral, generalized_quaternion, psl2, symmetric, wreath_cyclic
     from .sylow import is_tame_intersection
@@ -724,22 +720,20 @@ def verify_paper_witnesses(caps: Caps = DEFAULT_CAPS) -> list[tuple[str, bool]]:
     results: list[tuple[str, bool]] = []
 
     s4 = symmetric(4)
-    fam = all_sylow_subgroups(s4, 2, caps)
+    fam = all_sylow_subgroups(s4, 2)
     p_syl = fam.base_member
-    results.append(
-        ("s4_sylow_wreath", is_isomorphic(p_syl, wreath_cyclic(2), caps)[0])
-    )
+    results.append(("s4_sylow_wreath", is_isomorphic(p_syl, wreath_cyclic(2))[0]))
     distinct = fam.members[1:]
     results.append(
         (
             "s4_intersection_index",
             all(
-                p_syl.order() // intersection(p_syl, q, caps).order() == 2
+                p_syl.order() // intersection(p_syl, q).order() == 2
                 for q in distinct
             ),
         )
     )
-    rec = is_tame_intersection(s4, p_syl, distinct[0], 2, caps)
+    rec = is_tame_intersection(s4, p_syl, distinct[0], 2)
     results.append(
         (
             "s4_tame_v4",
@@ -749,24 +743,22 @@ def verify_paper_witnesses(caps: Caps = DEFAULT_CAPS) -> list[tuple[str, bool]]:
             and not rec.normalizer_p_nilpotent,
         )
     )
-    results.append(
-        ("s4_no_control", not controls_p_transfer(s4, fam.normalizer, 2, caps).controls)
-    )
-    o2 = o_p(s4, 2, caps)
+    results.append(("s4_no_control", not controls_p_transfer(s4, fam.normalizer, 2).controls))
+    o2 = o_p(s4, 2)
     results.append(
         (
             "s4_o2_second_center",
-            o2.is_subgroup_of(z_k(p_syl, 2, caps))
-            and not o2.is_subgroup_of(center(p_syl, caps)),
+            o2.is_subgroup_of(z_k(p_syl, 2))
+            and not o2.is_subgroup_of(center(p_syl)),
         )
     )
 
     d8 = dihedral(8)
-    zn = norm(d8, caps)
+    zn = norm(d8)
     results.append(
         (
             "d8_norm_index_4",
-            d8.order() // zn.order() == 4 and zn.same_group_as(center(d8, caps)),
+            d8.order() // zn.order() == 4 and zn.same_group_as(center(d8)),
         )
     )
 
@@ -774,15 +766,13 @@ def verify_paper_witnesses(caps: Caps = DEFAULT_CAPS) -> list[tuple[str, bool]]:
     results.append(
         (
             "q16_class_3_norm_length_2",
-            nilpotency_class(q16, caps) == 3 and norm_length(q16, caps) == 2,
+            nilpotency_class(q16) == 3 and norm_length(q16) == 2,
         )
     )
-    results.append(("d16_norm_length_3", norm_length(dihedral(16), caps) == 3))
+    results.append(("d16_norm_length_3", norm_length(dihedral(16)) == 3))
 
     psl = psl2(17)
-    p17 = sylow_subgroup(psl, 2, caps)
-    results.append(
-        ("psl217_sylow_d16", is_isomorphic(p17, dihedral(16), caps)[0])
-    )
-    results.append(("psl217_sylow_maximal", is_maximal(psl, p17, caps)))
+    p17 = sylow_subgroup(psl, 2)
+    results.append(("psl217_sylow_d16", is_isomorphic(p17, dihedral(16))[0]))
+    results.append(("psl217_sylow_maximal", is_maximal(psl, p17)))
     return results

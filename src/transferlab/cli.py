@@ -2,7 +2,9 @@
 
 Subcommands: analyze, verify, scan, witness, builtin.  verify and scan
 take --format text|records and --strict-caps; analyze, verify and scan
-take --catalog.
+take --catalog.  All but builtin build their groups under the default
+caps, then compute under `Caps.default()`, which reads the element cap
+from TRANSFERLAB_ELEMENT_CAP.
 Exit codes: 0 pass, 1 violation, checker error or witness failure, 2
 input error, 3 when a cap stops a command before it gives its answer,
 or when a verify or scan verdict is skipped:cap under --strict-caps,
@@ -16,7 +18,7 @@ import argparse
 import os
 import sys
 
-from .caps import Caps, CapExceeded
+from .caps import CapExceeded, Caps, limits
 from .catalog import (
     CatalogEntry,
     builtin_group,
@@ -82,37 +84,37 @@ def _checked_prime(group: PermGroup, p: int) -> int:
 def cmd_analyze(args) -> int:
     group = _resolve_group(args.group, args)
     p = _checked_prime(group, args.prime)
-    caps = Caps.default()
-    fam = all_sylow_subgroups(group, p, caps)
-    p_syl = fam.base_member
-    ngp = fam.normalizer
-    zn = norm(p_syl, caps)
-    report = controls_p_transfer(group, ngp, p, caps)
-    tame = tame_intersections_between(
-        group, p, trivial_group(group.degree), True, caps, strict_lower=False
-    )
-    lines = [
-        f"group: {group.name}  order {group.order()}  degree {group.degree}",
-        f"prime: {p}",
-        f"sylow order: {p_syl.order()}  count: {len(fam)}",
-        f"|Z(P)| = {center(p_syl, caps).order()}",
-        f"|Z_{p - 1}(P)| = {z_k(p_syl, p - 1, caps).order()}",
-        f"|Z*(P)| = {zn.order()}  norm_length(P) = {norm_length(p_syl, caps)}",
-        f"|Phi(P)| = {frattini_p(p_syl, p, caps).order()}",
-        f"|Omega(P)| = {omega(p_syl, p, 1, caps).order()}",
-        f"|O_p(G)| = {o_p(group, p, caps).order()}",
-        f"|O^p(G)| = {o_upper_p(group, p, caps).order()}",
-        f"|A^p(G)| = {a_p(group, p, caps).order()}",
-        f"p-nilpotent: {is_p_nilpotent(group, p, caps)}",
-        f"focal subgroup order: {focal_subgroup(group, p_syl, caps).order()}",
-        f"max Sylow intersection: {max_intersection_order(group, p, caps)}",
-        f"tame intersections below P: {len(tame)}"
-        + (f" (orders {sorted(r.d.order() for r in tame)})" if tame else ""),
-        f"N_G(P) order: {ngp.order()}  N_G(P) maximal: "
-        + str(ngp.order() < group.order() and is_maximal(group, ngp, caps)),
-        f"controls: {report.controls}",
-        f"G/A^p(G) invariants: {list(report.quotient_invariants_g)}",
-    ]
+    with limits(Caps.default()):
+        fam = all_sylow_subgroups(group, p)
+        p_syl = fam.base_member
+        ngp = fam.normalizer
+        zn = norm(p_syl)
+        report = controls_p_transfer(group, ngp, p)
+        tame = tame_intersections_between(
+            group, p, trivial_group(group.degree), True, strict_lower=False
+        )
+        lines = [
+            f"group: {group.name}  order {group.order()}  degree {group.degree}",
+            f"prime: {p}",
+            f"sylow order: {p_syl.order()}  count: {len(fam)}",
+            f"|Z(P)| = {center(p_syl).order()}",
+            f"|Z_{p - 1}(P)| = {z_k(p_syl, p - 1).order()}",
+            f"|Z*(P)| = {zn.order()}  norm_length(P) = {norm_length(p_syl)}",
+            f"|Phi(P)| = {frattini_p(p_syl, p).order()}",
+            f"|Omega(P)| = {omega(p_syl, p, 1).order()}",
+            f"|O_p(G)| = {o_p(group, p).order()}",
+            f"|O^p(G)| = {o_upper_p(group, p).order()}",
+            f"|A^p(G)| = {a_p(group, p).order()}",
+            f"p-nilpotent: {is_p_nilpotent(group, p)}",
+            f"focal subgroup order: {focal_subgroup(group, p_syl).order()}",
+            f"max Sylow intersection: {max_intersection_order(group, p)}",
+            f"tame intersections below P: {len(tame)}"
+            + (f" (orders {sorted(r.d.order() for r in tame)})" if tame else ""),
+            f"N_G(P) order: {ngp.order()}  N_G(P) maximal: "
+            + str(ngp.order() < group.order() and is_maximal(group, ngp)),
+            f"controls: {report.controls}",
+            f"G/A^p(G) invariants: {list(report.quotient_invariants_g)}",
+        ]
     print("\n".join(lines))
     return EXIT_PASS
 
@@ -123,7 +125,8 @@ def cmd_verify(args) -> int:
         return EXIT_INPUT_ERROR
     group = _resolve_group(args.group, args)
     p = _checked_prime(group, args.prime)
-    verdict = run_checker(args.checker, group, p, Caps.default())
+    with limits(Caps.default()):
+        verdict = run_checker(args.checker, group, p)
     if args.format == "records":
         print(verdict.to_json())
     else:
@@ -144,7 +147,8 @@ def cmd_verify(args) -> int:
 
 def cmd_scan(args) -> int:
     entries = _entries(args)
-    report = scan_corpus(entries, args.checker or None, Caps.default())
+    with limits(Caps.default()):
+        report = scan_corpus(entries, args.checker or None)
     errors = [v for v in report.verdicts if v.verdict == "error"]
     if args.format == "records":
         for line in report.record_lines():
@@ -172,7 +176,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    facts = verify_paper_witnesses(Caps.default())
+    with limits(Caps.default()):
+        facts = verify_paper_witnesses()
     failed = False
     for fact_id, ok in facts:
         print(f"{fact_id}: {'pass' if ok else 'FAIL'}")

@@ -6,9 +6,9 @@ mutate them.  Identical generator lists always produce identical chains,
 orderings and transversals, which keeps every downstream computation
 (including transfer values) reproducible.  Derived subgroups and the
 like are kept on the group they come from by one decorator
-(`memoized`), keyed by the call's arguments with defaults filled in and
-each other group argument by its element set, so a fresh subgroup with
-the same elements gets the kept result.
+(`memoized`), keyed by the caps in force and the call's arguments with
+defaults filled in, each other group argument by its element set, so a
+fresh subgroup with the same elements gets the kept result.
 
 A subgroup built from a list of elements, by `span` or by scanning a
 group's elements (`_scan_subgroup`), goes through one path
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .caps import DEFAULT_CAPS, Caps, check_cap
+from .caps import check_cap, current_caps
 from .perm import Perm, _compose, _getter, _perm, commutator
 
 
@@ -272,10 +272,10 @@ class PermGroup:
     def __contains__(self, g: Perm) -> bool:
         return self.contains(g)
 
-    def elements(self, caps: Caps = DEFAULT_CAPS) -> list[Perm]:
+    def elements(self) -> list[Perm]:
         """All elements, in chain order, each exactly once."""
         if self._elements is None:
-            check_cap("element enumeration", self.order(), caps.element_cap)
+            check_cap("element enumeration", self.order(), current_caps().element_cap)
             result = [tuple(range(self.degree))]
             for lvl in reversed(self.chain):
                 reps = [lvl.transversal[x] for x in sorted(lvl.transversal)]
@@ -285,9 +285,9 @@ class PermGroup:
                 self._element_set = frozenset(result)
         return self._elements
 
-    def element_set(self, caps: Caps = DEFAULT_CAPS) -> frozenset[tuple[int, ...]]:
+    def element_set(self) -> frozenset[tuple[int, ...]]:
         if self._element_set is None:
-            self.elements(caps)
+            self.elements()
         return self._element_set
 
     def __iter__(self) -> Iterator[Perm]:
@@ -334,13 +334,14 @@ def is_abelian(g: PermGroup) -> bool:
 
 
 def memoized(fn):
-    """Keep fn(g, ...) on g, keyed by fn and the call's other arguments.
+    """Keep fn(g, ...) on g, keyed by fn, the caps in force and the call's
+    other arguments.
 
     The arguments are bound to fn's parameters with defaults filled in,
     so a default passed or left out is one call.  Arguments compare by
-    value (a call under other Caps is a fresh call), and each group
-    argument by its element set, enumerated under the call's caps; fn
-    must take a `caps` parameter.  A call that raises, CapExceeded
+    value, and each group argument by its element set.  The caps in
+    force (`caps.current_caps`) are part of the key, so a call under
+    other caps is a fresh call.  A call that raises, CapExceeded
     included, keeps nothing.  Memoize fn only if (a) its result never
     references g, which would make g and its memo a reference cycle
     (hence nilpotency_class is memoized, but not lower_central_series,
@@ -350,22 +351,22 @@ def memoized(fn):
     """
     params = list(inspect.signature(fn).parameters.values())[1:]
     names = [q.name for q in params]
-    if "caps" not in names:
-        raise TypeError(f"memoized {fn.__qualname__} takes no caps parameter")
-    caps_at = names.index("caps")
     defaults = [q.default for q in params]
 
     @functools.wraps(fn)
     def wrapper(g: PermGroup, *args, **kwargs):
+        # A missing argument binds as Parameter.empty; fn raises its
+        # TypeError for it, so the key is never kept.
         bound = [*args, *defaults[len(args) :]]
         for name, value in kwargs.items():
             if name not in names:
                 return fn(g, *args, **kwargs)  # raises fn's TypeError
             bound[names.index(name)] = value
-        caps = bound[caps_at]
-        if caps is inspect.Parameter.empty:
-            return fn(g, *args, **kwargs)  # raises fn's TypeError
-        key = (fn, *[a.element_set(caps) if isinstance(a, PermGroup) else a for a in bound])
+        key = (
+            fn,
+            current_caps(),
+            *[a.element_set() if isinstance(a, PermGroup) else a for a in bound],
+        )
         if key not in g._memo:
             g._memo[key] = fn(g, *args, **kwargs)
         return g._memo[key]
@@ -427,7 +428,7 @@ def conjugate_subgroup(h: PermGroup, g: Perm) -> PermGroup:
     return c
 
 
-def _scan_subgroup(g: PermGroup, keep, caps: Caps) -> PermGroup:
+def _scan_subgroup(g: PermGroup, keep) -> PermGroup:
     """The subgroup of the elements x of G with keep(x).
 
     Built like `span` over the members in G's elements() order, but the
@@ -435,14 +436,14 @@ def _scan_subgroup(g: PermGroup, keep, caps: Caps) -> PermGroup:
     leaves the chain unchanged.  The group keeps its member set as the
     set `contains` looks up.
     """
-    members = [x for x in g.elements(caps) if keep(x)]
+    members = [x for x in g.elements() if keep(x)]
     h = _from_elements(g.degree, members, len(members))
     h._element_set = frozenset(x.images for x in members)
     return h
 
 
 @memoized
-def normalizer(g: PermGroup, h: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
     """N_G(H) by full element scan (exact at desk scale).
 
     The members are the x of G's elements() with H^x = H as a set, in
@@ -451,7 +452,7 @@ def normalizer(g: PermGroup, h: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGro
     """
     if g.degree != h.degree:
         raise ValueError("degree mismatch")
-    hset = h.element_set(caps)
+    hset = h.element_set()
     getters = [_getter(t.images) for t in h.gens]
 
     def keep(x: Perm) -> bool:
@@ -459,10 +460,10 @@ def normalizer(g: PermGroup, h: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGro
         xs, xi = x.images, _getter(x.inverse().images)
         return all(xi(t(xs)) in hset for t in getters)
 
-    return _scan_subgroup(g, keep, caps)
+    return _scan_subgroup(g, keep)
 
 
-def centralizer(g: PermGroup, h: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+def centralizer(g: PermGroup, h: PermGroup) -> PermGroup:
     if g.degree != h.degree:
         raise ValueError("degree mismatch")
 
@@ -474,15 +475,15 @@ def centralizer(g: PermGroup, h: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGr
         gx = _getter(xs)
         return all(gt(xs) == gx(t) for t, gt in hgens)
 
-    return _scan_subgroup(g, keep, caps)
+    return _scan_subgroup(g, keep)
 
 
-def intersection(a: PermGroup, b: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+def intersection(a: PermGroup, b: PermGroup) -> PermGroup:
     """A ∩ B by enumerating the smaller group."""
     if a.degree != b.degree:
         raise ValueError("degree mismatch")
     small, large = (a, b) if a.order() <= b.order() else (b, a)
-    return _scan_subgroup(small, large.contains, caps)
+    return _scan_subgroup(small, large.contains)
 
 
 def join(a: PermGroup, b: PermGroup) -> PermGroup:
@@ -491,9 +492,7 @@ def join(a: PermGroup, b: PermGroup) -> PermGroup:
     return PermGroup(a.degree, list(a.gens) + list(b.gens))
 
 
-def normal_closure(
-    g: PermGroup, seeds: Sequence[Perm], caps: Caps = DEFAULT_CAPS
-) -> PermGroup:
+def normal_closure(g: PermGroup, seeds: Sequence[Perm]) -> PermGroup:
     """Smallest normal subgroup of G containing the seeds, by saturation."""
     for s in seeds:
         if not g.contains(s):
@@ -509,23 +508,21 @@ def normal_closure(
         if not new:
             return current
         current = PermGroup(g.degree, list(current.gens) + new)
-        check_cap("normal closure", current.order(), caps.element_cap)
+        check_cap("normal closure", current.order(), current_caps().element_cap)
 
 
-def commutator_subgroup(
-    a: PermGroup, b: PermGroup, ambient: PermGroup, caps: Caps = DEFAULT_CAPS
-) -> PermGroup:
+def commutator_subgroup(a: PermGroup, b: PermGroup) -> PermGroup:
     """[A, B]: normal closure in <A,B> of generator commutators."""
     comms = [commutator(x, y) for x in a.gens for y in b.gens]
     comms = [c for c in comms if not c.is_identity()]
     if not comms:
         return trivial_group(a.degree)
-    return normal_closure(join(a, b), comms, caps)
+    return normal_closure(join(a, b), comms)
 
 
 @memoized
-def derived_subgroup(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    return commutator_subgroup(g, g, g, caps)
+def derived_subgroup(g: PermGroup) -> PermGroup:
+    return commutator_subgroup(g, g)
 
 
 # transversals and coset machinery ----------------------------------------
@@ -595,13 +592,11 @@ class Transversal:
         return self.rep_of(t * g)
 
 
-def right_transversal(
-    g: PermGroup, h: PermGroup, caps: Caps = DEFAULT_CAPS
-) -> Transversal:
+def right_transversal(g: PermGroup, h: PermGroup) -> Transversal:
     if not h.is_subgroup_of(g):
         raise ValueError("H is not a subgroup of G")
     index = g.order() // h.order()
-    check_cap("transversal", index, caps.element_cap)
+    check_cap("transversal", index, current_caps().element_cap)
     # A coset is new when its key has not been seen.
     reps = _orbit(Perm.identity(g.degree), g.gens, Perm.__mul__, lambda c: _coset_key(h, c))
     if len(reps) != index:
@@ -610,16 +605,14 @@ def right_transversal(
     return Transversal(g, h, ordered)
 
 
-def double_coset_reps(
-    g: PermGroup, h: PermGroup, k: PermGroup, caps: Caps = DEFAULT_CAPS
-) -> list[Perm]:
+def double_coset_reps(g: PermGroup, h: PermGroup, k: PermGroup) -> list[Perm]:
     """Representatives of the (H, K) double cosets, identity first.
 
     Computed as orbits of K on the right cosets of H; each orbit rep is
     the transversal element of smallest index, so the output is
     deterministic.
     """
-    trans = right_transversal(g, h, caps)
+    trans = right_transversal(g, h)
     actions = [trans.action(s) for s in k.gens]
     seen: set[int] = set()
     out = []
@@ -635,14 +628,14 @@ def double_coset_reps(
 class QuotientGroup:
     """G/N acting on the right cosets of N; N must be normal in G."""
 
-    def __init__(self, source: PermGroup, kernel: PermGroup, caps: Caps = DEFAULT_CAPS):
+    def __init__(self, source: PermGroup, kernel: PermGroup):
         if not kernel.is_subgroup_of(source):
             raise ValueError("kernel is not a subgroup of the source")
         if not kernel.is_normal_in(source):
             raise ValueError("kernel is not normal in the source")
         self.source = source
         self.kernel = kernel
-        self.transversal = right_transversal(source, kernel, caps)
+        self.transversal = right_transversal(source, kernel)
         self.image = PermGroup(
             max(len(self.transversal.reps), 1),
             [self._coset_perm(g) for g in source.gens],
@@ -659,34 +652,32 @@ class QuotientGroup:
     def project_subgroup(self, h: PermGroup) -> PermGroup:
         return PermGroup(self.image.degree, [self.project(x) for x in h.gens])
 
-    def preimage_subgroup(self, q: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-        """Full inverse image of a subgroup of the image."""
-        lifts = []
-        needed = {p.images for p in q.gens}
-        for r in self.transversal.reps:
-            if not needed:
-                break
-            img = self._coset_perm(r).images
-            if img in needed:
-                lifts.append(r)
-                needed.discard(img)
-        if needed:
-            raise ValueError("subgroup generators not found in the image")
+    def preimage_subgroup(self, q: PermGroup) -> PermGroup:
+        """Full inverse image of a subgroup of the image.
+
+        G/N acts regularly on the cosets of N, so an image element x is the
+        action of the one rep that sends coset 0 (N itself) to coset x(0):
+        the lift of x is reps[x(0)].  The lifts come in transversal order.
+        """
+        reps = self.transversal.reps
+        for x in q.gens:
+            i = x.images[0]
+            if i >= len(reps) or self._coset_perm(reps[i]) != x:
+                raise ValueError("subgroup generators not found in the image")
+        lifts = [reps[i] for i in sorted({x.images[0] for x in q.gens})]
         return PermGroup(self.source.degree, list(self.kernel.gens) + lifts)
 
 
-def quotient_group(
-    g: PermGroup, n: PermGroup, caps: Caps = DEFAULT_CAPS
-) -> QuotientGroup:
-    return QuotientGroup(g, n, caps)
+def quotient_group(g: PermGroup, n: PermGroup) -> QuotientGroup:
+    return QuotientGroup(g, n)
 
 
-def core(g: PermGroup, h: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+def core(g: PermGroup, h: PermGroup) -> PermGroup:
     """Core_G(H): intersection of the conjugates of H over a transversal."""
-    trans = right_transversal(g, h, caps)
+    trans = right_transversal(g, h)
     result = h
     for t in trans.reps[1:]:
-        result = intersection(result, conjugate_subgroup(h, t), caps)
+        result = intersection(result, conjugate_subgroup(h, t))
         if result.is_trivial():
             break
     return result
@@ -719,7 +710,7 @@ def _joins_all_cosets(actions: list[list[int]], a: int) -> bool:
     return classes == 1
 
 
-def is_maximal(g: PermGroup, h: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:
+def is_maximal(g: PermGroup, h: PermGroup) -> bool:
     """H is maximal in G iff G acts primitively on the right cosets of H,
     i.e. iff no block system other than the single block joins coset H
     to another coset."""
@@ -727,6 +718,6 @@ def is_maximal(g: PermGroup, h: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:
         raise ValueError("H must be a proper subgroup of G")
     if not h.is_subgroup_of(g):
         raise ValueError("H is not a subgroup of G")
-    trans = right_transversal(g, h, caps)
+    trans = right_transversal(g, h)
     actions = [trans.action(s) for s in g.gens]
     return all(_joins_all_cosets(actions, a) for a in range(1, len(trans)))

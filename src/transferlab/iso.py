@@ -23,7 +23,7 @@ from math import prod
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .caps import DEFAULT_CAPS, Caps, check_cap
+from .caps import check_cap, current_caps
 from .group import (
     InvariantError,
     PermGroup,
@@ -89,11 +89,11 @@ class GeneratorMap:
         return self._table[x.images]
 
 
-def element_order_profile(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> Counter:
-    return Counter(x.order() for x in g.elements(caps))
+def element_order_profile(g: PermGroup) -> Counter:
+    return Counter(x.order() for x in g.elements())
 
 
-def abelian_invariants(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
+def abelian_invariants(g: PermGroup) -> tuple[int, ...]:
     """Elementary divisor multiset (prime powers, sorted) of an abelian group.
 
     Derived from the counts of elements of order dividing p^k: for an
@@ -106,7 +106,7 @@ def abelian_invariants(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> tuple[int, ..
     n = g.order()
     if n == 1:
         return ()
-    elems = g.elements(caps)
+    elems = g.elements()
     out: list[int] = []
     for p in prime_divisors(n):
         prev = 1
@@ -152,21 +152,21 @@ def _ilog(n: int, p: int) -> int:
     return k
 
 
-def abelianization_invariants(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
+def abelianization_invariants(g: PermGroup) -> tuple[int, ...]:
     """Abelian invariants of G/G'."""
-    gprime = derived_subgroup(g, caps)
-    q = quotient_group(g, gprime, caps)
-    return abelian_invariants(q.image, caps)
+    gprime = derived_subgroup(g)
+    q = quotient_group(g, gprime)
+    return abelian_invariants(q.image)
 
 
-def _fingerprint(g: PermGroup, caps: Caps) -> tuple:
-    z = centralizer(g, g, caps)
+def _fingerprint(g: PermGroup) -> tuple:
+    z = centralizer(g, g)
     return (
         g.order(),
-        tuple(sorted(element_order_profile(g, caps).items())),
+        tuple(sorted(element_order_profile(g).items())),
         z.order(),
-        derived_subgroup(g, caps).order(),
-        abelianization_invariants(g, caps),
+        derived_subgroup(g).order(),
+        abelianization_invariants(g),
     )
 
 
@@ -203,9 +203,7 @@ def _generating_sequence(g: PermGroup) -> tuple[PermGroup, list[int]]:
     return _known_subgroup(g.degree, gens, current), orders
 
 
-def conjugacy_classes(
-    g: PermGroup, caps: Caps = DEFAULT_CAPS
-) -> list[tuple[Perm, list[Perm]]]:
+def conjugacy_classes(g: PermGroup) -> list[tuple[Perm, list[Perm]]]:
     """The conjugacy classes of g as (representative, class) pairs.
 
     Classes come in the order of their first element in chain
@@ -215,7 +213,7 @@ def conjugacy_classes(
     """
     seen: set[Perm] = set()
     out = []
-    for x in g.elements(caps):
+    for x in g.elements():
         if x not in seen:
             orbit = _orbit(x, g.gens, Perm.conjugate)
             seen.update(orbit)
@@ -223,10 +221,10 @@ def conjugacy_classes(
     return out
 
 
-def _image_pools(seq: Sequence[Perm], target: PermGroup, caps: Caps) -> list[list[Perm]]:
+def _image_pools(seq: Sequence[Perm], target: PermGroup) -> list[list[Perm]]:
     """Candidate images in target for each generator in seq, by element order."""
     by_order: dict[int, list[Perm]] = {}
-    for x in target.elements(caps):
+    for x in target.elements():
         by_order.setdefault(x.order(), []).append(x)
     return [by_order.get(x.order(), []) for x in seq]
 
@@ -264,28 +262,26 @@ def _iso_search(
             yield from _iso_search(source, orders, target, pools, images, key)
 
 
-def is_isomorphic(
-    a: PermGroup, b: PermGroup, caps: Caps = DEFAULT_CAPS
-) -> tuple[bool, GeneratorMap | None]:
+def is_isomorphic(a: PermGroup, b: PermGroup) -> tuple[bool, GeneratorMap | None]:
     """Decide isomorphism; on success also return a witness map."""
-    check_cap("isomorphism test", max(a.order(), b.order()), caps.iso_cap)
+    check_cap("isomorphism test", max(a.order(), b.order()), current_caps().iso_cap)
     if a.order() != b.order():
         return False, None
     if a.order() == 1:
         return True, GeneratorMap(a, b, ())
-    if _fingerprint(a, caps) != _fingerprint(b, caps):
+    if _fingerprint(a) != _fingerprint(b):
         return False, None
     source, orders = _generating_sequence(a)
-    pools = _image_pools(source.gens, b, caps)
+    pools = _image_pools(source.gens, b)
     # Post-composing with an inner automorphism of b moves the first
     # image to its class representative.
     first = source.gens[0].order()
-    pools[0] = [rep for rep, _ in conjugacy_classes(b, caps) if rep.order() == first]
+    pools[0] = [rep for rep, _ in conjugacy_classes(b) if rep.order() == first]
     gm = next(_iso_search(source, orders, b, pools), None)
     return gm is not None, gm
 
 
-def automorphism_group(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+def automorphism_group(p: PermGroup) -> PermGroup:
     """Aut(P), acting on the positions of p.elements().
 
     An automorphism is fixed by its images of the generating sequence
@@ -297,12 +293,12 @@ def automorphism_group(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     s_1..s_{i-1}, so |Aut(P)| is the product of the orbit lengths (Sims's
     stabilizer search; Holt, Eick and O'Brien, Handbook of CGT, ch. 4).
     """
-    check_cap("automorphism search", p.order(), caps.aut_cap)
-    elems = p.elements(caps)
+    check_cap("automorphism search", p.order(), current_caps().aut_cap)
+    elems = p.elements()
     position = {x.images: i for i, x in enumerate(elems)}
     source, orders = _generating_sequence(p)
     seq = source.gens
-    pools = _image_pools(seq, p, caps)
+    pools = _image_pools(seq, p)
     gens: list[Perm] = []
     orbit_product = 1
     for i in reversed(range(len(seq))):
@@ -361,9 +357,7 @@ def _closure(
     return frozenset(found)
 
 
-def _subgroup_lattice(
-    p: PermGroup, orbits: Iterable[list[Perm]], caps: Caps
-) -> list[PermGroup]:
+def _subgroup_lattice(p: PermGroup, orbits: Iterable[list[Perm]]) -> list[PermGroup]:
     """Every join of the atoms <orbit>, one per block of a partition of
     p's elements, sorted by (order, sorted element tuple).  For the orbits
     of a group of operators (none, P by conjugation, Aut(P)) these are
@@ -382,11 +376,11 @@ def _subgroup_lattice(
     reaches a set keeps it, as a build of every join would.
     """
     order = p.order()
-    check_cap("subgroup enumeration", order, caps.subgroup_enum_cap)
+    check_cap("subgroup enumeration", order, current_caps().subgroup_enum_cap)
     atoms: dict[frozenset, PermGroup] = {}
     for orbit in orbits:
         a = span(p.degree, orbit)
-        atoms.setdefault(a.element_set(caps), a)
+        atoms.setdefault(a.element_set(), a)
     known: dict[frozenset, PermGroup] = dict(atoms)
     frontier = list(atoms.items())
     while frontier:
@@ -401,15 +395,15 @@ def _subgroup_lattice(
                     nxt.append((key, known[key]))
         frontier = nxt
     subs = list(known.values())
-    subs.sort(key=lambda h: (h.order(), sorted(h.element_set(caps))))
+    subs.sort(key=lambda h: (h.order(), sorted(h.element_set())))
     return subs
 
 
-def all_subgroups(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[PermGroup]:
+def all_subgroups(p: PermGroup) -> list[PermGroup]:
     """Every subgroup: the joins of the cyclic subgroups."""
-    return _subgroup_lattice(p, ([x] for x in p.elements(caps)), caps)
+    return _subgroup_lattice(p, ([x] for x in p.elements()))
 
 
-def normal_subgroups(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[PermGroup]:
+def normal_subgroups(p: PermGroup) -> list[PermGroup]:
     """Every normal subgroup: the joins of the normal closures of classes."""
-    return _subgroup_lattice(p, (cls for _, cls in conjugacy_classes(p, caps)), caps)
+    return _subgroup_lattice(p, (cls for _, cls in conjugacy_classes(p)))

@@ -2,7 +2,7 @@
 omega, p-cores, p-residuals, p-nilpotency, the upper p-series, and the
 centrality-height predicates.
 
-Everything is computed by exact enumeration under the global caps; the
+Everything is computed by exact enumeration under the caps in force; the
 corpus tops out at order 2448 so nothing here needs to be clever.
 A subgroup defined as a set of elements (the center, the terms of the
 upper central series, the norm) is scanned from the group's elements
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .caps import DEFAULT_CAPS, Caps
 from .group import (
     PermGroup,
     _scan_subgroup,
@@ -74,10 +73,10 @@ def element_p_part(x: Perm, p: int) -> Perm:
 
 # derived series -----------------------------------------------------------
 
-def derived_series(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> SeriesResult:
+def derived_series(g: PermGroup) -> SeriesResult:
     terms = [g]
     while True:
-        nxt = derived_subgroup(terms[-1], caps)
+        nxt = derived_subgroup(terms[-1])
         if nxt.order() == terms[-1].order():
             break
         terms.append(nxt)
@@ -86,16 +85,16 @@ def derived_series(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> SeriesResult:
     return SeriesResult(terms)
 
 
-def is_solvable(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:
-    return derived_series(g, caps).terms[-1].is_trivial()
+def is_solvable(g: PermGroup) -> bool:
+    return derived_series(g).terms[-1].is_trivial()
 
 
 # lower central series -----------------------------------------------------
 
-def lower_central_series(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> SeriesResult:
+def lower_central_series(g: PermGroup) -> SeriesResult:
     terms = [g]
     while True:
-        nxt = commutator_subgroup(terms[-1], g, g, caps)
+        nxt = commutator_subgroup(terms[-1], g)
         if nxt.order() == terms[-1].order():
             break
         terms.append(nxt)
@@ -104,31 +103,29 @@ def lower_central_series(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> SeriesResul
     return SeriesResult(terms)
 
 
-def is_nilpotent(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:
-    return nilpotency_class(g, caps) is not None
+def is_nilpotent(g: PermGroup) -> bool:
+    return nilpotency_class(g) is not None
 
 
 @memoized
-def nilpotency_class(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> int | None:
+def nilpotency_class(g: PermGroup) -> int | None:
     """Number of steps of the lower central series; None if not nilpotent."""
-    s = lower_central_series(g, caps)
+    s = lower_central_series(g)
     return s.length if s.terms[-1].is_trivial() else None
 
 
 # upper central series -----------------------------------------------------
 
-def center(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    return centralizer(g, g, caps)
+def center(g: PermGroup) -> PermGroup:
+    return centralizer(g, g)
 
 
 @memoized
-def upper_central_series(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> SeriesResult:
+def upper_central_series(g: PermGroup) -> SeriesResult:
     terms = [trivial_group(g.degree)]
     while True:
         prev = terms[-1]
-        nxt = _scan_subgroup(
-            g, lambda x: all(prev.contains(commutator(x, s)) for s in g.gens), caps
-        )
+        nxt = _scan_subgroup(g, lambda x: all(prev.contains(commutator(x, s)) for s in g.gens))
         if nxt.order() == prev.order():
             break
         terms.append(nxt)
@@ -137,22 +134,22 @@ def upper_central_series(g: PermGroup, caps: Caps = DEFAULT_CAPS) -> SeriesResul
     return SeriesResult(terms)
 
 
-def z_k(g: PermGroup, k: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+def z_k(g: PermGroup, k: int) -> PermGroup:
     """The k-th term of the upper central series (stabilized if k is large)."""
-    terms = upper_central_series(g, caps).terms
+    terms = upper_central_series(g).terms
     return terms[min(k, len(terms) - 1)]
 
 
 # norm and norm series -----------------------------------------------------
 
 @memoized
-def norm(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+def norm(p: PermGroup) -> PermGroup:
     """The norm: intersection of the normalizers of all subgroups.
 
     Computed over cyclic subgroups only; normalizing every cyclic
     subgroup normalizes every subgroup.
     """
-    elems = p.elements(caps)
+    elems = p.elements()
     power_sets = []
     for y in elems:
         powers = {y.images}
@@ -164,31 +161,30 @@ def norm(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     return _scan_subgroup(
         p,
         lambda x: all(y.conjugate(x).images in powers for y, powers in power_sets),
-        caps,
     )
 
 
-def is_dedekind(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> bool:
-    return norm(p, caps).order() == p.order()
+def is_dedekind(p: PermGroup) -> bool:
+    return norm(p).order() == p.order()
 
 
-def norm_series(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> SeriesResult:
+def norm_series(p: PermGroup) -> SeriesResult:
     """Ascending series of iterated norms, lifted through quotients."""
     terms = [trivial_group(p.degree)]
     while True:
         prev = terms[-1]
         if prev.order() == p.order():
             break
-        q = quotient_group(p, prev, caps)
-        nxt = q.preimage_subgroup(norm(q.image, caps), caps)
+        q = quotient_group(p, prev)
+        nxt = q.preimage_subgroup(norm(q.image))
         if nxt.order() == prev.order():
             break  # norm of the quotient is trivial; series has stalled
         terms.append(nxt)
     return SeriesResult(terms)
 
 
-def norm_length(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> int | None:
-    s = norm_series(p, caps)
+def norm_length(p: PermGroup) -> int | None:
+    s = norm_series(p)
     if s.terms[-1].order() != p.order():
         return None
     return s.length
@@ -196,103 +192,99 @@ def norm_length(p: PermGroup, caps: Caps = DEFAULT_CAPS) -> int | None:
 
 # p-group functors ---------------------------------------------------------
 
-def frattini_p(p_grp: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+def frattini_p(p_grp: PermGroup, p: int) -> PermGroup:
     """Phi(P) = P' * <x^p> for a p-group P."""
     if not is_p_group(p_grp, p):
         raise ValueError("not a p-group for the given prime")
-    dp = derived_subgroup(p_grp, caps)
-    powers = (x**p for x in p_grp.elements(caps))
+    dp = derived_subgroup(p_grp)
+    powers = (x**p for x in p_grp.elements())
     return span(p_grp.degree, list(dp.gens) + list(powers))
 
 
-def frattini_by_maximals(p_grp: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+def frattini_by_maximals(p_grp: PermGroup, p: int) -> PermGroup:
     """Phi(P) as the intersection of the maximal subgroups (oracle route)."""
     if not is_p_group(p_grp, p):
         raise ValueError("not a p-group for the given prime")
     if p_grp.is_trivial():
         return p_grp
-    maximals = [
-        h for h in all_subgroups(p_grp, caps) if h.order() == p_grp.order() // p
-    ]
+    maximals = [h for h in all_subgroups(p_grp) if h.order() == p_grp.order() // p]
     result = p_grp
     for m in maximals:
-        result = intersection(result, m, caps)
+        result = intersection(result, m)
     return result
 
 
-def omega(p_grp: PermGroup, p: int, i: int = 1, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+def omega(p_grp: PermGroup, p: int, i: int = 1) -> PermGroup:
     """Omega_i(P): generated by the elements of order dividing p^i."""
     if not is_p_group(p_grp, p):
         raise ValueError("not a p-group for the given prime")
     q = p**i
-    return span(
-        p_grp.degree, (x for x in p_grp.elements(caps) if (x**q).is_identity())
-    )
+    return span(p_grp.degree, (x for x in p_grp.elements() if (x**q).is_identity()))
 
 
 # p-cores and p-residuals --------------------------------------------------
 
 @memoized
-def o_p(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+def o_p(g: PermGroup, p: int) -> PermGroup:
     """O_p(G): the p-core, as the intersection of all Sylow p-subgroups."""
     from .sylow import all_sylow_subgroups, sylow_subgroup
 
-    syl = sylow_subgroup(g, p, caps) if g.order() % p == 0 else None
+    syl = sylow_subgroup(g, p) if g.order() % p == 0 else None
     if syl is None:
         return trivial_group(g.degree)
     result = syl
-    for q in all_sylow_subgroups(g, p, caps).members:
-        result = intersection(result, q, caps)
+    for q in all_sylow_subgroups(g, p).members:
+        result = intersection(result, q)
         if result.is_trivial():
             break
     return result
 
 
-def o_p_by_closure(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+def o_p_by_closure(g: PermGroup, p: int) -> PermGroup:
     """O_p(G) as <x : the normal closure of x is a p-group> (oracle route)."""
     good: list[Perm] = []
-    for rep, orbit in conjugacy_classes(g, caps):
+    for rep, orbit in conjugacy_classes(g):
         if rep.is_identity() or p_part(rep.order(), p) != rep.order():
             continue
-        if is_p_group(normal_closure(g, [rep], caps), p):
+        if is_p_group(normal_closure(g, [rep]), p):
             good.extend(orbit)
     return span(g.degree, good)
 
 
-def o_p_prime(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+def o_p_prime(g: PermGroup, p: int) -> PermGroup:
     """O_{p'}(G): generated by the x whose normal closure is a p'-group."""
     good: list[Perm] = []
-    for rep, orbit in conjugacy_classes(g, caps):
+    for rep, orbit in conjugacy_classes(g):
         if rep.is_identity() or rep.order() % p == 0:
             continue
-        if normal_closure(g, [rep], caps).order() % p != 0:
+        if normal_closure(g, [rep]).order() % p != 0:
             good.extend(orbit)
     return span(g.degree, good)
 
 
 @memoized
-def o_upper_p(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+def o_upper_p(g: PermGroup, p: int) -> PermGroup:
     """O^p(G): generated by all p'-elements (smallest normal subgroup with
     p-group quotient)."""
-    return span(g.degree, (x for x in g.elements(caps) if x.order() % p != 0))
+    return span(g.degree, (x for x in g.elements() if x.order() % p != 0))
 
 
-def a_p(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+def a_p(g: PermGroup, p: int) -> PermGroup:
     """A^p(G) = G' * O^p(G): smallest normal subgroup with abelian p-group
     quotient."""
-    return join(derived_subgroup(g, caps), o_upper_p(g, p, caps))
+    return join(derived_subgroup(g), o_upper_p(g, p))
 
 
-def is_p_nilpotent(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> bool:
+def is_p_nilpotent(g: PermGroup, p: int) -> bool:
     """True iff the p'-elements form a (normal Hall p') subgroup."""
-    k = o_upper_p(g, p, caps)
+    k = o_upper_p(g, p)
     return k.order() == p_prime_part(g.order(), p)
 
 
 # upper p-series -----------------------------------------------------------
 
 @memoized
-def p_series(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> SeriesResult:
+def p_series(g: PermGroup, p: int) -> SeriesResult:
     """1 <= O_{p'} <= O_{p',p} <= ... ; factors alternate p' and p.
 
     Terms are subgroups of g (preimages under the successive quotients).
@@ -305,10 +297,8 @@ def p_series(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> SeriesResult:
     want_p = False
     stalled_once = False
     while current.order() < g.order():
-        q = quotient_group(g, current, caps)
-        nxt_img = (
-            o_p(q.image, p, caps) if want_p else o_p_prime(q.image, p, caps)
-        )
+        q = quotient_group(g, current)
+        nxt_img = o_p(q.image, p) if want_p else o_p_prime(q.image, p)
         if nxt_img.is_trivial():
             if stalled_once:
                 break
@@ -316,27 +306,27 @@ def p_series(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> SeriesResult:
             want_p = not want_p
             continue
         stalled_once = False
-        current = q.preimage_subgroup(nxt_img, caps)
+        current = q.preimage_subgroup(nxt_img)
         terms.append(current)
         factors.append("p" if want_p else "p'")
         want_p = not want_p
     return SeriesResult(terms, factors)
 
 
-def is_p_solvable(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> bool:
-    return p_series(g, p, caps).terms[-1].order() == g.order()
+def is_p_solvable(g: PermGroup, p: int) -> bool:
+    return p_series(g, p).terms[-1].order() == g.order()
 
 
-def p_length(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> int | None:
-    s = p_series(g, p, caps)
+def p_length(g: PermGroup, p: int) -> int | None:
+    s = p_series(g, p)
     if s.terms[-1].order() != g.order():
         return None
     return s.factors.count("p")
 
 
-def p_prime_length(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> int | None:
+def p_prime_length(g: PermGroup, p: int) -> int | None:
     """Count of p'-factors strictly between the first and last p-factors."""
-    s = p_series(g, p, caps)
+    s = p_series(g, p)
     if s.terms[-1].order() != g.order():
         return None
     factors = s.factors
@@ -360,20 +350,15 @@ def iterated_commutator(u: Perm, g: Perm, k: int) -> Perm:
 
 
 def is_pi_central_of_height(
-    p_grp: PermGroup,
-    p: int,
-    i: int,
-    k: int,
-    order_divides: bool = False,
-    caps: Caps = DEFAULT_CAPS,
+    p_grp: PermGroup, p: int, i: int, k: int, order_divides: bool = False
 ) -> bool:
     """Every element of order p^i (or dividing p^i, with the flag) lies in
     the k-th center."""
     if not is_p_group(p_grp, p):
         raise ValueError("not a p-group for the given prime")
-    zk = z_k(p_grp, k, caps)
+    zk = z_k(p_grp, k)
     target = p**i
-    for x in p_grp.elements(caps):
+    for x in p_grp.elements():
         n = x.order()
         hit = (n != 1 and target % n == 0) if order_divides else n == target
         if hit and not zk.contains(x):

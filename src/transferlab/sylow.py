@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .caps import DEFAULT_CAPS, Caps, check_cap
+from .caps import check_cap, current_caps
 from .group import (
     InvariantError,
     PermGroup,
@@ -29,7 +29,7 @@ from .series import (
 
 
 @memoized
-def sylow_subgroup(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+def sylow_subgroup(g: PermGroup, p: int) -> PermGroup:
     """A Sylow p-subgroup, by normalizer ascent.
 
     Start from the p-part of the first p-singular element in enumeration
@@ -40,7 +40,7 @@ def sylow_subgroup(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup
         raise ValueError(f"{p} is not a prime dividing the group order")
     target = p_part(g.order(), p)
     current: PermGroup | None = None
-    for x in g.elements(caps):
+    for x in g.elements():
         xp = element_p_part(x, p)
         if not xp.is_identity():
             current = PermGroup(g.degree, [xp])
@@ -48,9 +48,9 @@ def sylow_subgroup(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup
     if current is None:
         raise InvariantError(f"no element of order divisible by {p} (contradicts Cauchy)")
     while current.order() < target:
-        n = normalizer(g, current, caps)
+        n = normalizer(g, current)
         grown = False
-        for y in n.elements(caps):
+        for y in n.elements():
             if current.contains(y):
                 continue
             if current.contains(y**p):
@@ -80,22 +80,20 @@ class SylowFamily:
 
 
 @memoized
-def all_sylow_subgroups(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> SylowFamily:
+def all_sylow_subgroups(g: PermGroup, p: int) -> SylowFamily:
     """All Sylow p-subgroups: conjugates of one by a transversal of its
     normalizer."""
-    syl = sylow_subgroup(g, p, caps)
-    n = normalizer(g, syl, caps)
+    syl = sylow_subgroup(g, p)
+    n = normalizer(g, syl)
     count = g.order() // n.order()
-    check_cap("Sylow family", count, caps.sylow_family_cap)
-    trans = right_transversal(g, n, caps)
+    check_cap("Sylow family", count, current_caps().sylow_family_cap)
+    trans = right_transversal(g, n)
     members = [syl] + [conjugate_subgroup(syl, t) for t in trans.reps[1:]]
     return SylowFamily(p, members, n)
 
 
 @memoized
-def sylow_intersections(
-    g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS
-) -> list[tuple[PermGroup, PermGroup]]:
+def sylow_intersections(g: PermGroup, p: int) -> list[tuple[PermGroup, PermGroup]]:
     """The distinct D = P cap Q, for the base member P and each member Q
     of the Sylow p-family, as (D, Q) pairs with the first Q in family
     order that gives D.  The first pair is (P cap P, P); no other member
@@ -103,20 +101,20 @@ def sylow_intersections(
     containing P, so every Sylow intersection is conjugate to one of
     these.  Kept on G: D and Q never reference G.
     """
-    fam = all_sylow_subgroups(g, p, caps)
+    fam = all_sylow_subgroups(g, p)
     base = fam.base_member
     first: dict[frozenset, tuple[PermGroup, PermGroup]] = {}
     for q_syl in fam.members:
-        d = intersection(base, q_syl, caps)
-        first.setdefault(d.element_set(caps), (d, q_syl))
+        d = intersection(base, q_syl)
+        first.setdefault(d.element_set(), (d, q_syl))
     return list(first.values())
 
 
 @memoized
-def max_intersection_order(g: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> int:
+def max_intersection_order(g: PermGroup, p: int) -> int:
     """Largest |P cap Q| over distinct Sylow p-subgroups P, Q: the largest
     proper intersection of the base member (see `sylow_intersections`)."""
-    return max((d.order() for d, _ in sylow_intersections(g, p, caps)[1:]), default=1)
+    return max((d.order() for d, _ in sylow_intersections(g, p)[1:]), default=1)
 
 
 @dataclass
@@ -129,34 +127,34 @@ class TameIntersectionRecord:
 
 
 def is_tame_intersection(
-    g: PermGroup, p_syl: PermGroup, q_syl: PermGroup, prime: int, caps: Caps = DEFAULT_CAPS
+    g: PermGroup, p_syl: PermGroup, q_syl: PermGroup, prime: int
 ) -> TameIntersectionRecord:
     """Classify P cap Q for two Sylow p-subgroups P and Q of G, and record
     the predicates the theorems need (see `_tame_record`)."""
     target = p_part(g.order(), prime)
     if p_syl.order() != target or q_syl.order() != target:
         raise ValueError("both subgroups must be Sylow p-subgroups")
-    return _tame_record(g, p_syl, intersection(p_syl, q_syl, caps), q_syl, prime, caps)
+    return _tame_record(g, p_syl, intersection(p_syl, q_syl), q_syl, prime)
 
 
 @memoized
 def _tame_record(
-    g: PermGroup, p_syl: PermGroup, d: PermGroup, q_syl: PermGroup, prime: int, caps: Caps
+    g: PermGroup, p_syl: PermGroup, d: PermGroup, q_syl: PermGroup, prime: int
 ) -> TameIntersectionRecord:
     """The record of D = P cap Q.  Kept on G: it holds only D and N_G(D),
     subgroups of G that never reference G."""
-    n_g_d = normalizer(g, d, caps)
-    n_p_d = intersection(n_g_d, p_syl, caps)
-    n_q_d = intersection(n_g_d, q_syl, caps)
+    n_g_d = normalizer(g, d)
+    n_p_d = intersection(n_g_d, p_syl)
+    n_q_d = intersection(n_g_d, q_syl)
     sylow_order_in_n = p_part(n_g_d.order(), prime)
     tame = n_p_d.order() == sylow_order_in_n and n_q_d.order() == sylow_order_in_n
     # C_G(D) <= N_G(D), so C_N(D) is C_G(D): scan N's elements, not G's.
-    n_over_c = n_g_d.order() // centralizer(n_g_d, d, caps).order()
+    n_over_c = n_g_d.order() // centralizer(n_g_d, d).order()
     rec = TameIntersectionRecord(
         d=d,
         tame=tame,
         normalizer=n_g_d,
-        normalizer_p_nilpotent=is_p_nilpotent(n_g_d, prime, caps),
+        normalizer_p_nilpotent=is_p_nilpotent(n_g_d, prime),
         n_over_c_is_p_group=p_part(n_over_c, prime) == n_over_c,
     )
     # A p-nilpotent normalizer always forces N/C to be a p-group (the
@@ -172,7 +170,6 @@ def tame_intersections_between(
     p: int,
     lower: PermGroup,
     strict_upper: bool,
-    caps: Caps = DEFAULT_CAPS,
     strict_lower: bool = True,
 ) -> list[TameIntersectionRecord]:
     """Tame intersections D = P cap Q with `lower` below D (strictly by
@@ -182,27 +179,27 @@ def tame_intersections_between(
     (see `sylow_intersections`); D = P, from Q = P, only when
     strict_upper is off.
     """
-    p_syl = all_sylow_subgroups(g, p, caps).base_member
+    p_syl = all_sylow_subgroups(g, p).base_member
     lower_order = lower.order()
     out = []
-    for d, q_syl in sylow_intersections(g, p, caps)[1 if strict_upper else 0 :]:
+    for d, q_syl in sylow_intersections(g, p)[1 if strict_upper else 0 :]:
         if d.order() < lower_order or not lower.is_subgroup_of(d):
             continue
         if strict_lower and d.order() == lower_order:
             continue
-        rec = _tame_record(g, p_syl, d, q_syl, p, caps)
+        rec = _tame_record(g, p_syl, d, q_syl, p)
         if rec.tame:
             out.append(rec)
     return out
 
 
-def is_weakly_closed(
-    g: PermGroup, p_syl: PermGroup, k: PermGroup, caps: Caps = DEFAULT_CAPS
-) -> tuple[bool, Perm | None]:
+@memoized
+def is_weakly_closed(g: PermGroup, p_syl: PermGroup, k: PermGroup) -> tuple[bool, Perm | None]:
     """Is K weakly closed in P (wrt G)?  On failure, return a conjugating
-    element g with K^g <= P but K^g != K."""
-    n = normalizer(g, k, caps)
-    trans = right_transversal(g, n, caps)
+    element g with K^g <= P but K^g != K.  Kept on G: the answer holds no
+    group, and depends only on the elements of P and K."""
+    n = normalizer(g, k)
+    trans = right_transversal(g, n)
     # Every rep t after the first lies outside N_G(K), so K^t != K.
     for t in trans.reps[1:]:
         if conjugate_subgroup(k, t).is_subgroup_of(p_syl):
@@ -210,14 +207,12 @@ def is_weakly_closed(
     return True, None
 
 
-def characteristic_subgroups_above(
-    p_grp: PermGroup, lower: PermGroup, caps: Caps = DEFAULT_CAPS
-) -> list[PermGroup]:
+def characteristic_subgroups_above(p_grp: PermGroup, lower: PermGroup) -> list[PermGroup]:
     """All characteristic subgroups C with lower <= C <= P, in the order
     of all_subgroups: the joins of the subgroups generated by the orbits
     of Aut(P) on P's elements."""
-    aut = automorphism_group(p_grp, caps)
-    elems = p_grp.elements(caps)
+    aut = automorphism_group(p_grp)
+    elems = p_grp.elements()
     seen: set[int] = set()
     orbits = []
     for start in range(len(elems)):
@@ -225,4 +220,4 @@ def characteristic_subgroups_above(
             orbit = _orbit(start, aut.gens, lambda x, s: s(x))
             seen.update(orbit)
             orbits.append([elems[i] for i in orbit])
-    return [c for c in _subgroup_lattice(p_grp, orbits, caps) if lower.is_subgroup_of(c)]
+    return [c for c in _subgroup_lattice(p_grp, orbits) if lower.is_subgroup_of(c)]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .caps import DEFAULT_CAPS, Caps
 from .group import (
     InvariantError,
     PermGroup,
@@ -58,69 +57,63 @@ class TransferResult:
         return self.modulus.contains(self.value)
 
 
-def transfer(g: PermGroup, h: PermGroup, x: Perm, caps: Caps = DEFAULT_CAPS) -> TransferResult:
+def transfer(g: PermGroup, h: PermGroup, x: Perm) -> TransferResult:
     """The transfer value of x, using the canonical transversal."""
-    trans = right_transversal(g, h, caps)
+    trans = right_transversal(g, h)
     value = pretransfer(g, h, trans, x)
-    return TransferResult(h, derived_subgroup(h, caps), value)
+    return TransferResult(h, derived_subgroup(h), value)
 
 
-def shuffled_transversal(g: PermGroup, h: PermGroup, rng, caps: Caps = DEFAULT_CAPS) -> Transversal:
+def shuffled_transversal(g: PermGroup, h: PermGroup, rng) -> Transversal:
     """A transversal with randomized representatives in randomized order.
 
     Each canonical rep is replaced by a random element of its coset.
     Used to exercise transversal independence of the transfer.
     """
-    trans = right_transversal(g, h, caps)
+    trans = right_transversal(g, h)
     reps = [h.random_element(rng) * t for t in trans.reps]
     rng.shuffle(reps)
     return Transversal(g, h, reps)
 
 
-def check_transitivity(
-    g: PermGroup, k: PermGroup, h: PermGroup, x: Perm, caps: Caps = DEFAULT_CAPS
-) -> bool:
+def check_transitivity(g: PermGroup, k: PermGroup, h: PermGroup, x: Perm) -> bool:
     """For H <= K <= G: V(x) == W(U(x)) mod H', with V: G -> H,
     U: G -> K, W: K -> H."""
     if not (h.is_subgroup_of(k) and k.is_subgroup_of(g)):
         raise ValueError("need H <= K <= G")
-    t_gh = right_transversal(g, h, caps)
-    t_gk = right_transversal(g, k, caps)
-    t_kh = right_transversal(k, h, caps)
+    t_gh = right_transversal(g, h)
+    t_gk = right_transversal(g, k)
+    t_kh = right_transversal(k, h)
     v = pretransfer(g, h, t_gh, x)
     u = pretransfer(g, k, t_gk, x)
     w = pretransfer(k, h, t_kh, u)
-    return derived_subgroup(h, caps).contains(v * w.inverse())
+    return derived_subgroup(h).contains(v * w.inverse())
 
 
-def check_mackey(
-    g: PermGroup, h: PermGroup, k: PermGroup, elem: Perm, caps: Caps = DEFAULT_CAPS
-) -> bool:
+def check_mackey(g: PermGroup, h: PermGroup, k: PermGroup, elem: Perm) -> bool:
     """For k in K: V(k) == prod over (H, K) double-coset reps x of
     x * W_x(k) * x^-1 mod H', with W_x: K -> K cap H^x."""
     if not k.contains(elem):
         raise ValueError("element must lie in K")
-    t_gh = right_transversal(g, h, caps)
+    t_gh = right_transversal(g, h)
     v = pretransfer(g, h, t_gh, elem)
     product = Perm.identity(g.degree)
-    for x in double_coset_reps(g, h, k, caps):
-        target = intersection(k, conjugate_subgroup(h, x), caps)
-        t_x = right_transversal(k, target, caps)
+    for x in double_coset_reps(g, h, k):
+        target = intersection(k, conjugate_subgroup(h, x))
+        t_x = right_transversal(k, target)
         w = pretransfer(k, target, t_x, elem)
         product = product * (x * w * x.inverse())
-    return derived_subgroup(h, caps).contains(v * product.inverse())
+    return derived_subgroup(h).contains(v * product.inverse())
 
 
-def transfer_evaluation(
-    p_grp: PermGroup, r: PermGroup, u: Perm, caps: Caps = DEFAULT_CAPS
-) -> list[tuple[Perm, int]]:
+def transfer_evaluation(p_grp: PermGroup, r: PermGroup, u: Perm) -> list[tuple[Perm, int]]:
     """Evaluate the pretransfer P -> R at u by <u>-orbits on cosets.
 
     Returns orbit representatives s with orbit lengths n_s; the factor
     of each orbit collapses to s * u^n_s * s^-1, which lies in R, and
     the full product agrees with the pretransfer mod R'.
     """
-    trans = right_transversal(p_grp, r, caps)
+    trans = right_transversal(p_grp, r)
     seen: set[Perm] = set()
     out: list[tuple[Perm, int]] = []
     for s in trans.reps:
@@ -137,14 +130,14 @@ def transfer_evaluation(
             raise InvariantError("orbit factor lies outside R")
         product = product * factor
     direct = pretransfer(p_grp, r, trans, u)
-    if not derived_subgroup(r, caps).contains(product * direct.inverse()):
+    if not derived_subgroup(r).contains(product * direct.inverse()):
         raise InvariantError("orbit evaluation disagrees with the pretransfer mod R'")
     return out
 
 
-def focal_subgroup(g: PermGroup, p_syl: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+def focal_subgroup(g: PermGroup, p_syl: PermGroup) -> PermGroup:
     """P cap G', the focal subgroup of P in G."""
-    return intersection(p_syl, derived_subgroup(g, caps), caps)
+    return intersection(p_syl, derived_subgroup(g))
 
 
 @dataclass
@@ -160,13 +153,11 @@ class ControlReport:
 
 
 @memoized
-def _ap_quotient_invariants(g: PermGroup, p: int, caps: Caps) -> tuple[int, ...]:
-    return abelian_invariants(quotient_group(g, a_p(g, p, caps), caps).image, caps)
+def _ap_quotient_invariants(g: PermGroup, p: int) -> tuple[int, ...]:
+    return abelian_invariants(quotient_group(g, a_p(g, p)).image)
 
 
-def controls_p_transfer(
-    g: PermGroup, n: PermGroup, p: int, caps: Caps = DEFAULT_CAPS
-) -> ControlReport:
+def controls_p_transfer(g: PermGroup, n: PermGroup, p: int) -> ControlReport:
     """Does N control p-transfer in G?
 
     Primary test: focal equality P cap G' = P cap N' for a Sylow
@@ -175,16 +166,16 @@ def controls_p_transfer(
     """
     if (g.order() // n.order()) % p == 0:
         raise ValueError("index of N in G must be prime to p")
-    p_syl = sylow_subgroup(n, p, caps)
+    p_syl = sylow_subgroup(n, p)
     if p_syl.order() != p_part(g.order(), p):
         raise ValueError("Sylow subgroup of N is not Sylow in G")
-    focal_g = focal_subgroup(g, p_syl, caps)
-    inv_g = _ap_quotient_invariants(g, p, caps)
+    focal_g = focal_subgroup(g, p_syl)
+    inv_g = _ap_quotient_invariants(g, p)
     if n.order() == g.order():
         focal_n, inv_n = focal_g, inv_g
     else:
-        focal_n = focal_subgroup(n, p_syl, caps)
-        inv_n = _ap_quotient_invariants(n, p, caps)
+        focal_n = focal_subgroup(n, p_syl)
+        inv_n = _ap_quotient_invariants(n, p)
     controls = focal_g.same_group_as(focal_n)
     if controls != (inv_g == inv_n):
         raise InvariantError("focal test and quotient test disagree")
@@ -206,25 +197,23 @@ class NonControlWitness:
     per_u: list[tuple[Perm, Perm, PermGroup, PermGroup]]  # (u, x, R, Q)
 
 
-def lemma23_witness(
-    g: PermGroup, n: PermGroup, p: int, caps: Caps = DEFAULT_CAPS
-) -> NonControlWitness | str:
+def lemma23_witness(g: PermGroup, n: PermGroup, p: int) -> NonControlWitness | str:
     """Extract the full non-control witness structure, or "controls"."""
-    report = controls_p_transfer(g, n, p, caps)
+    report = controls_p_transfer(g, n, p)
     if report.controls:
         return "controls"
-    p_syl = sylow_subgroup(n, p, caps)
+    p_syl = sylow_subgroup(n, p)
     # Candidate M: preimages of the index-p subgroups of the abelian
     # p-group N / A^p(N).
-    apn = a_p(n, p, caps)
-    quot = quotient_group(n, apn, caps)
-    n_trans = right_transversal(g, n, caps)
+    apn = a_p(n, p)
+    quot = quotient_group(n, apn)
+    n_trans = right_transversal(g, n)
     gen_values = [pretransfer(g, n, n_trans, x) for x in g.gens]
     m: PermGroup | None = None
-    for sub in all_subgroups(quot.image, caps):
+    for sub in all_subgroups(quot.image):
         if sub.order() * p != quot.image.order():
             continue
-        candidate = quot.preimage_subgroup(sub, caps)
+        candidate = quot.preimage_subgroup(sub)
         if all(candidate.contains(v) for v in gen_values):
             m = candidate
             break
@@ -232,16 +221,16 @@ def lemma23_witness(
         raise InvariantError("no index-p subgroup of N captures the transfer image")
     if not m.is_normal_in(n):
         raise InvariantError("the index-p witness M is not normal in N")
-    reps = double_coset_reps(g, n, p_syl, caps)
+    reps = double_coset_reps(g, n, p_syl)
     per_u = []
-    for u in p_syl.elements(caps):
+    for u in p_syl.elements():
         if m.contains(u):
             continue
         hit = None
         for x in reps[1:]:
-            r = intersection(p_syl, conjugate_subgroup(n, x), caps)
-            q = intersection(p_syl, conjugate_subgroup(m, x), caps)
-            t_r = right_transversal(p_syl, r, caps)
+            r = intersection(p_syl, conjugate_subgroup(n, x))
+            q = intersection(p_syl, conjugate_subgroup(m, x))
+            t_r = right_transversal(p_syl, r)
             w = pretransfer(p_syl, r, t_r, u)
             if not q.contains(w):
                 if r.order() >= p_syl.order() or r.order() != q.order() * p:
@@ -254,13 +243,13 @@ def lemma23_witness(
     return NonControlWitness(m, reps, per_u)
 
 
-def tate_agreement(g: PermGroup, n: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> bool:
+def tate_agreement(g: PermGroup, n: PermGroup, p: int) -> bool:
     """Do the A^p-quotient and O^p-quotient formulations of control agree?"""
     from .iso import is_isomorphic
 
-    report = controls_p_transfer(g, n, p, caps)
+    report = controls_p_transfer(g, n, p)
     abelian_side = report.quotient_invariants_g == report.quotient_invariants_n
-    qg = quotient_group(g, o_upper_p(g, p, caps), caps).image
-    qn = quotient_group(n, o_upper_p(n, p, caps), caps).image
-    full_side = is_isomorphic(qg, qn, caps)[0]
+    qg = quotient_group(g, o_upper_p(g, p)).image
+    qn = quotient_group(n, o_upper_p(n, p)).image
+    full_side = is_isomorphic(qg, qn)[0]
     return abelian_side == full_side

@@ -1,13 +1,15 @@
-"""Slow reference versions of the coset and maximality algorithms.
+"""Slow reference versions of the coset, quotient and maximality
+algorithms.
 
 These are the algorithms the group layer used before cosets were looked
-up by canonical key.  They stay here, and only here, as oracles for the
-differential tests in test_cosets.py.
+up by canonical key, and before a quotient looked up the lift of an image
+element.  They stay here, and only here, as oracles for the differential
+tests in test_cosets.py.
 """
 
 from itertools import combinations
 
-from transferlab.group import PermGroup, Transversal
+from transferlab.group import PermGroup, QuotientGroup, Transversal
 from transferlab.perm import Perm
 from transferlab.sylow import SylowFamily
 
@@ -52,3 +54,21 @@ def all_pairs_max_intersection(family: SylowFamily) -> int:
     """max |P cap Q| over all pairs of distinct members, by element sets."""
     sets = [m.element_set() for m in family.members]
     return max((len(a & b) for a, b in combinations(sets, 2)), default=1)
+
+
+def preimage_by_scan(quot: QuotientGroup, q: PermGroup) -> PermGroup:
+    """QuotientGroup.preimage_subgroup by computing the coset action of
+    every rep, in transversal order, until each generator of q is found
+    (O(|G:N|^2) coset keys)."""
+    lifts = []
+    needed = {x.images for x in q.gens}
+    for r in quot.transversal.reps:
+        if not needed:
+            break
+        img = quot.project(r).images
+        if img in needed:
+            lifts.append(r)
+            needed.discard(img)
+    if needed:
+        raise ValueError("subgroup generators not found in the image")
+    return PermGroup(quot.source.degree, list(quot.kernel.gens) + lifts)

@@ -10,7 +10,6 @@ import time
 import pytest
 
 from sampling import sample_chain, sample_ghx, sample_mackey, sample_pool
-from transferlab.caps import DEFAULT_CAPS
 from transferlab.catalog import default_corpus
 from transferlab.checkers import scan_corpus, verify_paper_witnesses
 from transferlab.group import PermGroup, normalizer, right_transversal
@@ -48,7 +47,7 @@ def corpus():
 
 def test_criterion_1_witness_suite(capsys):
     start = time.monotonic()
-    results = list(verify_paper_witnesses(DEFAULT_CAPS))
+    results = list(verify_paper_witnesses())
     total = time.monotonic() - start
     ok = all(r for _, r in results) and len(results) == 10 and total < 300
     _report(capsys, "criterion 1 (named-group witness suite)", ok)
@@ -58,7 +57,7 @@ def test_criterion_1_witness_suite(capsys):
 def test_criterion_2_theorem_scan(capsys, corpus):
     entries = default_corpus()
     start = time.monotonic()
-    default_report = scan_corpus(entries, None, DEFAULT_CAPS)
+    default_report = scan_corpus(entries)
     elapsed = time.monotonic() - start
     clean = not default_report.violations and elapsed < 1800
     discrepancies = {
@@ -134,21 +133,21 @@ def test_criterion_5_control_consistency(capsys, corpus):
     checked = 0
     for label, g in corpus:
         for p in prime_divisors(g.order()):
-            p_syl = sylow_subgroup(g, p, DEFAULT_CAPS)
+            p_syl = sylow_subgroup(g, p)
             candidates = {g.order(): g}
-            ngp = normalizer(g, p_syl, DEFAULT_CAPS)
+            ngp = normalizer(g, p_syl)
             candidates.setdefault(ngp.order(), ngp)
-            z = center(p_syl, DEFAULT_CAPS)
+            z = center(p_syl)
             if not z.is_trivial():
-                ngz = normalizer(g, z, DEFAULT_CAPS)
+                ngz = normalizer(g, z)
                 candidates.setdefault(ngz.order(), ngz)
             for n in candidates.values():
                 try:
-                    controls_p_transfer(g, n, p, DEFAULT_CAPS)
+                    controls_p_transfer(g, n, p)
                 except AssertionError:
                     disagreements.append((label, p, n.order()))
                     continue
-                if not tate_agreement(g, n, p, DEFAULT_CAPS):
+                if not tate_agreement(g, n, p):
                     tate_failures.append((label, p, n.order()))
                 checked += 1
     # At least one triple per corpus (G, p) pair; dedup by |N| collapses
@@ -186,12 +185,12 @@ def test_criterion_6_kernel_oracles(capsys, corpus):
         if g.order() <= 5000 and g.order() != _brute_closure_count(g):
             mismatches.append(("order", label))
         for p in prime_divisors(g.order()):
-            if not o_p(g, p, DEFAULT_CAPS).same_group_as(o_p_by_closure(g, p, DEFAULT_CAPS)):
+            if not o_p(g, p).same_group_as(o_p_by_closure(g, p)):
                 mismatches.append(("o_p", label, p))
         for p in prime_divisors(g.order()):
             if g.order() <= 64 and is_p_group(g, p):
-                a = frattini_p(g, p, DEFAULT_CAPS)
-                b = frattini_by_maximals(g, p, DEFAULT_CAPS)
+                a = frattini_p(g, p)
+                b = frattini_by_maximals(g, p)
                 if not a.same_group_as(b):
                     mismatches.append(("frattini", label, p))
     ok = not mismatches
@@ -204,11 +203,11 @@ def test_criterion_7_non_control_witnesses(capsys, corpus):
     bad = []
     for label, g in corpus:
         for p in prime_divisors(g.order()):
-            p_syl = sylow_subgroup(g, p, DEFAULT_CAPS)
-            ngp = normalizer(g, p_syl, DEFAULT_CAPS)
-            if controls_p_transfer(g, ngp, p, DEFAULT_CAPS).controls:
+            p_syl = sylow_subgroup(g, p)
+            ngp = normalizer(g, p_syl)
+            if controls_p_transfer(g, ngp, p).controls:
                 continue
-            wit = lemma23_witness(g, ngp, p, DEFAULT_CAPS)
+            wit = lemma23_witness(g, ngp, p)
             if wit == "controls":
                 bad.append((label, p, "inconsistent"))
                 continue
@@ -217,7 +216,7 @@ def test_criterion_7_non_control_witnesses(capsys, corpus):
                 bad.append((label, p, "index"))
             if not wit.m.is_normal_in(ngp):
                 bad.append((label, p, "normality"))
-            trans = right_transversal(g, ngp, DEFAULT_CAPS)
+            trans = right_transversal(g, ngp)
             if not all(
                 wit.m.contains(pretransfer(g, ngp, trans, x)) for x in g.gens
             ):

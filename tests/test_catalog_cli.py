@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from transferlab.caps import Caps
+from transferlab.caps import DEFAULT_CAPS, Caps, current_caps
 from transferlab.catalog import (
     CatalogEntry,
     builtin_group,
@@ -296,6 +296,20 @@ def test_cli_strict_caps_exit(monkeypatch, capsys):
     assert main(args) == 0
     assert "skipped:cap" in capsys.readouterr().out
     assert main(args + ["--strict-caps"]) == 3
+    assert current_caps() is DEFAULT_CAPS  # the command's caps end with it
+
+
+def test_cli_small_cap_still_builds_the_corpus(monkeypatch, capsys):
+    """The groups and the corpus are built under the default caps, so an
+    element cap below the corpus's largest constructor check (Q32 lists its
+    32 elements) caps only the checkers' work."""
+    monkeypatch.setenv("TRANSFERLAB_ELEMENT_CAP", "20")
+    assert main(["verify", "burnside", "S3", "--prime", "2"]) == 0
+    assert "implication_ok" in capsys.readouterr().out
+    assert main(["scan", "--checker", "burnside", "--format", "records"]) == 0
+    verdicts = [json.loads(line)["verdict"] for line in capsys.readouterr().out.splitlines()]
+    assert "skipped:cap" in verdicts and "implication_ok" in verdicts
+    assert main(["scan", "--checker", "burnside", "--strict-caps"]) == 3
 
 
 @pytest.mark.parametrize(
@@ -418,6 +432,17 @@ def test_cli_text_scan_and_verify_report_a_failing_checker(failing_burnside, cap
     assert main(["verify", "burnside", "S4", "--prime", "2"]) == 0
 
 
+@pytest.mark.parametrize("checker_id", ["thm_4_10_property", "thm_4_8"])
+def test_cli_verify_a_checker_that_does_not_apply_is_input_error(capsys, checker_id):
+    """thm_4_10_property is about p-groups and thm_4_8 about odd p: on S4
+    at p = 2 verify gives no verdict and exits 2, naming the checker and
+    the prime."""
+    assert main(["verify", checker_id, "S4", "--prime", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: checker {checker_id} does not apply to S4 at p=2\n"
+
+
 def test_cli_witness(capsys):
     assert main(["witness"]) == 0
     out = capsys.readouterr().out
@@ -434,6 +459,7 @@ def test_invalid_element_cap_is_rejected(monkeypatch, capsys, value):
     assert main(["verify", "burnside", "S4", "--prime", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: TRANSFERLAB_ELEMENT_CAP") and repr(value) in err
+    assert main(["builtin", "--list"]) == 0  # builtin ignores the variable
 
 
 def test_import_ignores_element_cap_variable():

@@ -1,6 +1,6 @@
-"""Coset keys, maximality by primitivity and Sylow intersections against
-the slow reference algorithms in coset_oracles.py, plus the explicit
-invariant checks and the uniform random_element."""
+"""Coset keys, quotient preimages, maximality by primitivity and Sylow
+intersections against the slow reference algorithms in coset_oracles.py,
+plus the explicit invariant checks and the uniform random_element."""
 
 import functools
 import os
@@ -25,12 +25,15 @@ from transferlab.group import (
     PermGroup,
     Transversal,
     _coset_key,
+    derived_subgroup,
     is_maximal,
     normalizer,
+    quotient_group,
     right_transversal,
 )
 from transferlab.iso import all_subgroups, prime_divisors
 from transferlab.perm import Perm
+from transferlab.series import a_p, o_p, o_p_prime
 from transferlab.sylow import all_sylow_subgroups, max_intersection_order, sylow_subgroup
 
 from coset_oracles import (
@@ -38,6 +41,7 @@ from coset_oracles import (
     bfs_transversal_reps,
     brute_rep_of,
     is_maximal_by_joins,
+    preimage_by_scan,
 )
 
 CORPUS = {e.label: e for e in default_corpus()}
@@ -47,6 +51,8 @@ PAIRS = [
 PAIR_IDS = [f"{label}-p{p}" for label, p in PAIRS]
 # Elements of G per pair checked against brute-force rep_of.
 REP_OF_SAMPLE = 48
+# Largest |G:N| whose quotient has every subgroup's preimage checked.
+PREIMAGE_MAX_INDEX = 64
 
 
 @functools.cache
@@ -86,6 +92,39 @@ def test_rep_of_matches_brute_force(label, p):
 def test_max_intersection_matches_all_pairs(label, p):
     g, fam, _ = corpus_pair(label, p)
     assert max_intersection_order(g, p) == all_pairs_max_intersection(fam)
+
+
+@pytest.mark.parametrize("label,p", PAIRS, ids=PAIR_IDS)
+def test_preimage_subgroup_matches_scan_oracle(label, p):
+    """The quotients the p-series and the non-control witness take, by
+    O_p(G), O_{p'}(G), G' and A^p(G): the preimage of every subgroup of
+    G/N (for |G:N| <= 64) has the generators, in order, of the scan."""
+    g = corpus_pair(label, p)[0]
+    kernels = (o_p(g, p), o_p_prime(g, p), derived_subgroup(g), a_p(g, p))
+    kernels = {n.element_set(): n for n in kernels}
+    for n in kernels.values():
+        if g.order() // n.order() > PREIMAGE_MAX_INDEX:
+            continue
+        quot = quotient_group(g, n)
+        for sub in all_subgroups(quot.image):
+            got, want = quot.preimage_subgroup(sub), preimage_by_scan(quot, sub)
+            assert [x.images for x in got.gens] == [x.images for x in want.gens]
+
+
+def test_preimage_subgroup_rejects_a_generator_outside_the_image(s4):
+    v4 = PermGroup(
+        4, [Perm.from_cycles(4, [(0, 1), (2, 3)]), Perm.from_cycles(4, [(0, 2), (1, 3)])]
+    )
+    quot = quotient_group(s4, v4)  # S3 acting regularly on 6 cosets
+    assert quot.image.degree == 6
+    outside = [
+        PermGroup(6, [Perm.transposition(6, 0, 1)]),
+        PermGroup(7, [Perm.transposition(7, 0, 6)]),
+    ]
+    for q in outside:
+        for preimage in (quot.preimage_subgroup, functools.partial(preimage_by_scan, quot)):
+            with pytest.raises(ValueError, match="not found in the image"):
+                preimage(q)
 
 
 @pytest.mark.parametrize(

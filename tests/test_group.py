@@ -244,7 +244,7 @@ def test_commutator_subgroup_mixed(s4):
     v4 = PermGroup(
         4, [Perm.from_cycles(4, [(0, 1), (2, 3)]), Perm.from_cycles(4, [(0, 2), (1, 3)])]
     )
-    c = commutator_subgroup(s4, v4, s4)
+    c = commutator_subgroup(s4, v4)
     assert c.same_group_as(v4)  # [S4, V4] = V4
 
 

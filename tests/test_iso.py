@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from transferlab import iso
-from transferlab.caps import CapExceeded, Caps
+from transferlab.caps import CapExceeded, Caps, limits
 from transferlab.catalog import (
     cyclic,
     default_corpus,
@@ -146,8 +146,10 @@ def test_automorphism_group_matches_oracle_on_small_p_groups(p_grp):
 
 def test_automorphism_group_cap():
     with pytest.raises(CapExceeded, match="automorphism search: needs 8, cap is 7"):
-        automorphism_group(dihedral(8), Caps(aut_cap=7))
-    assert len(automorphism_group(dihedral(8), Caps(aut_cap=8))) == 8
+        with limits(Caps(aut_cap=7)):
+            automorphism_group(dihedral(8))
+    with limits(Caps(aut_cap=8)):
+        assert len(automorphism_group(dihedral(8))) == 8
 
 
 def test_orbit_product_mismatch_raises_invariant_error(monkeypatch):

@@ -1,9 +1,9 @@
 """The memo that keeps derived objects on the group they come from:
 repeat calls return the kept object, kept objects equal fresh ones,
-a call is keyed by its arguments bound with defaults filled in, other
-caps recompute, a result kept by a subgroup's element set is the one
-any subgroup with those elements gets, and running the checkers leaves
-no cyclic garbage."""
+a call is keyed by its arguments bound with defaults filled in, a call
+under other caps in force recomputes, a result kept by a subgroup's
+element set is the one any subgroup with those elements gets, and
+running the checkers leaves no cyclic garbage."""
 
 import dataclasses
 import gc
@@ -13,7 +13,7 @@ import weakref
 
 import pytest
 
-from transferlab.caps import DEFAULT_CAPS, CapExceeded, Caps
+from transferlab.caps import DEFAULT_CAPS, CapExceeded, Caps, limits
 from transferlab.catalog import symmetric, wreath_cyclic
 from transferlab.checkers import (
     CHECKERS,
@@ -21,7 +21,7 @@ from transferlab.checkers import (
     _nilpotent_maximal_candidates,
     run_checker,
 )
-from transferlab.group import PermGroup, derived_subgroup, memoized, normalizer, span
+from transferlab.group import PermGroup, derived_subgroup, normalizer, span
 from transferlab.iso import automorphism_group
 from transferlab.series import (
     nilpotency_class,
@@ -36,6 +36,7 @@ from transferlab.sylow import (
     _tame_record,
     all_sylow_subgroups,
     is_tame_intersection,
+    is_weakly_closed,
     max_intersection_order,
     sylow_intersections,
     sylow_subgroup,
@@ -63,20 +64,15 @@ CALLS = {
     sylow_subgroup: lambda g, p, z: (g, (3,), {}),
     all_sylow_subgroups: lambda g, p, z: (g, (2,), {}),
     max_intersection_order: lambda g, p, z: (g, (2,), {}),
-    tame_intersections_between: lambda g, p, z: (
-        g, (2, z, False, DEFAULT_CAPS), {"strict_lower": False}
-    ),
-    _ap_quotient_invariants: lambda g, p, z: (g, (2, DEFAULT_CAPS), {}),
-    _nilpotent_maximal_candidates: lambda g, p, z: (g, (DEFAULT_CAPS,), {}),
-    _controls: lambda g, p, z: (
-        g, (all_sylow_subgroups(g, 2).normalizer, 2, DEFAULT_CAPS), {}
-    ),
+    tame_intersections_between: lambda g, p, z: (g, (2, z, False), {"strict_lower": False}),
+    _ap_quotient_invariants: lambda g, p, z: (g, (2,), {}),
+    _nilpotent_maximal_candidates: lambda g, p, z: (g, (), {}),
+    _controls: lambda g, p, z: (g, (all_sylow_subgroups(g, 2).normalizer, 2), {}),
     normalizer: lambda g, p, z: (g, (p,), {}),
+    is_weakly_closed: lambda g, p, z: (g, (p, z), {}),
     p_series: lambda g, p, z: (g, (2,), {}),
     sylow_intersections: lambda g, p, z: (g, (2,), {}),
-    _tame_record: lambda g, p, z: (
-        g, (p, *sylow_intersections(g, 2)[1], 2, DEFAULT_CAPS), {}
-    ),
+    _tame_record: lambda g, p, z: (g, (p, *sylow_intersections(g, 2)[1], 2), {}),
 }
 IDS = [fn.__name__ for fn in CALLS]
 
@@ -120,28 +116,22 @@ def test_kept_result_equals_a_fresh_call(fn):
 
 
 def test_a_default_passed_or_left_out_is_one_call():
-    g = symmetric(4)
-    kept = all_sylow_subgroups(g, 2)
-    assert all_sylow_subgroups(g, 2, DEFAULT_CAPS) is kept
-    assert all_sylow_subgroups(g, caps=DEFAULT_CAPS, p=2) is kept
+    g, _, z = _s4_p2_d8()
+    kept = tame_intersections_between(g, 2, z, False)
+    assert tame_intersections_between(g, 2, z, False, True) is kept
+    assert tame_intersections_between(g, 2, z, False, strict_lower=True) is kept
 
 
 def test_keyword_and_positional_arguments_are_one_call():
     g, _, z = _s4_p2_d8()
     kept = tame_intersections_between(g, 2, z, False, strict_lower=False)
-    assert tame_intersections_between(g, 2, z, False, DEFAULT_CAPS, False) is kept
+    assert tame_intersections_between(g, 2, z, False, False) is kept
     with pytest.raises(TypeError, match="unexpected keyword"):
         tame_intersections_between(g, 2, z, False, strict=False)
+    assert all_sylow_subgroups(g, p=2) is all_sylow_subgroups(g, 2)
     with pytest.raises(TypeError, match="missing"):
-        _controls(g, z, 2)
-
-
-def test_memoized_rejects_a_function_without_caps():
-    def no_caps(g: PermGroup, p: int) -> int:
-        return p
-
-    with pytest.raises(TypeError, match="caps"):
-        memoized(no_caps)
+        _controls(g, z)
+    assert not any(key[0] is _controls.__wrapped__ for key in g._memo)
 
 
 def test_repeat_tame_intersection_returns_the_kept_record():
@@ -156,15 +146,18 @@ def test_repeat_tame_intersection_returns_the_kept_record():
 
 def test_other_caps_recompute():
     g = symmetric(4)
-    kept = derived_subgroup(g, DEFAULT_CAPS)
-    other = derived_subgroup(g, Caps(element_cap=DEFAULT_CAPS.element_cap - 1))
+    kept = derived_subgroup(g)
+    with limits(Caps(element_cap=DEFAULT_CAPS.element_cap - 1)):
+        other = derived_subgroup(g)
+        assert derived_subgroup(g) is other
     assert other is not kept and _plain(other) == _plain(kept)
+    assert derived_subgroup(g) is kept
 
 
 def test_capped_call_is_not_kept():
     g = symmetric(4)
-    with pytest.raises(CapExceeded):
-        sylow_subgroup(g, 2, Caps(element_cap=1))
+    with pytest.raises(CapExceeded), limits(Caps(element_cap=1)):
+        sylow_subgroup(g, 2)
     assert g._memo == {}
     assert sylow_subgroup(g, 2).order() == 8
 
@@ -193,7 +186,8 @@ def test_normalizer_is_kept_by_element_set():
 
     fresh_s4 = symmetric(4)
     with pytest.raises(CapExceeded):
-        normalizer(fresh_s4, d8, Caps(element_cap=8))  # D8 is listed, S4 is not
+        with limits(Caps(element_cap=8)):
+            normalizer(fresh_s4, d8)  # D8 is listed, S4 is not
     assert not any(key[0] is normalizer.__wrapped__ for key in fresh_s4._memo)
     assert normalizer(fresh_s4, d8).element_set() == kept.element_set()
 
@@ -220,7 +214,7 @@ def test_value_keyed_results_ignore_generators_on_corpus(pair):
     p_syl, ngp = fam.base_member, fam.normalizer
     of_p, of_copy = (normalizer.__wrapped__(g, h) for h in (p_syl, _respan(p_syl, 1)))
     assert _plain(of_copy) == _plain(of_p) and _levels(of_copy.chain) == _levels(of_p.chain)
-    answers = {_controls.__wrapped__(g, n, p, DEFAULT_CAPS) for n in (ngp, _respan(ngp, 2))}
+    answers = {_controls.__wrapped__(g, n, p) for n in (ngp, _respan(ngp, 2))}
     assert len(answers) == 1
 
 
@@ -238,9 +232,9 @@ def test_checkers_leave_no_cyclic_garbage():
         try:
             g = build()
             verdicts = [
-                run_checker(cid, g, prime, DEFAULT_CAPS)
+                run_checker(cid, g, prime)
                 for cid, spec in CHECKERS.items()
-                if spec.applies(g, prime, DEFAULT_CAPS)
+                if spec.applies(g, prime)
             ]
             del g
             assert gc.collect() == 0

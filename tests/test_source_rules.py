@@ -130,3 +130,70 @@ def test_only_group_uses_the_chain_orbit_search(path):
         or (isinstance(node, ast.Attribute) and node.attr == "_orbit_transversal")
     )
     assert lines == [], f"{path.name} names _orbit_transversal at lines {lines}"
+
+
+CAPS_NAMES = {"Caps", "DEFAULT_CAPS"}
+# caps.py defines them, cli.py puts the environment's caps in force,
+# __init__.py exports them.
+CAPS_OWNERS = {"caps.py", "cli.py", "__init__.py"}
+
+
+def _caps_parameters(tree: ast.AST) -> list[int]:
+    """Lines of the functions, methods and lambdas with a parameter named caps."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            if any(q is not None and q.arg == "caps" for q in params):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def _caps_names(tree: ast.AST) -> list[int]:
+    """Lines that name Caps or DEFAULT_CAPS: by name, as an attribute, or
+    imported."""
+    lines = []
+    for node in ast.walk(tree):
+        if (
+            (isinstance(node, ast.Name) and node.id in CAPS_NAMES)
+            or (isinstance(node, ast.Attribute) and node.attr in CAPS_NAMES)
+            or (isinstance(node, ast.alias) and node.name in CAPS_NAMES)
+        ):
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_caps_rules_see_parameters_and_names():
+    source = (
+        "def f(g, caps): pass\n"
+        "def h(g, *, caps=None): pass\n"
+        "k = lambda g, p, caps: p\n"
+        "def ok(g, in_force): return in_force.element_cap\n"
+        "from .caps import DEFAULT_CAPS, check_cap\n"
+        "x = caps.Caps(element_cap=1)\n"
+        "y = current_caps().element_cap\n"
+    )
+    tree = ast.parse(source)
+    assert _caps_parameters(tree) == [1, 2, 3]
+    assert _caps_names(tree) == [5, 6]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_caps_parameter(path):
+    """The caps in force are one setting (`caps.limits`, read by
+    `caps.current_caps`), never an argument."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = _caps_parameters(tree)
+    assert lines == [], f"{path.name} takes a caps parameter at lines {lines}"
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in MODULES if path.name not in CAPS_OWNERS], ids=lambda path: path.name
+)
+def test_only_caps_cli_and_init_name_the_caps_type(path):
+    """The library reads the caps in force with `current_caps`; only the
+    modules that define, set or export caps name `Caps` or `DEFAULT_CAPS`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = _caps_names(tree)
+    assert lines == [], f"{path.name} names Caps or DEFAULT_CAPS at lines {lines}"

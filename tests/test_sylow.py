@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from transferlab.caps import DEFAULT_CAPS
 from transferlab.catalog import (
     alternating,
     dihedral,
@@ -84,12 +83,8 @@ def test_tame_intersection_s4(s4):
 def test_tame_intersections_between_bounds(s4):
     trivial = PermGroup(4, [])
     # Inclusive at both ends picks up D = P as well.
-    recs_all = tame_intersections_between(
-        s4, 2, trivial, False, DEFAULT_CAPS, strict_lower=False
-    )
-    recs_proper = tame_intersections_between(
-        s4, 2, trivial, True, DEFAULT_CAPS, strict_lower=False
-    )
+    recs_all = tame_intersections_between(s4, 2, trivial, False, strict_lower=False)
+    recs_proper = tame_intersections_between(s4, 2, trivial, True, strict_lower=False)
     assert len(recs_all) == len(recs_proper) + 1
     orders_proper = sorted(r.d.order() for r in recs_proper)
     assert orders_proper == [4]
@@ -102,12 +97,12 @@ def test_sylow_intersections_on_corpus(pair):
     once, in family order, with the first member that gives it."""
     entry, p = pair
     g = entry.build()
-    fam = all_sylow_subgroups(g, p, DEFAULT_CAPS)
+    fam = all_sylow_subgroups(g, p)
     p_syl = fam.base_member
     first = {}
     for q_syl in fam.members:
         first.setdefault(p_syl.element_set() & q_syl.element_set(), q_syl)
-    found = sylow_intersections(g, p, DEFAULT_CAPS)
+    found = sylow_intersections(g, p)
     assert [d.element_set() for d, _ in found] == list(first)
     assert all(q is kept for (_, q), kept in zip(found, first.values()))
     for d, q_syl in found:
@@ -119,28 +114,28 @@ def test_sylow_intersections_on_corpus(pair):
     )
 
 
-def _tame_loop(g, p, lower, strict_upper, caps, strict_lower):
+def _tame_loop(g, p, lower, strict_upper, strict_lower):
     """tame_intersections_between as it was before `sylow_intersections`:
     P cap Q formed for every member Q, deduplicated by D after the
     filters, and classified by `is_tame_intersection`."""
-    fam = all_sylow_subgroups(g, p, caps)
+    fam = all_sylow_subgroups(g, p)
     p_syl = fam.base_member
     lower_order = lower.order()
     seen = set()
     out = []
     for q_syl in fam.members[1:] if strict_upper else fam.members:
-        d = intersection(p_syl, q_syl, caps)
+        d = intersection(p_syl, q_syl)
         if strict_upper and d.order() == p_syl.order():
             continue
         if d.order() < lower_order or not lower.is_subgroup_of(d):
             continue
         if strict_lower and d.order() == lower_order:
             continue
-        key = d.element_set(caps)
+        key = d.element_set()
         if key in seen:
             continue
         seen.add(key)
-        rec = is_tame_intersection(g, p_syl, q_syl, p, caps)
+        rec = is_tame_intersection(g, p_syl, q_syl, p)
         if rec.tame:
             out.append(rec)
     return out
@@ -170,7 +165,7 @@ def test_tame_intersections_between_matches_the_per_member_loop(pair):
     for lower in lowers:
         for strict_upper in (True, False):
             for strict_lower in (True, False):
-                args = (p, lower, strict_upper, DEFAULT_CAPS)
+                args = (p, lower, strict_upper)
                 found = tame_intersections_between(g, *args, strict_lower=strict_lower)
                 expected = _tame_loop(oracle_g, *args, strict_lower)
                 assert [_record(r) for r in found] == [_record(r) for r in expected]

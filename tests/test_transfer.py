@@ -185,7 +185,7 @@ def test_control_cross_check_raises_invariant_error(monkeypatch, s4):
     ngp = normalizer(s4, sylow_subgroup(s4, 2))
     assert not controls_p_transfer(s4, ngp, 2).controls
     # Equal invariants for every group claim control.
-    monkeypatch.setattr(transfer_mod, "_ap_quotient_invariants", lambda g, p, caps: ())
+    monkeypatch.setattr(transfer_mod, "_ap_quotient_invariants", lambda g, p: ())
     with pytest.raises(InvariantError):
         controls_p_transfer(s4, ngp, 2)
 
