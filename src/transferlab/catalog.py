@@ -10,6 +10,7 @@ from __future__ import annotations
 import inspect
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .group import InvariantError, PermGroup
 from .iso import prime_divisors
@@ -293,33 +294,48 @@ def save_catalog(entries: list[CatalogEntry], path: str) -> None:
             fh.write(entry.to_json() + "\n")
 
 
+# The shipped corpus in order: (label, constructor).  A group is built
+# only when its constructor is called, so a label lookup builds one group.
+_CORPUS: tuple[tuple[str, Callable[[], PermGroup]], ...] = (
+    *((f"S{n}", lambda n=n: symmetric(n)) for n in range(2, 7)),
+    *((f"A{n}", lambda n=n: alternating(n)) for n in range(3, 7)),
+    *((f"C{n}", lambda n=n: cyclic(n)) for n in (2, 3, 4, 5, 6, 8, 9, 12)),
+    *((f"D{m}", lambda m=m: dihedral(m)) for m in (6, 8, 10, 12, 16)),
+    *((f"Q{m}", lambda m=m: generalized_quaternion(m)) for m in (8, 16, 32)),
+    *((f"E{p}^{k}", lambda p=p, k=k: elementary_abelian(p, k))
+      for p, k in ((2, 2), (2, 3), (3, 2), (5, 2))),
+    *((f"Z{p}wrZ{p}", lambda p=p: wreath_cyclic(p)) for p in (2, 3)),
+    *((f"PSL(2,{q})", lambda q=q: psl2(q)) for q in (5, 7, 17)),
+    ("SL(2,3)", lambda: sl23()),
+    ("C2xC4", lambda: direct_product(cyclic(2), cyclic(4))),
+    ("C2xD8", lambda: direct_product(cyclic(2), dihedral(8))),
+    ("C2xQ8", lambda: direct_product(cyclic(2), generalized_quaternion(8))),
+    ("S3xS3", lambda: direct_product(symmetric(3), symmetric(3))),
+    ("A4xC2", lambda: direct_product(alternating(4), cyclic(2))),
+    ("D6xC3", lambda: direct_product(dihedral(6), cyclic(3))),
+    ("C3xC9", lambda: direct_product(cyclic(3), cyclic(9))),
+)
+
+
+def _corpus_build(label: str, ctor: Callable[[], PermGroup]) -> PermGroup:
+    g = ctor()
+    if g.name != label:
+        raise InvariantError(f"corpus entry {label!r} builds a group named {g.name!r}")
+    return g
+
+
+def corpus_group(label: str) -> PermGroup | None:
+    """The default-corpus group with this label, built alone (no other
+    corpus group is built); None when no entry has the label."""
+    ctor = dict(_CORPUS).get(label)
+    return None if ctor is None else _corpus_build(label, ctor)
+
+
 def default_corpus() -> list[CatalogEntry]:
     """The shipped corpus: 40+ groups of order up to 2448."""
-    groups: list[PermGroup] = []
-    groups += [symmetric(n) for n in range(2, 7)]
-    groups += [alternating(n) for n in range(3, 7)]
-    groups += [cyclic(n) for n in (2, 3, 4, 5, 6, 8, 9, 12)]
-    groups += [dihedral(m) for m in (6, 8, 10, 12, 16)]
-    groups += [generalized_quaternion(m) for m in (8, 16, 32)]
-    groups += [
-        elementary_abelian(2, 2),
-        elementary_abelian(2, 3),
-        elementary_abelian(3, 2),
-        elementary_abelian(5, 2),
+    entries = [
+        entry_for(_corpus_build(label, ctor), tags=["builtin"]) for label, ctor in _CORPUS
     ]
-    groups += [wreath_cyclic(2), wreath_cyclic(3)]
-    groups += [psl2(5), psl2(7), psl2(17)]
-    groups += [sl23()]
-    groups += [
-        direct_product(cyclic(2), cyclic(4)),
-        direct_product(cyclic(2), dihedral(8)),
-        direct_product(cyclic(2), generalized_quaternion(8)),
-        direct_product(symmetric(3), symmetric(3)),
-        direct_product(alternating(4), cyclic(2)),
-        direct_product(dihedral(6), cyclic(3)),
-        direct_product(cyclic(3), cyclic(9)),
-    ]
-    entries = [entry_for(g, tags=["builtin"]) for g in groups]
     labels = [e.label for e in entries]
     if len(labels) != len(set(labels)):
         raise InvariantError("corpus labels must be unique")

@@ -2,9 +2,11 @@
 
 Subcommands: analyze, verify, scan, witness, builtin.  verify and scan
 take --format text|records and --strict-caps; analyze, verify and scan
-take --catalog.  All but builtin build their groups under the default
-caps, then compute under `Caps.default()`, which reads the element cap
-from TRANSFERLAB_ELEMENT_CAP.
+take --catalog.  analyze and verify name one group: without --catalog,
+a default-corpus label builds that group alone, not the whole corpus.
+All but builtin build their groups under the default caps, then compute
+under `Caps.default()`, which reads the element cap from
+TRANSFERLAB_ELEMENT_CAP.
 Exit codes: 0 pass, 1 violation, checker error or witness failure, 2
 input error, 3 when a cap stops a command before it gives its answer,
 or when a verify or scan verdict is skipped:cap under --strict-caps,
@@ -20,9 +22,9 @@ import sys
 
 from .caps import CapExceeded, Caps, limits
 from .catalog import (
-    CatalogEntry,
     builtin_group,
     builtin_names,
+    corpus_group,
     default_corpus,
     load_catalog,
 )
@@ -56,18 +58,16 @@ EXIT_CAPPED = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 
-def _entries(args) -> list[CatalogEntry]:
-    if args.catalog:
-        return load_catalog(args.catalog)
-    return default_corpus()
-
-
 def _resolve_group(selector: str, args) -> PermGroup:
     """A catalog label, or a builtin spec like "psl2:17", "symmetric:4" or
-    "sl23".  A catalog label wins over a builtin of the same name."""
-    for entry in _entries(args):
-        if entry.label == selector:
-            return entry.build()
+    "sl23".  A catalog label wins over a builtin of the same name.  Without
+    --catalog, a default-corpus label builds that one group alone."""
+    if args.catalog:
+        group = next((e.build() for e in load_catalog(args.catalog) if e.label == selector), None)
+    else:
+        group = corpus_group(selector)
+    if group is not None:
+        return group
     name, colon, rest = selector.partition(":")
     if not colon and name not in dict(builtin_names()):
         raise ValueError(f"unknown group selector: {selector!r}")
@@ -146,7 +146,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    entries = _entries(args)
+    entries = load_catalog(args.catalog) if args.catalog else default_corpus()
     with limits(Caps.default()):
         report = scan_corpus(entries, args.checker or None)
     errors = [v for v in report.verdicts if v.verdict == "error"]

@@ -19,14 +19,16 @@ generating sequence of the isomorphism searches) is made by
 `_known_subgroup`, which keeps its order and set; its chain is built on
 first use, stopped at that order.
 
-Every orbit is found by one breadth-first search (`_orbit`): right
-cosets (`right_transversal`), double cosets, conjugacy classes, the
-<u>-orbits of the transfer evaluation and the Aut(P)-orbits.  Only the
-chain build keeps its own search (`_orbit_transversal`), because it
-also needs the transversal.  Right cosets are told apart by their coset
-key (`_coset_key`): the images of one canonical element of the coset
-Hg, found by walking H's stabilizer chain and, at each level, stepping
-to the coset element that sends the base point to its smallest image.
+Every orbit is found by one breadth-first search (`_keyed_orbit`, whose
+points `_orbit` lists): right cosets (`right_transversal`, which hands
+the coset keys it found to its `Transversal`), double cosets, conjugacy
+classes, the <u>-orbits of the transfer evaluation and the
+Aut(P)-orbits.  Only the chain build keeps its own search
+(`_orbit_transversal`), because it also needs the transversal.  Right
+cosets are told apart by their coset key (`_coset_key`): the images of
+one canonical element of the coset Hg, found by walking H's stabilizer
+chain and, at each level, stepping to the coset element that sends the
+base point to its smallest image.
 Transversals, quotients, double cosets and the maximality test look
 cosets up by this key instead of testing g * r^-1 against H for every
 representative r.
@@ -78,8 +80,9 @@ class _Level:
     inverses: dict[int, tuple[int, ...]]  # point -> u^-1 for the u above
 
 
-def _orbit(start, gens: Sequence, act: Callable, key: Callable | None = None) -> list:
-    """The orbit of start under gens, in breadth-first order.
+def _keyed_orbit(start, gens: Sequence, act: Callable, key: Callable | None = None) -> dict:
+    """The orbit of start under gens, as a dict key -> point in
+    breadth-first order.
 
     act(x, s) is the image of the point x under the generator s, and
     key(x) tells points apart (the point itself when key is None); of
@@ -88,16 +91,21 @@ def _orbit(start, gens: Sequence, act: Callable, key: Callable | None = None) ->
     the level-by-level order of a frontier search (Holt, Eick and
     O'Brien, Handbook of CGT, ch. 4).
     """
-    seen = {start if key is None else key(start)}
+    found = {start if key is None else key(start): start}
     orbit = [start]
     for x in orbit:
         for s in gens:
             y = act(x, s)
             k = y if key is None else key(y)
-            if k not in seen:
-                seen.add(k)
+            if k not in found:
+                found[k] = y
                 orbit.append(y)
-    return orbit
+    return found
+
+
+def _orbit(start, gens: Sequence, act: Callable, key: Callable | None = None) -> list:
+    """The points of `_keyed_orbit`, in breadth-first order."""
+    return list(_keyed_orbit(start, gens, act, key).values())
 
 
 def _orbit_transversal(
@@ -552,15 +560,24 @@ class Transversal:
     given (G, H) pair always yields the same transversal and therefore
     the same raw pretransfer values.  Each rep is filed under its coset
     key (see `_coset_key`), so the rep of any g is one key computation
-    and one lookup.
+    and one lookup.  keys, when given, are the reps' coset keys in the
+    order of reps, as the coset search has already computed them.
     """
 
-    def __init__(self, parent: PermGroup, subgroup: PermGroup, reps: list[Perm]):
+    def __init__(
+        self,
+        parent: PermGroup,
+        subgroup: PermGroup,
+        reps: list[Perm],
+        keys: Iterable[tuple[int, ...]] | None = None,
+    ):
         self.parent = parent
         self.subgroup = subgroup
         self.reps = reps
         self._rep_set = {r.images for r in reps}
-        self._index = {_coset_key(subgroup, r): i for i, r in enumerate(reps)}
+        if keys is None:
+            keys = (_coset_key(subgroup, r) for r in reps)
+        self._index = {k: i for i, k in enumerate(keys)}
         if len(self._index) != len(reps):
             raise ValueError("two representatives lie in the same coset")
 
@@ -598,11 +615,14 @@ def right_transversal(g: PermGroup, h: PermGroup) -> Transversal:
     index = g.order() // h.order()
     check_cap("transversal", index, current_caps().element_cap)
     # A coset is new when its key has not been seen.
-    reps = _orbit(Perm.identity(g.degree), g.gens, Perm.__mul__, lambda c: _coset_key(h, c))
-    if len(reps) != index:
-        raise InvariantError(f"coset BFS found {len(reps)} cosets, expected {index}")
-    ordered = [reps[0]] + sorted(reps[1:])
-    return Transversal(g, h, ordered)
+    by_key = _keyed_orbit(
+        Perm.identity(g.degree), g.gens, Perm.__mul__, lambda c: _coset_key(h, c)
+    )
+    if len(by_key) != index:
+        raise InvariantError(f"coset BFS found {len(by_key)} cosets, expected {index}")
+    first, *rest = by_key.items()
+    ordered = [first] + sorted(rest, key=lambda item: item[1])
+    return Transversal(g, h, [r for _, r in ordered], (k for k, _ in ordered))
 
 
 def double_coset_reps(g: PermGroup, h: PermGroup, k: PermGroup) -> list[Perm]:

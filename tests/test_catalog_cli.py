@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,11 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from transferlab import catalog
 from transferlab.caps import DEFAULT_CAPS, Caps, current_caps
 from transferlab.catalog import (
     CatalogEntry,
     builtin_group,
     builtin_names,
+    corpus_group,
     cyclic,
     default_corpus,
     dihedral,
@@ -22,7 +25,8 @@ from transferlab.catalog import (
     symmetric,
     wreath_cyclic,
 )
-from transferlab.cli import main
+from transferlab.cli import _resolve_group, main
+from transferlab.group import InvariantError
 
 
 def test_builtin_closed_form_orders():
@@ -170,6 +174,45 @@ def test_cli_catalog_label_wins_over_builtin_name(capsys, tmp_path):
     save_catalog([entry], str(path))
     assert main(["analyze", "sl23", "--catalog", str(path), "--prime", "3"]) == 0
     assert "order 3 " in capsys.readouterr().out
+
+
+CORPUS_ENTRIES = default_corpus()
+
+
+@pytest.mark.parametrize("entry", CORPUS_ENTRIES, ids=lambda e: e.label)
+def test_corpus_label_resolves_to_the_entry_group(entry):
+    """Resolving a default-corpus label builds that group alone; it is the
+    group that the entry of the whole corpus builds."""
+    got, want = _resolve_group(entry.label, argparse.Namespace(catalog=None)), entry.build()
+    assert (got.name, got.degree, got.order()) == (want.name, want.degree, want.order())
+    assert [x.images for x in got.gens] == [x.images for x in want.gens]
+
+
+def test_one_label_builds_one_group(monkeypatch, capsys):
+    """With the PSL(2,q) and quaternion constructors broken, the whole
+    corpus cannot be built, but analyze and verify of S4 still run."""
+
+    def broken(*args):
+        raise RuntimeError("this constructor must not run")
+
+    monkeypatch.setattr(catalog, "psl2", broken)
+    monkeypatch.setattr(catalog, "generalized_quaternion", broken)
+    with pytest.raises(RuntimeError):
+        default_corpus()
+    assert main(["analyze", "S4", "--prime", "2"]) == 0
+    assert main(["verify", "burnside", "S4", "--prime", "2"]) == 0
+    assert "group: S4  order 24" in capsys.readouterr().out
+    assert main(["analyze", "NoSuchGroup", "--prime", "2"]) == 2
+    assert capsys.readouterr().err == "error: unknown group selector: 'NoSuchGroup'\n"
+
+
+def test_corpus_label_that_disagrees_with_its_group_name_is_an_invariant_error(monkeypatch):
+    (_, ctor), *rest = catalog._CORPUS
+    monkeypatch.setattr(catalog, "_CORPUS", (("S2-mislabelled", ctor), *rest))
+    with pytest.raises(InvariantError, match="S2-mislabelled"):
+        default_corpus()
+    with pytest.raises(InvariantError, match="S2-mislabelled"):
+        corpus_group("S2-mislabelled")
 
 
 @pytest.mark.parametrize(
@@ -385,6 +428,19 @@ def test_cli_scan_records_match_golden(capsys):
     """The full record stream stays byte-identical to the checked-in one."""
     assert main(["scan", "--format", "records"]) == 0
     assert capsys.readouterr().out == GOLDEN_RECORDS.read_text()
+
+
+GOLDEN_ANALYZE = ROOT / "perfbench" / "golden" / "analyze.json"
+
+
+@pytest.mark.parametrize(
+    "label,p", [("S4", 2), ("Q16", 2), ("C2xQ8", 2), ("SL(2,3)", 3), ("PSL(2,17)", 2)]
+)
+def test_cli_analyze_matches_golden(capsys, label, p):
+    """analyze prints, byte for byte, what the checked-in golden file holds."""
+    golden = json.loads(GOLDEN_ANALYZE.read_text())
+    assert main(["analyze", label, "--prime", str(p)]) == 0
+    assert capsys.readouterr().out == golden[f"analyze {label} --prime {p}"]
 
 
 def test_cli_scan_text_summary_pinned(capsys):

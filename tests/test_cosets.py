@@ -80,6 +80,18 @@ def test_right_transversal_matches_bfs_oracle(label, p):
 
 
 @pytest.mark.parametrize("label,p", PAIRS, ids=PAIR_IDS)
+def test_transversal_files_each_rep_under_its_own_coset_key(label, p):
+    """right_transversal hands Transversal the keys its coset search found;
+    a Transversal that computes the keys itself looks every rep up alike."""
+    g, fam, n = corpus_pair(label, p)
+    for h in (fam.base_member, n):
+        trans = right_transversal(g, h)
+        recomputed = Transversal(g, h, trans.reps)
+        assert [trans.index_of(r) for r in trans.reps] == list(range(len(trans)))
+        assert [recomputed.index_of(r) for r in trans.reps] == list(range(len(trans)))
+
+
+@pytest.mark.parametrize("label,p", PAIRS, ids=PAIR_IDS)
 def test_rep_of_matches_brute_force(label, p):
     g, fam, _ = corpus_pair(label, p)
     trans = right_transversal(g, fam.base_member)
@@ -161,6 +173,9 @@ def test_transversal_rejects_two_reps_of_one_coset(s4):
     d8 = _d8_in_s4()
     with pytest.raises(ValueError):
         Transversal(s4, d8, [s4.identity(), d8.gens[0]])
+    key = _coset_key(d8, s4.identity())
+    with pytest.raises(ValueError):
+        Transversal(s4, d8, [s4.identity(), s4.gens[0]], [key, key])
 
 
 def test_coset_key_is_constant_on_cosets_and_separates_them(s4):
