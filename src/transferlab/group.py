@@ -1,14 +1,16 @@
 """Permutation groups with deterministic stabilizer chains.
 
 Everything here is immutable after construction; derived objects
-(transversals, quotients) hold references to their parents and never
-mutate them.  Identical generator lists always produce identical chains,
-orderings and transversals, which keeps every downstream computation
-(including transfer values) reproducible.  Derived subgroups and the
-like are kept on the group they come from by one decorator
-(`memoized`), keyed by the caps in force and the call's arguments with
-defaults filled in, each other group argument by its element set, so a
-fresh subgroup with the same elements gets the kept result.
+(transversals, quotients) hold references to the groups they were built
+from and never mutate them.  Identical generator lists always produce
+identical chains, orderings and transversals, which keeps every
+downstream computation (including transfer values) reproducible.
+Derived subgroups, right transversals and the like are kept on the group
+they come from by one decorator (`memoized`), keyed by the caps in force
+and the call's arguments with defaults filled in, each other group
+argument by its element set, so a fresh subgroup with the same elements
+gets the kept result.  A kept object is shared by every caller that asks
+for it, so no caller may mutate it (a transversal's `reps` included).
 
 A subgroup built from a list of elements, by `span` or by scanning a
 group's elements (`_scan_subgroup`), goes through one path
@@ -29,9 +31,10 @@ cosets are told apart by their coset key (`_coset_key`): the images of
 one canonical element of the coset Hg, found by walking H's stabilizer
 chain and, at each level, stepping to the coset element that sends the
 base point to its smallest image.
-Transversals, quotients, double cosets and the maximality test look
-cosets up by this key instead of testing g * r^-1 against H for every
-representative r.
+Transversals, quotients, double cosets, the maximality test and the
+pretransfer look cosets up by this key instead of testing g * r^-1
+against H for every representative r.  `right_transversal` is memoized;
+a quotient builds its transversal unkept (see `QuotientGroup`).
 
 A chain level (`_Level`) keeps its transversal and inverses as image
 tuples, during the build and after it; only strong generators are
@@ -355,7 +358,9 @@ def memoized(fn):
     (hence nilpotency_class is memoized, but not lower_central_series,
     whose first term is g), and (b) its result depends only on the
     element sets of its other group arguments.  A subgroup in the result
-    may carry the generators of the first call's arguments.
+    may carry the generators of the first call's arguments, and a kept
+    transversal holds the first call's H (see `right_transversal`).
+    Every caller gets the one kept object, so none may mutate it.
     """
     params = list(inspect.signature(fn).parameters.values())[1:]
     names = [q.name for q in params]
@@ -536,16 +541,21 @@ def derived_subgroup(g: PermGroup) -> PermGroup:
 # transversals and coset machinery ----------------------------------------
 
 def _coset_key(h: PermGroup, g: Perm) -> tuple[int, ...]:
-    """Images of the canonical element of the right coset Hg.
+    """Images of the canonical element of the right coset Hg (see
+    `_coset_key_of_images`)."""
+    if g.degree != h.degree:
+        raise ValueError("degree mismatch")
+    return _coset_key_of_images(h, g.images)
+
+
+def _coset_key_of_images(h: PermGroup, imgs: tuple[int, ...]) -> tuple[int, ...]:
+    """`_coset_key` of the element with these images, of H's degree.
 
     Walk H's chain; at each level, step to the coset element that sends
     the base point to its smallest possible image.  The elements left
     after a level depend only on the coset, and after the last level one
     element is left.
     """
-    if g.degree != h.degree:
-        raise ValueError("degree mismatch")
-    imgs = g.images
     for lvl in h.chain:
         y = min(lvl.transversal, key=imgs.__getitem__)
         if y != lvl.base:
@@ -561,17 +571,17 @@ class Transversal:
     the same raw pretransfer values.  Each rep is filed under its coset
     key (see `_coset_key`), so the rep of any g is one key computation
     and one lookup.  keys, when given, are the reps' coset keys in the
-    order of reps, as the coset search has already computed them.
+    order of reps, as the coset search has already computed them.  A
+    transversal holds H, whose chain its keys come from, but not G, so
+    G can keep it (see `right_transversal`).
     """
 
     def __init__(
         self,
-        parent: PermGroup,
         subgroup: PermGroup,
         reps: list[Perm],
         keys: Iterable[tuple[int, ...]] | None = None,
     ):
-        self.parent = parent
         self.subgroup = subgroup
         self.reps = reps
         self._rep_set = {r.images for r in reps}
@@ -589,7 +599,13 @@ class Transversal:
 
     def index_of(self, g: Perm) -> int:
         """The position in reps of the rep of Hg."""
-        i = self._index.get(_coset_key(self.subgroup, g))
+        if g.degree != self.subgroup.degree:
+            raise ValueError("degree mismatch")
+        return self._index_of_images(g.images)
+
+    def _index_of_images(self, imgs: tuple[int, ...]) -> int:
+        """`index_of` the element with these images, of H's degree."""
+        i = self._index.get(_coset_key_of_images(self.subgroup, imgs))
         if i is None:
             raise ValueError("element is not in the parent group")
         return i
@@ -609,11 +625,28 @@ class Transversal:
         return self.rep_of(t * g)
 
 
+@memoized
 def right_transversal(g: PermGroup, h: PermGroup) -> Transversal:
+    """The right transversal of H in G, kept on G.
+
+    The reps are found by a breadth-first search over G's generators that
+    keeps the first element found in each coset, so they depend only on
+    G's generators and on the partition of G into cosets of H: another
+    key function that tells the same cosets apart finds the same reps in
+    the same order.  So the reps depend only on H's element set, as the
+    memo requires.  The coset keys do depend on H's chain, but the kept
+    transversal carries the first call's H as `subgroup`, and every
+    lookup walks that same chain, so keys and lookups agree.  When H is
+    G itself, the transversal gets a copy of G that shares G's chain,
+    since the kept result must not reference G.
+    """
     if not h.is_subgroup_of(g):
         raise ValueError("H is not a subgroup of G")
     index = g.order() // h.order()
     check_cap("transversal", index, current_caps().element_cap)
+    if h is g:
+        h = PermGroup(g.degree, g.gens)
+        h._chain = g.chain
     # A coset is new when its key has not been seen.
     by_key = _keyed_orbit(
         Perm.identity(g.degree), g.gens, Perm.__mul__, lambda c: _coset_key(h, c)
@@ -622,7 +655,12 @@ def right_transversal(g: PermGroup, h: PermGroup) -> Transversal:
         raise InvariantError(f"coset BFS found {len(by_key)} cosets, expected {index}")
     first, *rest = by_key.items()
     ordered = [first] + sorted(rest, key=lambda item: item[1])
-    return Transversal(g, h, [r for _, r in ordered], (k for k, _ in ordered))
+    return Transversal(h, [r for _, r in ordered], (k for k, _ in ordered))
+
+
+# The unkept build, bound here so that a wrapper later put on the public
+# name does not bring the memo back (see `QuotientGroup`).
+_unkept_right_transversal = right_transversal.__wrapped__
 
 
 def double_coset_reps(g: PermGroup, h: PermGroup, k: PermGroup) -> list[Perm]:
@@ -655,7 +693,9 @@ class QuotientGroup:
             raise ValueError("kernel is not normal in the source")
         self.source = source
         self.kernel = kernel
-        self.transversal = right_transversal(source, kernel)
+        # Unkept: the kernel is often a fresh join whose elements nobody has
+        # listed, and the memo key would enumerate them.
+        self.transversal = _unkept_right_transversal(source, kernel)
         self.image = PermGroup(
             max(len(self.transversal.reps), 1),
             [self._coset_perm(g) for g in source.gens],
@@ -733,11 +773,23 @@ def _joins_all_cosets(actions: list[list[int]], a: int) -> bool:
 def is_maximal(g: PermGroup, h: PermGroup) -> bool:
     """H is maximal in G iff G acts primitively on the right cosets of H,
     i.e. iff no block system other than the single block joins coset H
-    to another coset."""
+    to another coset.
+
+    One coset a per H-orbit on the other cosets is tested: H fixes coset
+    0, and for h in H the finest block system joining 0 and a.h is the
+    image under h of the one joining 0 and a, so it has as many blocks.
+    """
     if h.same_group_as(g):
         raise ValueError("H must be a proper subgroup of G")
     if not h.is_subgroup_of(g):
         raise ValueError("H is not a subgroup of G")
     trans = right_transversal(g, h)
     actions = [trans.action(s) for s in g.gens]
-    return all(_joins_all_cosets(actions, a) for a in range(1, len(trans)))
+    h_actions = [trans.action(s) for s in h.gens]
+    tested = {0}
+    for a in range(1, len(trans)):
+        if a not in tested:
+            if not _joins_all_cosets(actions, a):
+                return False
+            tested.update(_orbit(a, h_actions, lambda j, act: act[j]))
+    return True

@@ -23,7 +23,7 @@ from .group import (
     right_transversal,
 )
 from .iso import abelian_invariants, all_subgroups
-from .perm import Perm
+from .perm import Perm, _compose, _perm
 from .series import a_p, o_upper_p, p_part
 from .sylow import sylow_subgroup
 
@@ -32,11 +32,20 @@ def pretransfer(g: PermGroup, h: PermGroup, trans: Transversal, x: Perm) -> Perm
     """V(x) = product over t in the transversal of t * x * (t.x)^-1.
 
     Each factor lies in H, so the product does; the factor order is the
-    transversal's list order.
+    transversal's list order.  The loop runs on image tuples: for each t
+    it forms u = t * x, looks up the rep r = t.x of Hu by u's coset key,
+    and multiplies the product by u * r^-1.  Only the final value is
+    wrapped as a Perm.
     """
-    result = Perm.identity(g.degree)
-    for t in trans.reps:
-        result = result * (t * x * trans.dot(t, x).inverse())
+    if x.degree != g.degree:
+        raise ValueError("degree mismatch")
+    reps, xs = trans.reps, x.images
+    value = tuple(range(g.degree))
+    for t in reps:
+        u = _compose(t.images, xs)
+        r = reps[trans._index_of_images(u)]
+        value = _compose(value, _compose(u, r.inverse().images))
+    result = _perm(value)
     if not h.contains(result):
         raise InvariantError("pretransfer value lies outside H")
     return result
@@ -73,7 +82,7 @@ def shuffled_transversal(g: PermGroup, h: PermGroup, rng) -> Transversal:
     trans = right_transversal(g, h)
     reps = [h.random_element(rng) * t for t in trans.reps]
     rng.shuffle(reps)
-    return Transversal(g, h, reps)
+    return Transversal(h, reps)
 
 
 def check_transitivity(g: PermGroup, k: PermGroup, h: PermGroup, x: Perm) -> bool:

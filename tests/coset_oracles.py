@@ -2,14 +2,16 @@
 algorithms.
 
 These are the algorithms the group layer used before cosets were looked
-up by canonical key, and before a quotient looked up the lift of an image
-element.  They stay here, and only here, as oracles for the differential
-tests in test_cosets.py.
+up by canonical key, before a quotient looked up the lift of an image
+element, before the maximality test ran one block test per H-orbit and
+before the pretransfer ran on image tuples.  They stay here, and only
+here, as oracles for the differential tests in test_cosets.py and
+test_transfer.py.
 """
 
 from itertools import combinations
 
-from transferlab.group import PermGroup, QuotientGroup, Transversal
+from transferlab.group import PermGroup, QuotientGroup, Transversal, _joins_all_cosets
 from transferlab.perm import Perm
 from transferlab.sylow import SylowFamily
 
@@ -48,6 +50,22 @@ def is_maximal_by_joins(g: PermGroup, h: PermGroup) -> bool:
         PermGroup(g.degree, list(h.gens) + [t]).order() == order_g
         for t in bfs_transversal_reps(g, h)[1:]
     )
+
+
+def is_maximal_all_cosets(trans: Transversal, g: PermGroup) -> bool:
+    """is_maximal's primitivity test with one block test per coset other
+    than H itself, on a transversal of H in G."""
+    actions = [trans.action(s) for s in g.gens]
+    return all(_joins_all_cosets(actions, a) for a in range(1, len(trans)))
+
+
+def pretransfer_by_perms(trans: Transversal, x: Perm) -> Perm:
+    """The product over t in trans of t * x * (t.x)^-1, multiplied as
+    Perms in list order."""
+    result = Perm.identity(x.degree)
+    for t in trans.reps:
+        result = result * (t * x * trans.dot(t, x).inverse())
+    return result
 
 
 def all_pairs_max_intersection(family: SylowFamily) -> int:

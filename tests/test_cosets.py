@@ -40,6 +40,7 @@ from coset_oracles import (
     all_pairs_max_intersection,
     bfs_transversal_reps,
     brute_rep_of,
+    is_maximal_all_cosets,
     is_maximal_by_joins,
     preimage_by_scan,
 )
@@ -86,7 +87,7 @@ def test_transversal_files_each_rep_under_its_own_coset_key(label, p):
     g, fam, n = corpus_pair(label, p)
     for h in (fam.base_member, n):
         trans = right_transversal(g, h)
-        recomputed = Transversal(g, h, trans.reps)
+        recomputed = Transversal(h, trans.reps)
         assert [trans.index_of(r) for r in trans.reps] == list(range(len(trans)))
         assert [recomputed.index_of(r) for r in trans.reps] == list(range(len(trans)))
 
@@ -157,6 +158,52 @@ def test_is_maximal_psl217_sylow2():
     assert is_maximal(g, p) and is_maximal_by_joins(g, p)
 
 
+def test_is_maximal_one_coset_per_orbit_matches_every_coset():
+    """is_maximal tests one coset per H-orbit; testing every coset gives
+    the same answer, for N_G(P) of each corpus pair where it is proper and
+    every proper subgroup of S4 and A5."""
+    cases = [corpus_pair(label, p) for label, p in PAIRS]
+    cases = [(g, n) for g, _, n in cases if n.order() < g.order()]
+    for g in (symmetric(4), alternating(5)):
+        cases += [(g, h) for h in all_subgroups(g) if h.order() < g.order()]
+    verdicts = [is_maximal(g, h) for g, h in cases]
+    assert verdicts == [is_maximal_all_cosets(right_transversal(g, h), g) for g, h in cases]
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_right_transversal_is_kept_by_element_set():
+    """A D8 with other generators gets the transversal kept for the first
+    D8, which carries the first D8 as its subgroup."""
+    g, d8 = symmetric(4), _d8_in_s4()
+    copy = PermGroup(4, list(reversed(d8.elements())))
+    assert copy.element_set() == d8.element_set()
+    assert [x.images for x in copy.gens] != [x.images for x in d8.gens]
+    kept = right_transversal(g, d8)
+    assert right_transversal(g, copy) is kept and kept.subgroup is d8
+    assert [kept.index_of(x) for x in g] == [Transversal(copy, kept.reps).index_of(x) for x in g]
+
+
+def test_transversal_of_g_in_itself_keeps_no_reference_to_g():
+    g = symmetric(4)
+    trans = right_transversal(g, g)
+    assert trans.subgroup is not g and trans.subgroup.chain is g.chain
+    assert [trans.index_of(x) for x in g] == [0] * 24
+
+
+def test_quotient_keeps_no_transversal_and_lists_no_kernel():
+    """The quotient builds its transversal unkept: keying the memo by a
+    fresh kernel would list the kernel's elements."""
+    g = symmetric(4)
+    n = group_mod.join(
+        PermGroup(4, [Perm.from_cycles(4, [(0, 1), (2, 3)])]),
+        PermGroup(4, [Perm.from_cycles(4, [(0, 2), (1, 3)])]),
+    )
+    quot = quotient_group(g, n)
+    assert quot.image.order() == 6
+    assert n._element_set is None and n._elements is None
+    assert not any(key[0] is right_transversal.__wrapped__ for key in g._memo)
+
+
 def test_rep_of_rejects_elements_outside_parent():
     a4 = alternating(4)
     v4 = PermGroup(
@@ -172,10 +219,10 @@ def test_rep_of_rejects_elements_outside_parent():
 def test_transversal_rejects_two_reps_of_one_coset(s4):
     d8 = _d8_in_s4()
     with pytest.raises(ValueError):
-        Transversal(s4, d8, [s4.identity(), d8.gens[0]])
+        Transversal(d8, [s4.identity(), d8.gens[0]])
     key = _coset_key(d8, s4.identity())
     with pytest.raises(ValueError):
-        Transversal(s4, d8, [s4.identity(), s4.gens[0]], [key, key])
+        Transversal(d8, [s4.identity(), s4.gens[0]], [key, key])
 
 
 def test_coset_key_is_constant_on_cosets_and_separates_them(s4):
@@ -191,7 +238,9 @@ def test_coset_key_is_constant_on_cosets_and_separates_them(s4):
 
 
 def test_collapsed_cosets_raise_invariant_error(monkeypatch, s4):
-    """Two cosets that share a key leave the coset BFS one short."""
+    """Two cosets that share a key leave the coset BFS one short.  The
+    patched calls run on a freshly built S4, which has no transversal of
+    D8 kept yet (the one computed here stays on the shared s4)."""
     d8 = _d8_in_s4()
     reps = right_transversal(s4, d8).reps
     real = group_mod._coset_key
@@ -203,9 +252,9 @@ def test_collapsed_cosets_raise_invariant_error(monkeypatch, s4):
 
     monkeypatch.setattr(group_mod, "_coset_key", collapsed)
     with pytest.raises(InvariantError):
-        right_transversal(s4, d8)
+        right_transversal(symmetric(4), d8)
     with pytest.raises(AssertionError):
-        right_transversal(s4, d8)
+        right_transversal(symmetric(4), d8)
 
 
 PYTHON_O_TESTS = {

@@ -21,7 +21,14 @@ from transferlab.checkers import (
     _nilpotent_maximal_candidates,
     run_checker,
 )
-from transferlab.group import PermGroup, derived_subgroup, normalizer, span
+from transferlab.group import (
+    PermGroup,
+    Transversal,
+    derived_subgroup,
+    normalizer,
+    right_transversal,
+    span,
+)
 from transferlab.iso import automorphism_group
 from transferlab.series import (
     nilpotency_class,
@@ -73,15 +80,19 @@ CALLS = {
     p_series: lambda g, p, z: (g, (2,), {}),
     sylow_intersections: lambda g, p, z: (g, (2,), {}),
     _tame_record: lambda g, p, z: (g, (p, *sylow_intersections(g, 2)[1], 2), {}),
+    right_transversal: lambda g, p, z: (g, (p,), {}),
 }
 IDS = [fn.__name__ for fn in CALLS]
 
 
 def _plain(value):
-    """A comparable form: groups by their generator images, dataclasses
-    field by field, sequences item by item."""
+    """A comparable form: groups by their generator images, transversals
+    by their subgroup's and their reps' images, dataclasses field by
+    field, sequences item by item."""
     if isinstance(value, PermGroup):
         return ("group", value.degree, tuple(x.images for x in value.gens))
+    if isinstance(value, Transversal):
+        return ("transversal", _plain(value.subgroup), tuple(r.images for r in value.reps))
     if dataclasses.is_dataclass(value):
         return tuple(_plain(getattr(value, f.name)) for f in dataclasses.fields(value))
     if isinstance(value, (list, tuple)):

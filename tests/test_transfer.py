@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from coset_oracles import pretransfer_by_perms
 from sampling import sample_chain, sample_ghx, sample_mackey, sample_pool
+from test_scanned_subgroups import PAIRS, _pair_id
 from transferlab.catalog import alternating, dihedral, symmetric
 from transferlab.group import (
     InvariantError,
@@ -14,7 +16,7 @@ from transferlab.group import (
     right_transversal,
 )
 from transferlab.perm import Perm
-from transferlab.series import center, o_p
+from transferlab.series import center, o_p, p_part
 from transferlab.sylow import sylow_subgroup
 from transferlab.transfer import (
     check_mackey,
@@ -52,6 +54,40 @@ def test_pretransfer_s3_hand_values(s3):
     # whose product is the identity.
     g = Perm.from_cycles(3, [(0, 1, 2)])
     assert pretransfer(s3, a3, trans, g).is_identity()
+
+
+# Seeded elements x per corpus pair compared with the Perm route.
+PRETRANSFER_ELEMENTS = 3
+# The corpus pairs whose Sylow subgroup P is proper in G.
+PROPER_PAIRS = [(e, p) for e, p in PAIRS if p_part(e.expected_order, p) < e.expected_order]
+
+
+@pytest.mark.parametrize("pair", PROPER_PAIRS, ids=_pair_id)
+def test_pretransfer_matches_the_perm_route_on_corpus(pair):
+    """The image-tuple loop gives the same raw value, as a tuple, as the
+    product of Perms t * x * (t.x)^-1 in list order."""
+    entry, p = pair
+    g = entry.build()
+    p_syl = sylow_subgroup(g, p)
+    trans = right_transversal(g, p_syl)
+    rng = random.Random(f"pretransfer:{entry.label}:{p}")
+    for _ in range(PRETRANSFER_ELEMENTS):
+        x = g.random_element(rng)
+        got = pretransfer(g, p_syl, trans, x)
+        assert got.images == pretransfer_by_perms(trans, x).images
+
+
+def test_pretransfer_rejects_x_of_another_degree_or_outside_g(s4):
+    d8 = sylow_subgroup(s4, 2)
+    a4 = alternating(4)
+    v4 = o_p(a4, 2)
+    for g, h, x in (
+        (s4, d8, Perm.identity(5)),
+        (s4, d8, Perm.identity(3)),
+        (a4, v4, Perm.transposition(4, 0, 1)),
+    ):
+        with pytest.raises(ValueError):
+            pretransfer(g, h, right_transversal(g, h), x)
 
 
 def test_pretransfer_lands_in_target(s4, rng):
