@@ -12,25 +12,30 @@ argument by its element set, so a fresh subgroup with the same elements
 gets the kept result.  A kept object is shared by every caller that asks
 for it, so no caller may mutate it (a transversal's `reps` included).
 
-A subgroup built from a list of elements, by `span` or by scanning a
-group's elements (`_scan_subgroup`), goes through one path
-(`_from_elements`): one chain build over the list, whose result keeps as
-gens only the elements that build used, and keeps that chain.  A
-subgroup whose element set is already known (a lattice join, the
-generating sequence of the isomorphism searches) is made by
-`_known_subgroup`, which keeps its order and set; its chain is built on
-first use, stopped at that order.
+A subgroup built from elements, by `span`, by scanning a group's
+elements (`_scan_subgroup`) or by `normalizer`, goes through one path
+(`_from_elements`): one chain build over the elements, read lazily,
+whose result keeps as gens only the elements that build used, and keeps
+that chain.  A build told the order stops once the orbit lengths
+multiply to it, with the chain a full build gives, and reads no element
+past the one that completed the chain: `normalizer` takes |N_G(H)| as
+|G| over the number of conjugates of H, and so reads G only until its
+members generate N.  A subgroup whose order is known (a conjugate, a
+step of the Sylow ascent) is made by `_of_order`, and one whose element
+set is known (a lattice join, the generating sequence of the isomorphism
+searches) by `_known_subgroup`, which keeps the set too; their chains
+are built on first use, stopped at that order.
 
 Every orbit is found by one breadth-first search (`_keyed_orbit`, whose
 points `_orbit` lists): right cosets (`right_transversal`, which hands
 the coset keys it found to its `Transversal`), double cosets, conjugacy
-classes, the <u>-orbits of the transfer evaluation and the
-Aut(P)-orbits.  Only the chain build keeps its own search
-(`_orbit_transversal`), because it also needs the transversal.  Right
-cosets are told apart by their coset key (`_coset_key`): the images of
-one canonical element of the coset Hg, found by walking H's stabilizer
-chain and, at each level, stepping to the coset element that sends the
-base point to its smallest image.
+classes, the conjugates of H in `normalizer`, the <u>-orbits of the
+transfer evaluation and the Aut(P)-orbits.  Only the chain build keeps
+its own search (`_orbit_transversal`), because it also needs the
+transversal.  Right cosets are told apart by their coset key
+(`_coset_key`): the images of one canonical element of the coset Hg,
+found by walking H's stabilizer chain and, at each level, stepping to
+the coset element that sends the base point to its smallest image.
 Transversals, quotients, double cosets, the maximality test and the
 pretransfer look cosets up by this key instead of testing g * r^-1
 against H for every representative r.  `right_transversal` is memoized;
@@ -147,7 +152,7 @@ def _sift(levels: Sequence[_Level], g: tuple[int, ...]) -> tuple[tuple[int, ...]
 
 
 def _build_chain(
-    degree: int, gens: Sequence[Perm], order: int | None = None
+    degree: int, gens: Iterable[Perm], order: int | None = None
 ) -> tuple[list[_Level], list[Perm]]:
     """Deterministic Schreier-Sims; base points are smallest moved points.
 
@@ -168,7 +173,10 @@ def _build_chain(
     reaching it means the base and strong generating set are complete,
     and every input or Schreier generator left would sift to the
     identity.  When every element is an input generator, the first loop
-    always reaches it.
+    always reaches it.  An order above the group's is never reached, so
+    the build then runs to the end, as with no order (see
+    `series.o_upper_p`).  gens is read once, in order, and not past the
+    generator that completed the chain.
 
     The build sifts (`_sift`) and forms Schreier generators on image
     tuples.  The levels keep transversals and inverses as image tuples,
@@ -233,16 +241,8 @@ class PermGroup:
     def __init__(self, degree: int, generators: Iterable[Perm], name: str | None = None):
         if degree < 1:
             raise ValueError("degree must be positive")
-        gens = []
-        seen = {tuple(range(degree))}
-        for g in generators:
-            if g.degree != degree:
-                raise ValueError(f"generator degree {g.degree} != group degree {degree}")
-            if g.images not in seen:
-                seen.add(g.images)
-                gens.append(g)
         self.degree = degree
-        self.gens: tuple[Perm, ...] = tuple(gens)
+        self.gens: tuple[Perm, ...] = tuple(_distinct(degree, generators))
         self.name = name
         self._chain: list[_Level] | None = None
         self._order: int | None = None
@@ -393,18 +393,40 @@ def trivial_group(degree: int) -> PermGroup:
     return PermGroup(degree, [], "1")
 
 
+def _distinct(degree: int, elems: Iterable[Perm]) -> Iterator[Perm]:
+    """The elements of elems other than the identity, each once, in
+    order, read lazily; ValueError for an element of another degree."""
+    seen = {tuple(range(degree))}
+    for g in elems:
+        if g.degree != degree:
+            raise ValueError(f"generator degree {g.degree} != group degree {degree}")
+        if g.images not in seen:
+            seen.add(g.images)
+            yield g
+
+
 def _from_elements(
     degree: int, elems: Iterable[Perm], order: int | None = None
 ) -> PermGroup:
     """<elems> from one chain build over elems, stopped at order if given.
 
-    The group's gens are the elements whose insert changed the chain, so
-    it keeps the chain just built: a build from those gens alone gives
-    the same chain (see `_build_chain`).
+    elems is read lazily, so a build stopped at its order reads no
+    element past the one that completed the chain.  The group's gens are
+    the elements whose insert changed the chain, so it keeps the chain
+    just built: a build from those gens alone gives the same chain (see
+    `_build_chain`).
     """
-    levels, used = _build_chain(degree, PermGroup(degree, elems).gens, order)
+    levels, used = _build_chain(degree, _distinct(degree, elems), order)
     h = PermGroup(degree, used)
     h._chain = levels
+    return h
+
+
+def _of_order(degree: int, gens: Iterable[Perm], order: int) -> PermGroup:
+    """<gens>, whose order is known: the chain is built on first use,
+    stopped at that order (see `PermGroup.chain`)."""
+    h = PermGroup(degree, gens)
+    h._order = order
     return h
 
 
@@ -412,10 +434,8 @@ def _known_subgroup(
     degree: int, gens: Iterable[Perm], element_set: frozenset[tuple[int, ...]]
 ) -> PermGroup:
     """<gens>, whose element set (as image tuples) is known.  Order and
-    membership need no chain; the chain is built on first use, stopped at
-    the order (see `PermGroup.chain`)."""
-    h = PermGroup(degree, gens)
-    h._order = len(element_set)
+    membership need no chain."""
+    h = _of_order(degree, gens, len(element_set))
     h._element_set = element_set
     return h
 
@@ -436,9 +456,7 @@ def conjugate_subgroup(h: PermGroup, g: Perm) -> PermGroup:
     """
     if g.degree != h.degree:
         raise ValueError("degree mismatch")
-    c = PermGroup(h.degree, [x.conjugate(g) for x in h.gens])
-    c._order = h.order()
-    return c
+    return _of_order(h.degree, [x.conjugate(g) for x in h.gens], h.order())
 
 
 def _scan_subgroup(g: PermGroup, keep) -> PermGroup:
@@ -457,15 +475,27 @@ def _scan_subgroup(g: PermGroup, keep) -> PermGroup:
 
 @memoized
 def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
-    """N_G(H) by full element scan (exact at desk scale).
-
-    The members are the x of G's elements() with H^x = H as a set, in
-    that order, so the result (gens and chain too) depends only on H's
+    """N_G(H): the x of G's elements() with H^x = H as a set, in that
+    order, so the result (gens and chain too) depends only on H's
     elements.
+
+    |N| is |G| over the number of conjugates of H, the orbit of H's
+    element set under conjugation by G's gens.  The member test runs
+    lazily over G's elements, and the chain build stops at |N|, so it
+    reads G only until the members read generate N; the chain and gens
+    are those of a build over every member (see `_build_chain`).  The
+    element set is then listed from N's chain.
     """
     if g.degree != h.degree:
         raise ValueError("degree mismatch")
+    elems = g.elements()  # first, so an element cap fires as for a full scan
     hset = h.element_set()
+    # Each generator s as its images and the getter of s^-1, which conjugate
+    # an element set as t^s = s^-1 * (t * s).
+    by_gen = [(s.images, _getter(s.inverse().images)) for s in g.gens]
+    count = len(
+        _keyed_orbit(hset, by_gen, lambda k, s: frozenset([s[1](_compose(t, s[0])) for t in k]))
+    )
     getters = [_getter(t.images) for t in h.gens]
 
     def keep(x: Perm) -> bool:
@@ -473,7 +503,9 @@ def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
         xs, xi = x.images, _getter(x.inverse().images)
         return all(xi(t(xs)) in hset for t in getters)
 
-    return _scan_subgroup(g, keep)
+    n = _from_elements(g.degree, (x for x in elems if keep(x)), g.order() // count)
+    n.element_set()
+    return n
 
 
 def centralizer(g: PermGroup, h: PermGroup) -> PermGroup:
@@ -616,7 +648,10 @@ class Transversal:
 
     def action(self, g: Perm) -> list[int]:
         """g acting on the cosets: entry i is the index of H reps[i] g."""
-        return [self.index_of(r * g) for r in self.reps]
+        if g.degree != self.subgroup.degree:
+            raise ValueError("degree mismatch")
+        gs = g.images
+        return [self._index_of_images(_compose(r.images, gs)) for r in self.reps]
 
     def dot(self, t: Perm, g: Perm) -> Perm:
         """The coset rep of H t g (the 'dot action' t.g)."""

@@ -2,12 +2,16 @@
 omega, p-cores, p-residuals, p-nilpotency, the upper p-series, and the
 centrality-height predicates.
 
-Everything is computed by exact enumeration under the caps in force; the
-corpus tops out at order 2448 so nothing here needs to be clever.
-A subgroup defined as a set of elements (the center, the terms of the
-upper central series, the norm) is scanned from the group's elements
-(`_scan_subgroup`); a subgroup defined by generators (Phi, Omega, O^p,
-O_{p'}) is a `span`.
+Everything is computed by exact enumeration under the caps in force (the
+corpus tops out at order 2448), but an enumeration stops where the
+mathematics says the answer is complete.  A subgroup defined as a set
+of elements (the center, the terms of the upper central series, the
+norm) is scanned from the group's elements (`_scan_subgroup`); the norm
+tests one generator per cyclic subgroup.  A subgroup defined by
+generators (Phi, Omega, O_{p'}) is a `span`.  O^p(G) is the span of the
+p'-elements, trivial for a p-group and otherwise told |G| as its order,
+so a build that reaches G stops reading G's elements there (see
+`o_upper_p`).
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import dataclass
 
 from .group import (
     PermGroup,
+    _from_elements,
     _scan_subgroup,
     centralizer,
     commutator_subgroup,
@@ -149,18 +154,19 @@ def norm(p: PermGroup) -> PermGroup:
     Computed over cyclic subgroups only; normalizing every cyclic
     subgroup normalizes every subgroup.
     """
-    elems = p.elements()
-    power_sets = []
-    for y in elems:
+    # One generator per cyclic subgroup: x normalizes <y> iff it sends
+    # any one generator of <y> into <y>.
+    generator_of: dict[frozenset, Perm] = {}
+    for y in p.elements():
         powers = {y.images}
         z = y
         while not z.is_identity():
             z = z * y
             powers.add(z.images)
-        power_sets.append((y, powers))
+        generator_of.setdefault(frozenset(powers), y)
     return _scan_subgroup(
         p,
-        lambda x: all(y.conjugate(x).images in powers for y, powers in power_sets),
+        lambda x: all(y.conjugate(x).images in powers for powers, y in generator_of.items()),
     )
 
 
@@ -265,8 +271,19 @@ def o_p_prime(g: PermGroup, p: int) -> PermGroup:
 @memoized
 def o_upper_p(g: PermGroup, p: int) -> PermGroup:
     """O^p(G): generated by all p'-elements (smallest normal subgroup with
-    p-group quotient)."""
-    return span(g.degree, (x for x in g.elements() if x.order() % p != 0))
+    p-group quotient), spanned in G's elements() order.
+
+    It is trivial for a p-group.  Otherwise the span is told |G| as its
+    order: the orbit lengths of a partial chain multiply to at most the
+    order of the group it spans, so they reach |G| only when O^p(G) = G,
+    and then the build stops there with the chain a full span gives (see
+    `_build_chain`).  A smaller O^p(G) never reaches it, and its build
+    reads every p'-element, as a plain span does.
+    """
+    elems = g.elements()  # first, so an element cap fires as for a full span
+    if is_p_group(g, p):
+        return span(g.degree, ())
+    return _from_elements(g.degree, (x for x in elems if x.order() % p != 0), g.order())
 
 
 def a_p(g: PermGroup, p: int) -> PermGroup:

@@ -93,6 +93,17 @@ def test_transversal_files_each_rep_under_its_own_coset_key(label, p):
 
 
 @pytest.mark.parametrize("label,p", PAIRS, ids=PAIR_IDS)
+def test_action_matches_index_of_each_product(label, p):
+    """action looks each coset up on image tuples; the Perm route forms
+    r * s for every rep r."""
+    g, fam, n = corpus_pair(label, p)
+    for h in (fam.base_member, n):
+        trans = right_transversal(g, h)
+        for s in g.gens:
+            assert trans.action(s) == [trans.index_of(r * s) for r in trans.reps]
+
+
+@pytest.mark.parametrize("label,p", PAIRS, ids=PAIR_IDS)
 def test_rep_of_matches_brute_force(label, p):
     g, fam, _ = corpus_pair(label, p)
     trans = right_transversal(g, fam.base_member)
@@ -214,6 +225,12 @@ def test_rep_of_rejects_elements_outside_parent():
         trans.rep_of(Perm.transposition(4, 0, 1))
     with pytest.raises(ValueError):
         trans.rep_of(Perm.identity(5))
+
+
+def test_action_rejects_an_element_of_another_degree(s4):
+    trans = right_transversal(s4, _d8_in_s4())
+    with pytest.raises(ValueError, match="degree mismatch"):
+        trans.action(Perm.identity(5))
 
 
 def test_transversal_rejects_two_reps_of_one_coset(s4):
