@@ -98,10 +98,6 @@ class Context:
         """Z*(P), the norm of P."""
         return norm(self.p_syl)
 
-    @property
-    def max_intersection(self) -> int:
-        return max_intersection_order(self.group, self.prime)
-
     def control(self, n: PermGroup) -> bool:
         return _controls(self.group, n, self.prime)
 
@@ -110,9 +106,6 @@ class Context:
 
     def p_nilpotent(self) -> bool:
         return is_p_nilpotent(self.group, self.prime)
-
-    def tame(self, lower: PermGroup, strict: bool):
-        return tame_intersections_between(self.group, self.prime, lower, strict, strict)
 
 
 @dataclass
@@ -188,7 +181,7 @@ def _tame_checker(ctx: Context, lower: PermGroup, conclusion, strict: bool, weak
     """The tame-intersection results: every tame intersection between
     `lower` and P (exclusive of both when `strict`) has a p-nilpotent
     normalizer N, or with `weak` an N/C that is a p-group."""
-    records = ctx.tame(lower, strict)
+    records = tame_intersections_between(ctx.group, ctx.prime, lower, strict, strict)
     failing = None
     for rec in records:
         ok = rec.n_over_c_is_p_group if weak else rec.normalizer_p_nilpotent
@@ -229,8 +222,9 @@ def _chk_cor_1_9(ctx: Context):
 
 def _intersection_bound(ctx: Context, bound: int):
     """Every Sylow intersection has order at most `bound`: then control."""
-    wit = {"max_intersection": ctx.max_intersection, "bound": bound}
-    return wit, ctx.controls_ngp if ctx.max_intersection <= bound else None
+    largest = max_intersection_order(ctx.group, ctx.prime)
+    wit = {"max_intersection": largest, "bound": bound}
+    return wit, ctx.controls_ngp if largest <= bound else None
 
 
 def _chk_cor_1_5(ctx: Context):

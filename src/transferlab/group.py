@@ -30,8 +30,11 @@ Every orbit is found by one breadth-first search (`_keyed_orbit`, whose
 points `_orbit` lists): right cosets (`right_transversal`, which hands
 the coset keys it found to its `Transversal`), double cosets, conjugacy
 classes, the conjugates of H in `normalizer`, the <u>-orbits of the
-transfer evaluation and the Aut(P)-orbits.  Only the chain build keeps
-its own search (`_orbit_transversal`), because it also needs the
+transfer evaluation and the Aut(P)-orbits.  One loop (`_orbits`) splits
+a set of points into orbits, for every partition the library makes:
+double cosets, the H-orbits of the maximality test, conjugacy classes,
+the <u>-orbits and the Aut(P)-orbits.  Only the chain build keeps its
+own search (`_orbit_transversal`), because it also needs the
 transversal.  Right cosets are told apart by their coset key
 (`_coset_key`): the images of one canonical element of the coset Hg,
 found by walking H's stabilizer chain and, at each level, stepping to
@@ -114,6 +117,18 @@ def _keyed_orbit(start, gens: Sequence, act: Callable, key: Callable | None = No
 def _orbit(start, gens: Sequence, act: Callable, key: Callable | None = None) -> list:
     """The points of `_keyed_orbit`, in breadth-first order."""
     return list(_keyed_orbit(start, gens, act, key).values())
+
+
+def _orbits(points: Iterable, gens: Sequence, act: Callable) -> Iterator[list]:
+    """The orbits of gens on points: the `_orbit` of each point that no
+    earlier orbit covered, lazily and in the order of points, which gens
+    must map into points."""
+    seen: set = set()
+    for x in points:
+        if x not in seen:
+            orbit = _orbit(x, gens, act)
+            seen.update(orbit)
+            yield orbit
 
 
 def _orbit_transversal(
@@ -707,13 +722,8 @@ def double_coset_reps(g: PermGroup, h: PermGroup, k: PermGroup) -> list[Perm]:
     """
     trans = right_transversal(g, h)
     actions = [trans.action(s) for s in k.gens]
-    seen: set[int] = set()
-    out = []
-    for i, r in enumerate(trans.reps):
-        if i not in seen:
-            seen.update(_orbit(i, actions, lambda j, act: act[j]))
-            out.append(r)
-    return out
+    orbits = _orbits(range(len(trans)), actions, lambda j, act: act[j])
+    return [trans.reps[orbit[0]] for orbit in orbits]
 
 
 # quotients ----------------------------------------------------------------
@@ -821,10 +831,5 @@ def is_maximal(g: PermGroup, h: PermGroup) -> bool:
     trans = right_transversal(g, h)
     actions = [trans.action(s) for s in g.gens]
     h_actions = [trans.action(s) for s in h.gens]
-    tested = {0}
-    for a in range(1, len(trans)):
-        if a not in tested:
-            if not _joins_all_cosets(actions, a):
-                return False
-            tested.update(_orbit(a, h_actions, lambda j, act: act[j]))
-    return True
+    orbits = _orbits(range(1, len(trans)), h_actions, lambda j, act: act[j])
+    return all(_joins_all_cosets(actions, orbit[0]) for orbit in orbits)

@@ -29,6 +29,7 @@ from .group import (
     PermGroup,
     _known_subgroup,
     _orbit,
+    _orbits,
     centralizer,
     derived_subgroup,
     is_abelian,
@@ -211,14 +212,7 @@ def conjugacy_classes(g: PermGroup) -> list[tuple[Perm, list[Perm]]]:
     class lists its elements in breadth-first order from the
     representative under conjugation by the generators.
     """
-    seen: set[Perm] = set()
-    out = []
-    for x in g.elements():
-        if x not in seen:
-            orbit = _orbit(x, g.gens, Perm.conjugate)
-            seen.update(orbit)
-            out.append((x, orbit))
-    return out
+    return [(orbit[0], orbit) for orbit in _orbits(g.elements(), g.gens, Perm.conjugate)]
 
 
 def _image_pools(seq: Sequence[Perm], target: PermGroup) -> list[list[Perm]]:

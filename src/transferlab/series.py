@@ -11,12 +11,15 @@ tests one generator per cyclic subgroup.  A subgroup defined by
 generators (Phi, Omega, O_{p'}) is a `span`.  O^p(G) is the span of the
 p'-elements, trivial for a p-group and otherwise told |G| as its order,
 so a build that reaches G stops reading G's elements there (see
-`o_upper_p`).
+`o_upper_p`).  The derived, lower central, upper central and norm
+series are each one call to `_series`, which steps from a first term
+until a term reaches a given order or a step leaves the order unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .group import (
     PermGroup,
@@ -48,8 +51,8 @@ class SeriesResult:
 
 
 def p_part(n: int, p: int) -> int:
-    if p < 2:
-        raise ValueError(f"p-part needs p >= 2, got {p}")
+    if n < 1 or p < 2:
+        raise ValueError(f"p-part needs n >= 1 and p >= 2, got n = {n}, p = {p}")
     q = 1
     while n % p == 0:
         n //= p
@@ -76,18 +79,23 @@ def element_p_part(x: Perm, p: int) -> Perm:
     return x ** (m * pow(m, -1, pp))
 
 
-# derived series -----------------------------------------------------------
-
-def derived_series(g: PermGroup) -> SeriesResult:
-    terms = [g]
-    while True:
-        nxt = derived_subgroup(terms[-1])
+def _series(first: PermGroup, step: Callable[[PermGroup], PermGroup], end: int) -> SeriesResult:
+    """first, step(first), step(step(first)), ... until a term has order
+    end or a step leaves the order unchanged (that step's result is not
+    a term)."""
+    terms = [first]
+    while terms[-1].order() != end:
+        nxt = step(terms[-1])
         if nxt.order() == terms[-1].order():
             break
         terms.append(nxt)
-        if nxt.is_trivial():
-            break
     return SeriesResult(terms)
+
+
+# derived series -----------------------------------------------------------
+
+def derived_series(g: PermGroup) -> SeriesResult:
+    return _series(g, derived_subgroup, 1)
 
 
 def is_solvable(g: PermGroup) -> bool:
@@ -97,15 +105,7 @@ def is_solvable(g: PermGroup) -> bool:
 # lower central series -----------------------------------------------------
 
 def lower_central_series(g: PermGroup) -> SeriesResult:
-    terms = [g]
-    while True:
-        nxt = commutator_subgroup(terms[-1], g)
-        if nxt.order() == terms[-1].order():
-            break
-        terms.append(nxt)
-        if nxt.is_trivial():
-            break
-    return SeriesResult(terms)
+    return _series(g, lambda h: commutator_subgroup(h, g), 1)
 
 
 def is_nilpotent(g: PermGroup) -> bool:
@@ -127,20 +127,16 @@ def center(g: PermGroup) -> PermGroup:
 
 @memoized
 def upper_central_series(g: PermGroup) -> SeriesResult:
-    terms = [trivial_group(g.degree)]
-    while True:
-        prev = terms[-1]
-        nxt = _scan_subgroup(g, lambda x: all(prev.contains(commutator(x, s)) for s in g.gens))
-        if nxt.order() == prev.order():
-            break
-        terms.append(nxt)
-        if nxt.order() == g.order():
-            break
-    return SeriesResult(terms)
+    def step(prev: PermGroup) -> PermGroup:
+        return _scan_subgroup(g, lambda x: all(prev.contains(commutator(x, s)) for s in g.gens))
+
+    return _series(trivial_group(g.degree), step, g.order())
 
 
 def z_k(g: PermGroup, k: int) -> PermGroup:
     """The k-th term of the upper central series (stabilized if k is large)."""
+    if k < 0:
+        raise ValueError(f"z_k needs k >= 0, got {k}")
     terms = upper_central_series(g).terms
     return terms[min(k, len(terms) - 1)]
 
@@ -175,18 +171,13 @@ def is_dedekind(p: PermGroup) -> bool:
 
 
 def norm_series(p: PermGroup) -> SeriesResult:
-    """Ascending series of iterated norms, lifted through quotients."""
-    terms = [trivial_group(p.degree)]
-    while True:
-        prev = terms[-1]
-        if prev.order() == p.order():
-            break
+    """Ascending series of iterated norms, lifted through quotients; it
+    stalls where the norm of the quotient is trivial."""
+    def step(prev: PermGroup) -> PermGroup:
         q = quotient_group(p, prev)
-        nxt = q.preimage_subgroup(norm(q.image))
-        if nxt.order() == prev.order():
-            break  # norm of the quotient is trivial; series has stalled
-        terms.append(nxt)
-    return SeriesResult(terms)
+        return q.preimage_subgroup(norm(q.image))
+
+    return _series(trivial_group(p.degree), step, p.order())
 
 
 def norm_length(p: PermGroup) -> int | None:

@@ -13,7 +13,7 @@ from .group import (
     InvariantError,
     PermGroup,
     _of_order,
-    _orbit,
+    _orbits,
     centralizer,
     conjugate_subgroup,
     intersection,
@@ -224,11 +224,8 @@ def characteristic_subgroups_above(p_grp: PermGroup, lower: PermGroup) -> list[P
     of Aut(P) on P's elements."""
     aut = automorphism_group(p_grp)
     elems = p_grp.elements()
-    seen: set[int] = set()
-    orbits = []
-    for start in range(len(elems)):
-        if start not in seen:
-            orbit = _orbit(start, aut.gens, lambda x, s: s(x))
-            seen.update(orbit)
-            orbits.append([elems[i] for i in orbit])
+    orbits = [
+        [elems[i] for i in orbit]
+        for orbit in _orbits(range(len(elems)), aut.gens, lambda x, s: s(x))
+    ]
     return [c for c in _subgroup_lattice(p_grp, orbits) if lower.is_subgroup_of(c)]

@@ -13,7 +13,7 @@ from .group import (
     InvariantError,
     PermGroup,
     Transversal,
-    _orbit,
+    _orbits,
     conjugate_subgroup,
     derived_subgroup,
     double_coset_reps,
@@ -123,13 +123,7 @@ def transfer_evaluation(p_grp: PermGroup, r: PermGroup, u: Perm) -> list[tuple[P
     the full product agrees with the pretransfer mod R'.
     """
     trans = right_transversal(p_grp, r)
-    seen: set[Perm] = set()
-    out: list[tuple[Perm, int]] = []
-    for s in trans.reps:
-        if s not in seen:
-            orbit = _orbit(s, [u], trans.dot)
-            seen.update(orbit)
-            out.append((s, len(orbit)))
+    out = [(orbit[0], len(orbit)) for orbit in _orbits(trans.reps, [u], trans.dot)]
     if sum(n for _, n in out) != len(trans.reps):
         raise InvariantError("<u>-orbit lengths do not add up to the index")
     product = Perm.identity(p_grp.degree)

@@ -18,6 +18,7 @@ from transferlab.catalog import (
 from transferlab.group import (
     PermGroup,
     _orbit,
+    _orbits,
     centralizer,
     commutator_subgroup,
     conjugate_subgroup,
@@ -301,6 +302,29 @@ def test_orbit_without_key_compares_points(s4):
         assert len(set(cls)) == len(cls)
         assert set(cls) == {x.conjugate(g) for g in s4.elements()}
     assert _orbit(s4.identity(), [], Perm.conjugate) == [s4.identity()]
+
+
+def test_orbits_partition_the_points_in_first_point_order():
+    """Each orbit is the `_orbit` of the first point not yet covered, the
+    orbits come in the order of their first points, and `points` is read
+    only as far as the orbit asked for needs."""
+    a = Perm.from_cycles(7, [(0, 4), (1, 5, 3)])
+    read = []
+
+    def points():
+        for x in [6, 5, 4, 3, 2, 1, 0]:
+            read.append(x)
+            yield x
+
+    on_point = lambda x, s: s(x)
+    orbits = _orbits(points(), [a], on_point)
+    assert next(orbits) == [6]
+    assert read == [6]
+    assert next(orbits) == _orbit(5, [a], on_point) == [5, 3, 1]
+    assert read == [6, 5]
+    assert list(orbits) == [[4, 0], [2]]
+    assert read == [6, 5, 4, 3, 2, 1, 0]
+    assert list(_orbits([], [a], on_point)) == []
 
 
 def test_right_transversal_properties(s4, rng):

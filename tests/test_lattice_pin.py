@@ -2,10 +2,14 @@
 `normal_subgroups` and `characteristic_subgroups_above` return, with the
 chain it carries, and bounds the chain builds that make them.
 
-The checkers read these subgroups in list order, and some records print
-generators or elements of them, so a lattice rework that picks another
-join for a subgroup, or builds its chain another way, can change answers
-even when every element set is right.  Each digest (first 16 hex digits
+The checkers read these subgroups in list order, but no record prints a
+lattice subgroup's generators or elements: the one record field that
+prints an element is `aux_gruen_instance`'s `conjugator`, at p = 2 for
+A6, PSL(2,7), PSL(2,17), S4, S5 and S6, and it comes from the Sylow
+subgroup and a right transversal, not from the lattice.  So a lattice
+rework that picks another join for a subgroup, or builds its chain
+another way, fails these pins even when every element set and every
+record is unchanged.  Each digest (first 16 hex digits
 of a sha256) covers, for every subgroup in list order, its gens, each
 chain level's base point, level generators and sorted transversal
 points, and its elements() order.  The digests were taken before the

@@ -55,6 +55,13 @@ def test_p_part_arithmetic():
     assert p_part(7, 2) == 1
 
 
+@pytest.mark.parametrize("n", [0, -1, -8])
+def test_p_part_rejects_n_below_1(n):
+    """p divides 0 forever, and a negative n has no p-part."""
+    with pytest.raises(ValueError, match="n >= 1"):
+        p_part(n, 2)
+
+
 def test_element_p_part():
     x = Perm.from_cycles(6, [(0, 1, 2, 3, 4, 5)])  # order 6
     x2 = element_p_part(x, 2)
@@ -92,6 +99,15 @@ def test_center_and_z_k(d8, q16):
     assert z_k(d8, 2).order() == 8
     assert z_k(q16, 2).order() == 4
     assert z_k(q16, 3).order() == 16
+
+
+def test_z_k_rejects_negative_k(d8):
+    """A negative k would index the series from its top: Z_{-1}(D8) would
+    be D8, and every involution of D8 would be central of height -1."""
+    with pytest.raises(ValueError, match="k >= 0"):
+        z_k(d8, -1)
+    with pytest.raises(ValueError, match="k >= 0"):
+        is_pi_central_of_height(d8, 2, 1, -1)
 
 
 def test_norm_and_norm_series(d8, q8, q16, d16, c12):

@@ -132,6 +132,58 @@ def test_only_group_uses_the_chain_orbit_search(path):
     assert lines == [], f"{path.name} names _orbit_transversal at lines {lines}"
 
 
+def _called_names(node: ast.AST) -> set[str]:
+    """The names called in node, by name or as an attribute."""
+    names = set()
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            if isinstance(call.func, ast.Name):
+                names.add(call.func.id)
+            elif isinstance(call.func, ast.Attribute):
+                names.add(call.func.attr)
+    return names
+
+
+def _hand_rolled_partitions(tree: ast.AST) -> list[tuple[str, int]]:
+    """The functions that call both `_orbit` and some `.update(...)`, the
+    shape of an orbit partition kept in a seen-set, with their lines."""
+    return sorted(
+        (node.name, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and {"_orbit", "update"} <= _called_names(node)
+    )
+
+
+def test_partition_rule_sees_hand_rolled_partitions():
+    source = (
+        "def classes(g):\n"
+        "    seen = set()\n"
+        "    for x in g.elements():\n"
+        "        if x not in seen:\n"
+        "            seen.update(group._orbit(x, g.gens, act))\n"
+        "def one_orbit(x, gens):\n"
+        "    return _orbit(x, gens, act)\n"
+        "def merge(d, e):\n"
+        "    d.update(e)\n"
+        "def blocks(points, gens):\n"
+        "    def grow(x):\n"
+        "        seen.update(_orbit(x, gens, act))\n"
+    )
+    assert _hand_rolled_partitions(ast.parse(source)) == [("blocks", 10), ("classes", 1), ("grow", 11)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_only_orbits_partitions_points_into_orbits(path):
+    """Every orbit partition goes through `group._orbits`; no other function
+    calls `_orbit` and fills a seen-set with `.update`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = _hand_rolled_partitions(tree)
+    if path.name == "group.py":
+        found = [(name, line) for name, line in found if name != "_orbits"]
+    assert found == [], f"{path.name} partitions points into orbits by hand: {found}"
+
+
 CAPS_NAMES = {"Caps", "DEFAULT_CAPS"}
 # caps.py defines them, cli.py puts the environment's caps in force,
 # __init__.py exports them.

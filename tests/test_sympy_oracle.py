@@ -15,7 +15,7 @@ sympy_comb = pytest.importorskip("sympy.combinatorics")
 SymPerm, SymGroup = sympy_comb.Permutation, sympy_comb.PermutationGroup
 
 from transferlab.group import PermGroup, centralizer, normal_closure, normalizer  # noqa: E402
-from transferlab.iso import prime_divisors  # noqa: E402
+from transferlab.iso import conjugacy_classes, prime_divisors  # noqa: E402
 from transferlab.perm import Perm  # noqa: E402
 from transferlab.series import (  # noqa: E402
     derived_series,
@@ -114,3 +114,22 @@ def test_series_and_sylow_orders_match_sympy(data):
     assert is_nilpotent(g) == s.is_nilpotent
     for p in prime_divisors(g.order()):
         assert sylow_subgroup(g, p).order() == s.sylow_subgroup(p).order()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_conjugacy_classes_match_sympy(data):
+    """The classes are sympy's; each starts with its rep, and the reps are
+    the first elements of their classes in `elements()` order, in that
+    order."""
+    n, gens = draw_group(data, 6)
+    g, s = PermGroup(n, gens), sym_group(n, gens)
+    classes = conjugacy_classes(g)
+    assert {frozenset(x.images for x in cls) for _, cls in classes} == {
+        frozenset(tuple(x.array_form) for x in cls) for cls in s.conjugacy_classes()
+    }
+    position = {x: i for i, x in enumerate(g.elements())}
+    assert all(cls[0] == rep for rep, cls in classes)
+    assert all(position[rep] == min(map(position.get, cls)) for rep, cls in classes)
+    firsts = [position[rep] for rep, _ in classes]
+    assert firsts == sorted(firsts)
