@@ -203,9 +203,6 @@ class CatalogEntry:
 
     def build(self) -> PermGroup:
         gens = [Perm(images) for images in self.generators]
-        for g in gens:
-            if g.degree != self.degree:
-                raise ValueError(f"{self.label}: generator degree mismatch")
         group = PermGroup(self.degree, gens, name=self.label)
         if self.expected_order is not None and group.order() != self.expected_order:
             raise ValueError(

@@ -9,6 +9,10 @@ resource cap interrupts either evaluation, or error when either raises
 anything else.  An error verdict carries the exception's type, message
 and innermost frame as witnesses, and the scan goes on with the next
 checker.
+
+A checker is registered by its `_checker(id, description, applies,
+notes)` decorator, written on its `_chk_*` function: the decorator puts
+one CheckerSpec into CHECKERS and returns the function unchanged.
 """
 
 from __future__ import annotations
@@ -139,6 +143,35 @@ def _sub_label(h: PermGroup) -> str:
     return f"order {h.order()}"
 
 
+@dataclass
+class CheckerSpec:
+    id: str
+    description: str
+    run: object  # callable(Context) -> (witnesses, conclusion callable or None)
+    applies: object  # callable(PermGroup, prime) -> bool
+    notes: str = ""  # how the checker reads the statement, copied into each verdict
+
+
+def _divides(g: PermGroup, p: int) -> bool:
+    return g.order() % p == 0
+
+
+CHECKERS: dict[str, CheckerSpec] = {}
+
+
+def _checker(id_: str, description: str, applies=_divides, notes: str = ""):
+    """Register the decorated function as checker id_; it is returned unchanged."""
+
+    def register(run):
+        CHECKERS[id_] = CheckerSpec(id_, description, run, applies, notes)
+        return run
+
+    return register
+
+
+_WEAK_NOTES = "weakened hypothesis: N/C a p-group instead of p-nilpotent N"
+
+
 # individual checkers --------------------------------------------------------
 # Each takes a Context and returns (witnesses, conclusion).  The conclusion
 # is None when the hypothesis fails; otherwise it is a zero-argument
@@ -146,11 +179,13 @@ def _sub_label(h: PermGroup) -> str:
 # to the witnesses it was returned with.
 
 
+@_checker("burnside", "abelian Sylow implies N_G(P) controls p-transfer")
 def _chk_burnside(ctx: Context):
     wit = {"sylow": _sub_label(ctx.p_syl)}
     return wit, ctx.controls_ngp if is_abelian(ctx.p_syl) else None
 
 
+@_checker("hall_wielandt", "class(P) < p implies control")
 def _chk_hall_wielandt(ctx: Context):
     cls = nilpotency_class(ctx.p_syl)
     return {"class": cls}, ctx.controls_ngp if cls < ctx.prime else None
@@ -172,6 +207,7 @@ def _has_wreath_quotient(p_syl: PermGroup, p: int) -> bool:
     return False
 
 
+@_checker("yoshida", "no Z_p wr Z_p quotient of P implies control")
 def _chk_yoshida(ctx: Context):
     has_quot = _has_wreath_quotient(ctx.p_syl, ctx.prime)
     return {"has_wreath_quotient": has_quot}, None if has_quot else ctx.controls_ngp
@@ -196,26 +232,46 @@ def _tame_checker(ctx: Context, lower: PermGroup, conclusion, strict: bool, weak
     return wit, None
 
 
+@_checker(
+    "main_1_3",
+    "p-nilpotent normalizers of tame intersections strictly between "
+    "Z_{p-1}(P) and P imply control",
+)
 def _chk_main_1_3(ctx: Context):
     return _tame_checker(ctx, ctx.z_lower, ctx.controls_ngp, strict=True)
 
 
+@_checker("main_1_3_weak", "same with N/C a p-group in the hypothesis", notes=_WEAK_NOTES)
 def _chk_main_1_3_weak(ctx: Context):
     return _tame_checker(ctx, ctx.z_lower, ctx.controls_ngp, strict=True, weak=True)
 
 
+@_checker(
+    "cor_1_6",
+    "p-nilpotent normalizers of tame intersections above Z_{p-1}(P) "
+    "imply G is p-nilpotent",
+    notes="lower bound read inclusively (Z_{p-1}(P) <= D, including D = P); "
+    "the strict reading admits abelian-Sylow counterexamples",
+)
 def _chk_cor_1_6(ctx: Context):
     return _tame_checker(ctx, ctx.z_lower, ctx.p_nilpotent, strict=False)
 
 
+@_checker("thm_1_8", "the Z*(P) version of the tame-intersection theorem")
 def _chk_thm_1_8(ctx: Context):
     return _tame_checker(ctx, ctx.norm_p, ctx.controls_ngp, strict=True)
 
 
+@_checker("thm_1_8_weak", "Z*(P) version with the N/C hypothesis", notes=_WEAK_NOTES)
 def _chk_thm_1_8_weak(ctx: Context):
     return _tame_checker(ctx, ctx.norm_p, ctx.controls_ngp, strict=True, weak=True)
 
 
+@_checker(
+    "cor_1_9",
+    "Z*(P) version of the p-nilpotency corollary",
+    notes="lower bound read inclusively, as for the Z_{p-1} variant",
+)
 def _chk_cor_1_9(ctx: Context):
     return _tame_checker(ctx, ctx.norm_p, ctx.p_nilpotent, strict=False)
 
@@ -227,18 +283,22 @@ def _intersection_bound(ctx: Context, bound: int):
     return wit, ctx.controls_ngp if largest <= bound else None
 
 
+@_checker("cor_1_5", "all |P cap Q| <= |Z_{p-1}(P)| implies control")
 def _chk_cor_1_5(ctx: Context):
     return _intersection_bound(ctx, ctx.z_lower.order())
 
 
+@_checker("cor_1_11", "all |P cap Q| <= |Z*(P)| implies control")
 def _chk_cor_1_11(ctx: Context):
     return _intersection_bound(ctx, ctx.norm_p.order())
 
 
+@_checker("thm_4_1", "max Sylow intersection <= p^{p-1} implies control")
 def _chk_thm_4_1(ctx: Context):
     return _intersection_bound(ctx, ctx.prime ** (ctx.prime - 1))
 
 
+@_checker("thm_1_10", "weakly closed K <= Z*(P) implies N_G(K) controls p-transfer")
 def _chk_thm_1_10(ctx: Context):
     admissible = []
     for k_sub in all_subgroups(ctx.norm_p):
@@ -260,6 +320,9 @@ def _chk_thm_1_10(ctx: Context):
     return wit, every_normalizer_controls
 
 
+@_checker(
+    "prop_3_4", "all characteristic subgroups above Z_{p-1}(P) weakly closed implies control"
+)
 def _chk_prop_3_4(ctx: Context):
     chars = characteristic_subgroups_above(ctx.p_syl, ctx.z_lower)
     wit = {"characteristic_count": len(chars)}
@@ -271,6 +334,9 @@ def _chk_prop_3_4(ctx: Context):
     return wit, ctx.controls_ngp
 
 
+@_checker(
+    "aux_gruen_instance", "Z_{p-1}(P) weakly closed implies N_G(Z_{p-1}(P)) controls"
+)
 def _chk_aux_gruen_instance(ctx: Context):
     z = ctx.z_lower
     closed, conj = is_weakly_closed(ctx.group, ctx.p_syl, z)
@@ -326,6 +392,11 @@ def _lemma_condition_a(p_grp: PermGroup, z: PermGroup, p: int) -> bool:
     )
 
 
+@_checker(
+    "lemma_3_1",
+    "quotient control plus the iterated-commutator or Frattini condition "
+    "lifts control along G/Z",
+)
 def _chk_lemma_3_1(ctx: Context):
     qualifying = []
     for z in _normal_p_subgroup_candidates(ctx):
@@ -339,6 +410,10 @@ def _chk_lemma_3_1(ctx: Context):
     return wit, ctx.controls_ngp if qualifying else None
 
 
+@_checker(
+    "lemma_3_2",
+    "non-control with controlling quotient forces Z outside the index-p witness M",
+)
 def _chk_lemma_3_2(ctx: Context):
     if ctx.controls_ngp():
         return {"controls": True}, None
@@ -369,6 +444,11 @@ def _chk_lemma_3_2(ctx: Context):
     return wit, each_z_leaves_m
 
 
+@_checker(
+    "thm_4_2",
+    "class-p Sylow with p-nilpotent maximal normalizer implies p-solvable of length 1",
+    notes="conclusion 'length 1' has p-length and p'-length readings; both recorded",
+)
 def _chk_thm_4_2(ctx: Context):
     cls = nilpotency_class(ctx.p_syl)
     ngp = ctx.ngp
@@ -395,6 +475,7 @@ def _chk_thm_4_2(ctx: Context):
     return wit, length_one
 
 
+@_checker("thm_4_3", "class-p Sylow with p+1 Sylows implies control or nontrivial O_p")
 def _chk_thm_4_3(ctx: Context):
     cls = nilpotency_class(ctx.p_syl)
     count = len(ctx.family)
@@ -445,14 +526,30 @@ def _nilpotent_maximal_checker(ctx: Context, sylow2_measure, key: str):
     return wit, None
 
 
+@_checker(
+    "thm_4_4_janko",
+    "nilpotent maximal subgroup with class <= 2 Sylow-2 implies solvable",
+    applies=lambda g, p: p == 2,
+)
 def _chk_thm_4_4_janko(ctx: Context):
     return _nilpotent_maximal_checker(ctx, nilpotency_class, "sylow2_class")
 
 
+@_checker(
+    "thm_4_5",
+    "nilpotent maximal subgroup with norm length <= 2 Sylow-2 implies solvable",
+    applies=lambda g, p: p == 2,
+)
 def _chk_thm_4_5(ctx: Context):
     return _nilpotent_maximal_checker(ctx, norm_length, "sylow2_norm_length")
 
 
+@_checker(
+    "thm_4_8",
+    "p-central of height p-2 or p^2-central of height p-1 implies control (p odd)",
+    applies=lambda g, p: p > 2 and g.order() % p == 0,
+    notes="strict element-order reading; order-dividing variant recorded in witnesses",
+)
 def _chk_thm_4_8(ctx: Context):
     p = ctx.prime
     v1 = is_pi_central_of_height(ctx.p_syl, p, 1, p - 2)
@@ -467,6 +564,11 @@ def _chk_thm_4_8(ctx: Context):
     return wit, ctx.controls_ngp if v1 or v2 else None
 
 
+@_checker(
+    "thm_4_10_property",
+    "the centrality property passes to the quotient by Omega (p-groups)",
+    applies=lambda g, p: g.order() > 1 and is_p_group(g, p),
+)
 def _chk_thm_4_10(ctx: Context):
     g, p = ctx.group, ctx.prime
     v1 = p >= 3 and is_pi_central_of_height(g, p, 1, p - 2)
@@ -487,131 +589,6 @@ def _chk_thm_4_10(ctx: Context):
         return ok
 
     return wit, passes_to_quotient
-
-
-@dataclass
-class CheckerSpec:
-    id: str
-    description: str
-    run: object  # callable(Context) -> (witnesses, conclusion callable or None)
-    applies: object  # callable(PermGroup, prime) -> bool
-    notes: str = ""  # how the checker reads the statement, copied into each verdict
-
-
-def _divides(g: PermGroup, p: int) -> bool:
-    return g.order() % p == 0
-
-
-CHECKERS: dict[str, CheckerSpec] = {}
-
-
-def _register(id_: str, description: str, run, applies=_divides, notes: str = "") -> None:
-    CHECKERS[id_] = CheckerSpec(id_, description, run, applies, notes)
-
-
-_WEAK_NOTES = "weakened hypothesis: N/C a p-group instead of p-nilpotent N"
-
-_register("burnside", "abelian Sylow implies N_G(P) controls p-transfer", _chk_burnside)
-_register("hall_wielandt", "class(P) < p implies control", _chk_hall_wielandt)
-_register("yoshida", "no Z_p wr Z_p quotient of P implies control", _chk_yoshida)
-_register(
-    "main_1_3",
-    "p-nilpotent normalizers of tame intersections strictly between "
-    "Z_{p-1}(P) and P imply control",
-    _chk_main_1_3,
-)
-_register(
-    "main_1_3_weak",
-    "same with N/C a p-group in the hypothesis",
-    _chk_main_1_3_weak,
-    notes=_WEAK_NOTES,
-)
-_register("cor_1_5", "all |P cap Q| <= |Z_{p-1}(P)| implies control", _chk_cor_1_5)
-_register(
-    "cor_1_6",
-    "p-nilpotent normalizers of tame intersections above Z_{p-1}(P) "
-    "imply G is p-nilpotent",
-    _chk_cor_1_6,
-    notes="lower bound read inclusively (Z_{p-1}(P) <= D, including D = P); "
-    "the strict reading admits abelian-Sylow counterexamples",
-)
-_register("thm_1_8", "the Z*(P) version of the tame-intersection theorem", _chk_thm_1_8)
-_register(
-    "thm_1_8_weak",
-    "Z*(P) version with the N/C hypothesis",
-    _chk_thm_1_8_weak,
-    notes=_WEAK_NOTES,
-)
-_register(
-    "cor_1_9",
-    "Z*(P) version of the p-nilpotency corollary",
-    _chk_cor_1_9,
-    notes="lower bound read inclusively, as for the Z_{p-1} variant",
-)
-_register(
-    "thm_1_10",
-    "weakly closed K <= Z*(P) implies N_G(K) controls p-transfer",
-    _chk_thm_1_10,
-)
-_register("cor_1_11", "all |P cap Q| <= |Z*(P)| implies control", _chk_cor_1_11)
-_register(
-    "prop_3_4",
-    "all characteristic subgroups above Z_{p-1}(P) weakly closed implies control",
-    _chk_prop_3_4,
-)
-_register(
-    "aux_gruen_instance",
-    "Z_{p-1}(P) weakly closed implies N_G(Z_{p-1}(P)) controls",
-    _chk_aux_gruen_instance,
-)
-_register(
-    "lemma_3_1",
-    "quotient control plus the iterated-commutator or Frattini condition "
-    "lifts control along G/Z",
-    _chk_lemma_3_1,
-)
-_register(
-    "lemma_3_2",
-    "non-control with controlling quotient forces Z outside the index-p witness M",
-    _chk_lemma_3_2,
-)
-_register("thm_4_1", "max Sylow intersection <= p^{p-1} implies control", _chk_thm_4_1)
-_register(
-    "thm_4_2",
-    "class-p Sylow with p-nilpotent maximal normalizer implies p-solvable of length 1",
-    _chk_thm_4_2,
-    notes="conclusion 'length 1' has p-length and p'-length readings; both recorded",
-)
-_register(
-    "thm_4_3",
-    "class-p Sylow with p+1 Sylows implies control or nontrivial O_p",
-    _chk_thm_4_3,
-)
-_register(
-    "thm_4_4_janko",
-    "nilpotent maximal subgroup with class <= 2 Sylow-2 implies solvable",
-    _chk_thm_4_4_janko,
-    applies=lambda g, p: p == 2,
-)
-_register(
-    "thm_4_5",
-    "nilpotent maximal subgroup with norm length <= 2 Sylow-2 implies solvable",
-    _chk_thm_4_5,
-    applies=lambda g, p: p == 2,
-)
-_register(
-    "thm_4_8",
-    "p-central of height p-2 or p^2-central of height p-1 implies control (p odd)",
-    _chk_thm_4_8,
-    applies=lambda g, p: p > 2 and g.order() % p == 0,
-    notes="strict element-order reading; order-dividing variant recorded in witnesses",
-)
-_register(
-    "thm_4_10_property",
-    "the centrality property passes to the quotient by Omega (p-groups)",
-    _chk_thm_4_10,
-    applies=lambda g, p: g.order() > 1 and is_p_group(g, p),
-)
 
 
 def run_checker(checker_id: str, group: PermGroup, prime: int) -> CheckerVerdict:

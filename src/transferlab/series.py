@@ -11,9 +11,11 @@ tests one generator per cyclic subgroup.  A subgroup defined by
 generators (Phi, Omega, O_{p'}) is a `span`.  O^p(G) is the span of the
 p'-elements, trivial for a p-group and otherwise told |G| as its order,
 so a build that reaches G stops reading G's elements there (see
-`o_upper_p`).  The derived, lower central, upper central and norm
-series are each one call to `_series`, which steps from a first term
-until a term reaches a given order or a step leaves the order unchanged.
+`o_upper_p`).  The derived, lower central, upper central, norm and
+upper p-series are each one call to `_series`, which steps from a first
+term until a term reaches a given order or a step leaves the order
+unchanged; the upper p-series reads each factor's label from the orders
+of its terms.
 """
 
 from __future__ import annotations
@@ -237,26 +239,26 @@ def o_p(g: PermGroup, p: int) -> PermGroup:
     return result
 
 
-def o_p_by_closure(g: PermGroup, p: int) -> PermGroup:
-    """O_p(G) as <x : the normal closure of x is a p-group> (oracle route)."""
+def _core_by_closure(g: PermGroup, is_pi: Callable[[int], bool]) -> PermGroup:
+    """<x : x and its normal closure have pi-order>, for the pi-orders
+    is_pi accepts, spanned from whole conjugacy classes."""
     good: list[Perm] = []
     for rep, orbit in conjugacy_classes(g):
-        if rep.is_identity() or p_part(rep.order(), p) != rep.order():
+        if rep.is_identity() or not is_pi(rep.order()):
             continue
-        if is_p_group(normal_closure(g, [rep]), p):
+        if is_pi(normal_closure(g, [rep]).order()):
             good.extend(orbit)
     return span(g.degree, good)
+
+
+def o_p_by_closure(g: PermGroup, p: int) -> PermGroup:
+    """O_p(G) as <x : the normal closure of x is a p-group> (oracle route)."""
+    return _core_by_closure(g, lambda n: p_part(n, p) == n)
 
 
 def o_p_prime(g: PermGroup, p: int) -> PermGroup:
     """O_{p'}(G): generated by the x whose normal closure is a p'-group."""
-    good: list[Perm] = []
-    for rep, orbit in conjugacy_classes(g):
-        if rep.is_identity() or rep.order() % p == 0:
-            continue
-        if normal_closure(g, [rep]).order() % p != 0:
-            good.extend(orbit)
-    return span(g.degree, good)
+    return _core_by_closure(g, lambda n: n % p != 0)
 
 
 @memoized
@@ -296,29 +298,22 @@ def p_series(g: PermGroup, p: int) -> SeriesResult:
     """1 <= O_{p'} <= O_{p',p} <= ... ; factors alternate p' and p.
 
     Terms are subgroups of g (preimages under the successive quotients).
-    The series stops when it reaches g or stalls.  Kept on g: no term is
-    g itself, so the result never references g.
+    Each step lifts O_{p'} of G/prev, or O_p of G/prev when that is
+    trivial: right after a p' step O_{p'}(G/prev) = 1 and right after a p
+    step O_p(G/prev) = 1, so the steps alternate, and the series stops
+    when it reaches g or both cores are trivial.  A factor is "p" when p
+    divides its index.  Kept on g: no term is g itself, so the result
+    never references g.
     """
-    terms = [trivial_group(g.degree)]
-    factors: list[str] = []
-    current = terms[0]
-    want_p = False
-    stalled_once = False
-    while current.order() < g.order():
-        q = quotient_group(g, current)
-        nxt_img = o_p(q.image, p) if want_p else o_p_prime(q.image, p)
-        if nxt_img.is_trivial():
-            if stalled_once:
-                break
-            stalled_once = True
-            want_p = not want_p
-            continue
-        stalled_once = False
-        current = q.preimage_subgroup(nxt_img)
-        terms.append(current)
-        factors.append("p" if want_p else "p'")
-        want_p = not want_p
-    return SeriesResult(terms, factors)
+    def step(prev: PermGroup) -> PermGroup:
+        q = quotient_group(g, prev)
+        core = o_p_prime(q.image, p)
+        return q.preimage_subgroup(o_p(q.image, p) if core.is_trivial() else core)
+
+    s = _series(trivial_group(g.degree), step, g.order())
+    orders = [t.order() for t in s.terms]
+    s.factors = ["p" if (b // a) % p == 0 else "p'" for a, b in zip(orders, orders[1:])]
+    return s
 
 
 def is_p_solvable(g: PermGroup, p: int) -> bool:

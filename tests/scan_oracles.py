@@ -1,4 +1,5 @@
-"""Slow reference versions of the normalizer, of O^p and of the norm.
+"""Slow reference versions of the normalizer, of O^p, of the norm and
+of the upper p-series.
 
 These are the bodies `group.normalizer`, `series.o_upper_p` and
 `series.norm` had before their builds were told the order of the
@@ -7,11 +8,14 @@ subgroup: a member test on every element of G, then one chain build over
 all members (the normalizer), one span over every p'-element of G (O^p),
 and a member test against the powers of every element (the norm).  They
 stay here, and only here, as oracles for the differential tests in
-test_known_order_scans.py.
+test_known_order_scans.py.  `p_series_by_flags` is the loop
+`series.p_series` had before it became one `_series` call, kept as the
+oracle for test_series.py.
 """
 
-from transferlab.group import PermGroup, _scan_subgroup, span
+from transferlab.group import PermGroup, _scan_subgroup, quotient_group, span, trivial_group
 from transferlab.perm import _getter
+from transferlab.series import SeriesResult, o_p, o_p_prime
 
 
 def normalizer_by_scan(g: PermGroup, h: PermGroup) -> PermGroup:
@@ -45,3 +49,28 @@ def norm_by_every_element(p_grp: PermGroup) -> PermGroup:
         p_grp,
         lambda x: all(y.conjugate(x).images in powers for y, powers in power_sets),
     )
+
+
+def p_series_by_flags(g: PermGroup, p: int) -> SeriesResult:
+    """The upper p-series, asking for O_{p'} and O_p in turn and stopping
+    after two trivial cores in a row."""
+    terms = [trivial_group(g.degree)]
+    factors: list[str] = []
+    current = terms[0]
+    want_p = False
+    stalled_once = False
+    while current.order() < g.order():
+        q = quotient_group(g, current)
+        nxt_img = o_p(q.image, p) if want_p else o_p_prime(q.image, p)
+        if nxt_img.is_trivial():
+            if stalled_once:
+                break
+            stalled_once = True
+            want_p = not want_p
+            continue
+        stalled_once = False
+        current = q.preimage_subgroup(nxt_img)
+        terms.append(current)
+        factors.append("p" if want_p else "p'")
+        want_p = not want_p
+    return SeriesResult(terms, factors)

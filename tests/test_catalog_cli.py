@@ -296,8 +296,24 @@ def test_cli_prime_must_be_a_prime_dividing_the_order(capsys, argv):
             "expected_order must be an integer",
         ),
         ('{"label": "x", "degree": "3", "generators": [[1, 0, 2]]}', "degree must be an integer"),
+        (
+            '{"label": "x", "degree": 3, "generators": [[1, 0]]}',
+            "generator degree 2 != group degree 3\n",
+        ),
+        (
+            '{"label": "x", "degree": 3, "generators": [[0, 0, 1]]}',
+            "not a permutation of 0..2: (0, 0, 1)\n",
+        ),
     ],
-    ids=["list-record", "int-generator", "str-image", "str-expected-order", "str-degree"],
+    ids=[
+        "list-record",
+        "int-generator",
+        "str-image",
+        "str-expected-order",
+        "str-degree",
+        "short-generator",
+        "not-a-permutation",
+    ],
 )
 def test_cli_catalog_record_with_wrong_field_type_is_input_error(capsys, tmp_path, line, message):
     path = tmp_path / "bad.jsonl"

@@ -1,5 +1,7 @@
 import pytest
 
+from scan_oracles import p_series_by_flags
+from transferlab import series
 from transferlab.caps import DEFAULT_CAPS
 from transferlab.catalog import (
     alternating,
@@ -208,6 +210,42 @@ def test_p_series_and_lengths(s4, s3, a5):
     assert is_p_solvable(s4, 2)
     assert not is_p_solvable(a5, 2)
     assert p_length(a5, 2) is None
+
+
+SMALL_P_SERIES_PAIRS = [
+    pytest.param(e.build, p, id=f"{e.label}-p{p}")
+    for e in default_corpus()
+    if e.expected_order <= 200
+    for p in prime_divisors(e.expected_order)
+] + [pytest.param(lambda: direct_product(cyclic(3), alternating(5)), 2, id="C3xA5-p2")]
+
+
+@pytest.mark.parametrize("build,p", SMALL_P_SERIES_PAIRS)
+def test_p_series_matches_the_flag_loop(monkeypatch, build, p):
+    """One `_series` call gives the terms, factors and readings of the loop
+    that asked for O_{p'} and O_p in turn."""
+    g = build()
+    fast, slow = p_series(g, p), p_series_by_flags(g, p)
+    assert [t.element_set() for t in fast.terms] == [t.element_set() for t in slow.terms]
+    assert fast.factors == slow.factors
+
+    def readings():
+        return p_length(g, p), p_prime_length(g, p), is_p_solvable(g, p)
+
+    new = readings()
+    monkeypatch.setattr(series, "p_series", p_series_by_flags)
+    assert readings() == new
+
+
+def test_p_series_stalls_after_a_p_prime_step():
+    """C3 x A5 at p = 2: O_{2'} is the C3, and A5 above it has trivial O_2
+    and O_{2'}, so the series stops at C3 and the group is not 2-solvable."""
+    g = direct_product(cyclic(3), alternating(5))
+    s = p_series(g, 2)
+    assert [t.order() for t in s.terms] == [1, 3]
+    assert s.factors == ["p'"]
+    assert not is_p_solvable(g, 2)
+    assert p_length(g, 2) is None
 
 
 def test_iterated_commutator():

@@ -249,3 +249,88 @@ def test_only_caps_cli_and_init_name_the_caps_type(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = _caps_names(tree)
     assert lines == [], f"{path.name} names Caps or DEFAULT_CAPS at lines {lines}"
+
+
+def _is_checker_call(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "_checker"
+    )
+
+
+def _checker_registrations(tree: ast.Module) -> tuple[list[tuple[str, int]], list[int]]:
+    """Each `_chk_*` function with its number of `_checker(...)`
+    decorators, and the lines that register a checker some other way: a
+    `_checker` call that does not decorate a `_chk_*` function, or a write
+    into CHECKERS outside `_checker`."""
+    counts, decorating = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_chk_"):
+            calls = [d for d in node.decorator_list if _is_checker_call(d)]
+            counts.append((node.name, len(calls)))
+            decorating.update(map(id, calls))
+    inside = {
+        id(n)
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef) and top.name == "_checker"
+        for n in ast.walk(top)
+    }
+    stray = []
+    for node in ast.walk(tree):
+        if _is_checker_call(node) and id(node) not in decorating:
+            stray.append(node.lineno)
+        elif id(node) in inside:
+            continue
+        elif (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, (ast.Store, ast.Del))
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "CHECKERS"
+        ) or (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "CHECKERS"
+            and node.func.attr in ("update", "setdefault")
+        ):
+            stray.append(node.lineno)
+    return sorted(counts), sorted(stray)
+
+
+def test_checker_rule_sees_other_registrations():
+    source = (
+        '@_checker("a", "first")\n'
+        "def _chk_a(ctx): pass\n"
+        "def _chk_b(ctx): pass\n"
+        '@_checker("c", "x")\n'
+        '@_checker("c2", "y")\n'
+        "def _chk_c(ctx): pass\n"
+        '_checker("d", "late")(_chk_a)\n'
+        'CHECKERS["e"] = spec\n'
+        "def _register(i, r):\n"
+        "    CHECKERS[i] = r\n"
+        "def _checker(i, d):\n"
+        "    def register(run):\n"
+        "        CHECKERS[i] = run\n"
+        "        return run\n"
+        "    return register\n"
+        "CHECKERS.update(f=spec)\n"
+    )
+    counts, stray = _checker_registrations(ast.parse(source))
+    assert counts == [("_chk_a", 1), ("_chk_b", 0), ("_chk_c", 2)]
+    assert stray == [7, 8, 10, 16]
+
+
+def test_each_checker_is_registered_by_its_own_decorator():
+    """A checker's id, description, applicability and notes sit on its
+    `_chk_*` function, in one `_checker(...)` decorator; no table or other
+    write fills CHECKERS."""
+    from transferlab.checkers import CHECKERS
+
+    path = SRC / "checkers.py"
+    counts, stray = _checker_registrations(ast.parse(path.read_text(), filename=str(path)))
+    assert [name for name, n in counts if n != 1] == [], "a _chk_ function without one _checker"
+    assert stray == [], f"checkers.py registers a checker outside a decorator at lines {stray}"
+    assert len(counts) == len(CHECKERS) == 23
+    assert sorted(spec.run.__name__ for spec in CHECKERS.values()) == [name for name, _ in counts]
