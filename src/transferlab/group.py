@@ -24,7 +24,12 @@ members generate N.  A subgroup whose order is known (a conjugate, a
 step of the Sylow ascent) is made by `_of_order`, and one whose element
 set is known (a lattice join, the generating sequence of the isomorphism
 searches) by `_known_subgroup`, which keeps the set too; their chains
-are built on first use, stopped at that order.
+are built on first use, stopped at that order.  A conjugate H^t also
+keeps H and t, and tests membership through H (see
+`conjugate_subgroup`), so its chain is built only for `elements()` and
+for readers of `chain`, never for `contains`: the Sylow family's
+members, the conjugates in `core` and in the Mackey and Lemma 2.3
+loops share the one chain or element set of H.
 
 Every orbit is found by one breadth-first search (`_keyed_orbit`, whose
 points `_orbit` lists): right cosets (`right_transversal`, which hands
@@ -46,7 +51,9 @@ a quotient builds its transversal unkept (see `QuotientGroup`).
 
 A chain level (`_Level`) keeps its transversal and inverses as image
 tuples, during the build and after it; only strong generators are
-Perms.  The build and `contains` sift through one loop (`_sift`).  The
+Perms.  The build and `contains` sift through one loop (`_sift`);
+`contains` looks an element up in the element set first when the group
+has one, and a conjugate sifts in its source's chain.  The
 inner loops compose bare image tuples (`perm._compose`) and wrap a Perm
 only for a value that leaves them: the orbit BFS, the sifts and the
 Schreier loop of `_build_chain` (which wraps a strong generator when it
@@ -67,7 +74,7 @@ from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .caps import check_cap, current_caps
-from .perm import Perm, _compose, _getter, _perm, commutator
+from .perm import Perm, _compose, _getter, _invert, _perm, commutator
 
 
 class InvariantError(AssertionError):
@@ -263,6 +270,9 @@ class PermGroup:
         self._order: int | None = None
         self._elements: list[Perm] | None = None
         self._element_set: frozenset[tuple[int, ...]] | None = None
+        # A conjugate K^t (see `conjugate_subgroup`): K and the images of t
+        # and t^-1, through which `contains` tests membership.
+        self._source: tuple[PermGroup, tuple[int, ...], tuple[int, ...]] | None = None
         self._memo: dict = {}
 
     # chain / order / membership ------------------------------------------
@@ -289,11 +299,21 @@ class PermGroup:
         return self.order()
 
     def contains(self, g: Perm) -> bool:
+        """Is g in the group?  One lookup when the element set is known,
+        else one sift in the chain.  A conjugate K^t with no element set
+        tests t * g * t^-1 against K instead (see `conjugate_subgroup`), so
+        it never builds its own chain to answer."""
         if g.degree != self.degree:
             raise ValueError("degree mismatch")
         if self._element_set is not None:
             return g.images in self._element_set
-        return _sift(self.chain, g.images)[0] == tuple(range(self.degree))
+        if self._source is None:
+            return _sift(self.chain, g.images)[0] == tuple(range(self.degree))
+        source, t, t_inv = self._source
+        imgs = _compose(_compose(t, g.images), t_inv)
+        if source._element_set is not None:
+            return imgs in source._element_set
+        return _sift(source.chain, imgs)[0] == tuple(range(self.degree))
 
     def __contains__(self, g: Perm) -> bool:
         return self.contains(g)
@@ -467,11 +487,22 @@ def conjugate_subgroup(h: PermGroup, g: Perm) -> PermGroup:
 
     H^g has the order of H, so the conjugate knows its order without a
     chain, and a chain built later stops at that order (see
-    `PermGroup.chain`).
+    `PermGroup.chain`).  It keeps H as its source and tests membership
+    through it: x is in H^g iff g * x * g^-1 is in H (Holt, Eick and
+    O'Brien, Handbook of CGT, ch. 4), one lookup in H's element set or
+    one sift in H's chain, which all of H's conjugates share.  A
+    conjugate of a conjugate K^s keeps K and s * g, so every test is one
+    step from a group that is no conjugate.
     """
     if g.degree != h.degree:
         raise ValueError("degree mismatch")
-    return _of_order(h.degree, [x.conjugate(g) for x in h.gens], h.order())
+    conj = _of_order(h.degree, [x.conjugate(g) for x in h.gens], h.order())
+    source, t = h, g.images
+    if h._source is not None:
+        source, s, _ = h._source
+        t = _compose(s, t)
+    conj._source = (source, t, _invert(t))
+    return conj
 
 
 def _scan_subgroup(g: PermGroup, keep) -> PermGroup:

@@ -301,11 +301,16 @@ def p_series(g: PermGroup, p: int) -> SeriesResult:
     Each step lifts O_{p'} of G/prev, or O_p of G/prev when that is
     trivial: right after a p' step O_{p'}(G/prev) = 1 and right after a p
     step O_p(G/prev) = 1, so the steps alternate, and the series stops
-    when it reaches g or both cores are trivial.  A factor is "p" when p
-    divides its index.  Kept on g: no term is g itself, so the result
-    never references g.
+    when it reaches g or both cores are trivial.  The first step, from
+    prev = 1, takes the cores of g itself rather than of G/1, the regular
+    representation of degree |G|.  A factor is "p" when p divides its
+    index.  Kept on g: no term is g itself (a core is a span or an
+    intersection, never g), so the result never references g.
     """
     def step(prev: PermGroup) -> PermGroup:
+        if prev.is_trivial():
+            core = o_p_prime(g, p)
+            return o_p(g, p) if core.is_trivial() else core
         q = quotient_group(g, prev)
         core = o_p_prime(q.image, p)
         return q.preimage_subgroup(o_p(q.image, p) if core.is_trivial() else core)

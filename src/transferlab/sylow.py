@@ -142,6 +142,8 @@ def is_tame_intersection(
 ) -> TameIntersectionRecord:
     """Classify P cap Q for two Sylow p-subgroups P and Q of G, and record
     the predicates the theorems need (see `_tame_record`)."""
+    if not (p_syl.is_subgroup_of(g) and q_syl.is_subgroup_of(g)):
+        raise ValueError("both subgroups must be subgroups of G")
     target = p_part(g.order(), prime)
     if p_syl.order() != target or q_syl.order() != target:
         raise ValueError("both subgroups must be Sylow p-subgroups")

@@ -165,11 +165,16 @@ def controls_p_transfer(g: PermGroup, n: PermGroup, p: int) -> ControlReport:
 
     Primary test: focal equality P cap G' = P cap N' for a Sylow
     p-subgroup P of N (which must be Sylow in G).  Cross-checked
-    against the abelian invariants of G/A^p(G) and N/A^p(N).
+    against the abelian invariants of G/A^p(G) and N/A^p(N).  N must be
+    a subgroup of G, so |N| = |G| means N = G, and then P is G's own
+    (memoized) Sylow subgroup: N's elements are G's, and the answer and
+    the focal orders do not depend on which Sylow subgroup is used.
     """
+    if not n.is_subgroup_of(g):
+        raise ValueError("N is not a subgroup of G")
     if (g.order() // n.order()) % p == 0:
         raise ValueError("index of N in G must be prime to p")
-    p_syl = sylow_subgroup(n, p)
+    p_syl = sylow_subgroup(g if n.order() == g.order() else n, p)
     if p_syl.order() != p_part(g.order(), p):
         raise ValueError("Sylow subgroup of N is not Sylow in G")
     focal_g = focal_subgroup(g, p_syl)

@@ -10,10 +10,23 @@ and a member test against the powers of every element (the norm).  They
 stay here, and only here, as oracles for the differential tests in
 test_known_order_scans.py.  `p_series_by_flags` is the loop
 `series.p_series` had before it became one `_series` call, kept as the
-oracle for test_series.py.
+oracle for test_series.py.  `core_by_chains` and `o_p_by_chains` are
+`group.core` and `series.o_p` with each conjugate a plain group on the
+conjugated generators, which builds its own chain to test membership,
+as every conjugate did before it tested membership through its source;
+they are the oracles for test_conjugate_membership.py.
 """
 
-from transferlab.group import PermGroup, _scan_subgroup, quotient_group, span, trivial_group
+from transferlab.group import (
+    PermGroup,
+    _scan_subgroup,
+    intersection,
+    normalizer,
+    quotient_group,
+    right_transversal,
+    span,
+    trivial_group,
+)
 from transferlab.perm import _getter
 from transferlab.series import SeriesResult, o_p, o_p_prime
 
@@ -74,3 +87,36 @@ def p_series_by_flags(g: PermGroup, p: int) -> SeriesResult:
         factors.append("p" if want_p else "p'")
         want_p = not want_p
     return SeriesResult(terms, factors)
+
+
+def conjugate_by_chain(h: PermGroup, t) -> PermGroup:
+    """H^t on the conjugated generators, with no source: its membership
+    test sifts in its own chain."""
+    return PermGroup(h.degree, [x.conjugate(t) for x in h.gens])
+
+
+def core_by_chains(g: PermGroup, h: PermGroup) -> PermGroup:
+    """Core_G(H), intersecting H with `conjugate_by_chain` conjugates."""
+    result = h
+    for t in right_transversal(g, h).reps[1:]:
+        result = intersection(result, conjugate_by_chain(h, t))
+        if result.is_trivial():
+            break
+    return result
+
+
+def o_p_by_chains(g: PermGroup, p: int) -> PermGroup:
+    """O_p(G), intersecting P with the `conjugate_by_chain` conjugates of
+    P over the transversal of N_G(P), the Sylow family in its order."""
+    from transferlab.sylow import sylow_subgroup
+
+    if g.order() % p:
+        return trivial_group(g.degree)
+    syl = sylow_subgroup(g, p)
+    reps = right_transversal(g, normalizer(g, syl)).reps
+    result = syl
+    for q in [syl] + [conjugate_by_chain(syl, t) for t in reps[1:]]:
+        result = intersection(result, q)
+        if result.is_trivial():
+            break
+    return result

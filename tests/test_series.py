@@ -11,6 +11,7 @@ from transferlab.catalog import (
     direct_product,
     elementary_abelian,
     generalized_quaternion,
+    psl2,
     sl23,
     symmetric,
     wreath_cyclic,
@@ -246,6 +247,32 @@ def test_p_series_stalls_after_a_p_prime_step():
     assert s.factors == ["p'"]
     assert not is_p_solvable(g, 2)
     assert p_length(g, 2) is None
+
+
+@pytest.mark.parametrize(
+    "build,p,orders,factors",
+    [
+        (lambda: psl2(17), 2, [1], []),
+        (lambda: symmetric(4), 2, [1, 4, 12, 24], ["p", "p'", "p"]),
+    ],
+    ids=["PSL(2,17)-p2", "S4-p2"],
+)
+def test_p_series_takes_its_first_step_on_g(monkeypatch, build, p, orders, factors):
+    """The first step takes the cores of G itself: no quotient by the
+    trivial group, whose image is the regular representation of degree
+    |G| (for PSL(2,17), 6 s against 0.03 s)."""
+    kernels = []
+    real = series.quotient_group
+
+    def recording(g, n):
+        kernels.append(n.order())
+        return real(g, n)
+
+    monkeypatch.setattr(series, "quotient_group", recording)
+    s = p_series(build(), p)
+    assert 1 not in kernels
+    assert [t.order() for t in s.terms] == orders
+    assert s.factors == factors
 
 
 def test_iterated_commutator():

@@ -80,6 +80,16 @@ def test_tame_intersection_s4(s4):
     assert not rec.normalizer_p_nilpotent
 
 
+def test_is_tame_intersection_rejects_a_subgroup_outside_g():
+    """<(0 1 2 3)> is a 2-group of A4's Sylow order, but not in A4."""
+    g = alternating(4)
+    p_syl = sylow_subgroup(g, 2)
+    outside = PermGroup(4, [Perm.from_cycles(4, [(0, 1, 2, 3)])])
+    for p_arg, q_arg in ((p_syl, outside), (outside, p_syl)):
+        with pytest.raises(ValueError, match="subgroups of G"):
+            is_tame_intersection(g, p_arg, q_arg, 2)
+
+
 def test_tame_intersections_between_bounds(s4):
     trivial = PermGroup(4, [])
     # Inclusive at both ends picks up D = P as well.

@@ -215,6 +215,15 @@ def test_controls_rejects_bad_index(s4):
         controls_p_transfer(s4, a4_in, 2)
 
 
+def test_controls_rejects_n_outside_g():
+    """<(0 1 2 3)> has order 4 = |A4|_2 but is no subgroup of A4, so its
+    focal subgroup P cap N' says nothing about control in A4."""
+    g = alternating(4)
+    n = PermGroup(4, [Perm.from_cycles(4, [(0, 1, 2, 3)])])
+    with pytest.raises(ValueError, match="N is not a subgroup of G"):
+        controls_p_transfer(g, n, 2)
+
+
 def test_control_cross_check_raises_invariant_error(monkeypatch, s4):
     """A quotient test that disagrees with the focal test is an invariant
     failure, under python -O too."""
