@@ -49,7 +49,7 @@ from .series import (
     z_k,
 )
 from .sylow import all_sylow_subgroups, max_intersection_order, tame_intersections_between
-from .transfer import controls_p_transfer, focal_subgroup
+from .transfer import controls_p_transfer
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -106,7 +106,7 @@ def cmd_analyze(args) -> int:
             f"|O^p(G)| = {o_upper_p(group, p).order()}",
             f"|A^p(G)| = {a_p(group, p).order()}",
             f"p-nilpotent: {is_p_nilpotent(group, p)}",
-            f"focal subgroup order: {focal_subgroup(group, p_syl).order()}",
+            f"focal subgroup order: {report.focal_g.order()}",
             f"max Sylow intersection: {max_intersection_order(group, p)}",
             f"tame intersections below P: {len(tame)}"
             + (f" (orders {sorted(r.d.order() for r in tame)})" if tame else ""),

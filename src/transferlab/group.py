@@ -20,12 +20,15 @@ that chain.  A build told the order stops once the orbit lengths
 multiply to it, with the chain a full build gives, and reads no element
 past the one that completed the chain: `normalizer` takes |N_G(H)| as
 |G| over the number of conjugates of H, and so reads G only until its
-members generate N.  A subgroup whose order is known (a conjugate, a
-step of the Sylow ascent) is made by `_of_order`, and one whose element
-set is known (a lattice join, the generating sequence of the isomorphism
-searches) by `_known_subgroup`, which keeps the set too; their chains
-are built on first use, stopped at that order.  A conjugate H^t also
-keeps H and t, and tests membership through H (see
+members generate N.  A normal H has N_G(H) = G, found by testing H's
+generators conjugated by G's: every normal H gets the one N = G kept
+for the trivial group, which shares G's element set.  A subgroup whose
+order is known (a conjugate, a step of the Sylow ascent, A^p(G) when
+O^p(G) = G) is made by `_of_order`, and one whose element set is known
+(the trivial group, a lattice join, the generating sequence of the
+isomorphism searches) by `_known_subgroup`, which keeps the set too;
+their chains are built on first use, stopped at that order.  A
+conjugate H^t also keeps H and t, and tests membership through H (see
 `conjugate_subgroup`), so its chain is built only for `elements()` and
 for readers of `chain`, never for `contains`: the Sylow family's
 members, the conjugates in `core` and in the Mackey and Lemma 2.3
@@ -53,7 +56,8 @@ A chain level (`_Level`) keeps its transversal and inverses as image
 tuples, during the build and after it; only strong generators are
 Perms.  The build and `contains` sift through one loop (`_sift`);
 `contains` looks an element up in the element set first when the group
-has one, and a conjugate sifts in its source's chain.  The
+has one, a conjugate sifts in its source's chain, and a residue is
+compared with the identity kept for its degree (`_IDENTITY`).  The
 inner loops compose bare image tuples (`perm._compose`) and wrap a Perm
 only for a value that leaves them: the orbit BFS, the sifts and the
 Schreier loop of `_build_chain` (which wraps a strong generator when it
@@ -84,6 +88,17 @@ class InvariantError(AssertionError):
     AssertionError so existing ``except AssertionError`` handlers keep
     catching it.
     """
+
+
+class _Identities(dict):
+    """degree -> the image tuple of the identity, each built once."""
+
+    def __missing__(self, degree: int) -> tuple[int, ...]:
+        ident = self[degree] = tuple(range(degree))
+        return ident
+
+
+_IDENTITY = _Identities()
 
 
 @dataclass
@@ -308,12 +323,12 @@ class PermGroup:
         if self._element_set is not None:
             return g.images in self._element_set
         if self._source is None:
-            return _sift(self.chain, g.images)[0] == tuple(range(self.degree))
+            return _sift(self.chain, g.images)[0] == _IDENTITY[self.degree]
         source, t, t_inv = self._source
         imgs = _compose(_compose(t, g.images), t_inv)
         if source._element_set is not None:
             return imgs in source._element_set
-        return _sift(source.chain, imgs)[0] == tuple(range(self.degree))
+        return _sift(source.chain, imgs)[0] == _IDENTITY[self.degree]
 
     def __contains__(self, g: Perm) -> bool:
         return self.contains(g)
@@ -425,7 +440,10 @@ def memoized(fn):
 # constructors -------------------------------------------------------------
 
 def trivial_group(degree: int) -> PermGroup:
-    return PermGroup(degree, [], "1")
+    """The trivial group, whose order and element set need no chain."""
+    h = _known_subgroup(degree, (), frozenset([_IDENTITY[degree]]))
+    h.name = "1"
+    return h
 
 
 def _distinct(degree: int, elems: Iterable[Perm]) -> Iterator[Perm]:
@@ -531,10 +549,18 @@ def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
     reads G only until the members read generate N; the chain and gens
     are those of a build over every member (see `_build_chain`).  The
     element set is then listed from N's chain.
+
+    A nontrivial H that G's gens conjugate into H is normal, so N = G,
+    and the call returns the N of the trivial group, kept on G: every
+    normal H shares one N, built over all of G's elements with no
+    conjugate count beyond the trivial one.  When H has one conjugate,
+    N takes G's element set instead of listing its own.
     """
     if g.degree != h.degree:
         raise ValueError("degree mismatch")
     elems = g.elements()  # first, so an element cap fires as for a full scan
+    if h.gens and h.is_normal_in(g):
+        return normalizer(g, trivial_group(g.degree))  # one kept N = G per G
     hset = h.element_set()
     # Each generator s as its images and the getter of s^-1, which conjugate
     # an element set as t^s = s^-1 * (t * s).
@@ -550,7 +576,10 @@ def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
         return all(xi(t(xs)) in hset for t in getters)
 
     n = _from_elements(g.degree, (x for x in elems if keep(x)), g.order() // count)
-    n.element_set()
+    if count == 1:
+        n._element_set = g.element_set()
+    else:
+        n.element_set()
     return n
 
 

@@ -26,6 +26,7 @@ from typing import Callable
 from .group import (
     PermGroup,
     _from_elements,
+    _of_order,
     _scan_subgroup,
     centralizer,
     commutator_subgroup,
@@ -281,8 +282,16 @@ def o_upper_p(g: PermGroup, p: int) -> PermGroup:
 
 def a_p(g: PermGroup, p: int) -> PermGroup:
     """A^p(G) = G' * O^p(G): smallest normal subgroup with abelian p-group
-    quotient."""
-    return join(derived_subgroup(g), o_upper_p(g, p))
+    quotient, generated by the gens of G' and then of O^p(G).
+
+    When O^p(G) = G (a known order, see `o_upper_p`), A^p(G) is G, and
+    the join is told |G|, so its chain build stops there (see
+    `_build_chain`) with the chain a full build gives.
+    """
+    d, k = derived_subgroup(g), o_upper_p(g, p)
+    if k.order() == g.order():
+        return _of_order(g.degree, [*d.gens, *k.gens], g.order())
+    return join(d, k)
 
 
 def is_p_nilpotent(g: PermGroup, p: int) -> bool:

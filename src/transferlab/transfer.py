@@ -157,6 +157,10 @@ class ControlReport:
 
 @memoized
 def _ap_quotient_invariants(g: PermGroup, p: int) -> tuple[int, ...]:
+    """The abelian invariants of G/A^p(G); () with no quotient built when
+    O^p(G) = G, since A^p(G) = G' * O^p(G) is then G."""
+    if o_upper_p(g, p).order() == g.order():
+        return ()
     return abelian_invariants(quotient_group(g, a_p(g, p)).image)
 
 
@@ -166,15 +170,18 @@ def controls_p_transfer(g: PermGroup, n: PermGroup, p: int) -> ControlReport:
     Primary test: focal equality P cap G' = P cap N' for a Sylow
     p-subgroup P of N (which must be Sylow in G).  Cross-checked
     against the abelian invariants of G/A^p(G) and N/A^p(N).  N must be
-    a subgroup of G, so |N| = |G| means N = G, and then P is G's own
-    (memoized) Sylow subgroup: N's elements are G's, and the answer and
-    the focal orders do not depend on which Sylow subgroup is used.
+    a subgroup of G.  P is G's own (memoized) Sylow subgroup whenever it
+    lies in N, as it does when N = G or N = N_G(P), and otherwise a
+    Sylow subgroup of N found by N's own ascent.  The answer and the
+    focal orders do not depend on which Sylow subgroup of N is used.
     """
     if not n.is_subgroup_of(g):
         raise ValueError("N is not a subgroup of G")
     if (g.order() // n.order()) % p == 0:
         raise ValueError("index of N in G must be prime to p")
-    p_syl = sylow_subgroup(g if n.order() == g.order() else n, p)
+    p_syl = sylow_subgroup(g, p)
+    if not p_syl.is_subgroup_of(n):
+        p_syl = sylow_subgroup(n, p)
     if p_syl.order() != p_part(g.order(), p):
         raise ValueError("Sylow subgroup of N is not Sylow in G")
     focal_g = focal_subgroup(g, p_syl)
