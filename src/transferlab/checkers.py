@@ -192,12 +192,16 @@ def _chk_hall_wielandt(ctx: Context):
 
 
 def _has_wreath_quotient(p_syl: PermGroup, p: int) -> bool:
+    """Has P a quotient isomorphic to Z_p wr Z_p, of order p^{p+1}?  When
+    |P| is that order, N = 1 is the only kernel, and P/1 is P itself."""
     from .catalog import wreath_cyclic
 
     target = p ** (p + 1)
     if p_syl.order() % target:
         return False
     wreath = wreath_cyclic(p)
+    if p_syl.order() == target:
+        return is_isomorphic(p_syl, wreath)[0]
     for n in normal_subgroups(p_syl):
         if n.order() * target != p_syl.order():
             continue

@@ -240,9 +240,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser `main` uses, built on its first call and shared by the rest.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit

@@ -5,13 +5,16 @@ sequence finds isomorphisms.  The sequence, and each choice of images
 the search tries, is sized by its element set (`_closure`), not by a
 chain build.  Aut(P) is a permutation group on the positions of P's
 elements, built level by level from first hits of that search; its
-order is checked against the product of the orbit lengths.  One
-join-closure over a partition of P's elements lists all, normal
-or characteristic subgroups (`_subgroup_lattice`).  Each join's element
-set comes first, closed by whole cosets of the smaller subgroup on image
-tuples; only a set not seen before becomes a subgroup, made by
-`group._known_subgroup` (so is the generating sequence), and builds its
-chain only on first use.
+order is checked against the product of the orbit lengths.  A
+candidate map is extended along the source's word plan (`_cayley_plan`,
+its Cayley graph on image tuples, built once per source), so each
+candidate composes only target images.  One join-closure over a
+partition of P's elements lists all, normal or characteristic subgroups
+(`_subgroup_lattice`).  A one-element block's atom, a cyclic subgroup,
+and each join's element set come first, closed by whole cosets of the
+smaller subgroup on image tuples; only a set not seen before becomes a
+subgroup, made by `group._known_subgroup` (so is the generating
+sequence), and builds its chain only on first use.
 """
 
 from __future__ import annotations
@@ -27,16 +30,18 @@ from .caps import check_cap, current_caps
 from .group import (
     InvariantError,
     PermGroup,
+    _IDENTITY,
     _known_subgroup,
     _orbit,
     _orbits,
     centralizer,
     derived_subgroup,
     is_abelian,
+    memoized,
     quotient_group,
     span,
 )
-from .perm import Perm, _compose
+from .perm import Perm, _compose, _getter, _perm
 
 
 @dataclass
@@ -47,28 +52,35 @@ class GeneratorMap:
     target: PermGroup
     images: tuple[Perm, ...]
 
+    def __post_init__(self) -> None:
+        if len(self.images) != len(self.source.gens):
+            raise ValueError(f"{len(self.images)} images for {len(self.source.gens)} generators")
+        if any(x.degree != self.target.degree for x in self.images):
+            raise ValueError("image degree differs from the target's")
+
     def extend(self) -> dict[tuple[int, ...], Perm] | None:
-        """Extend to a full homomorphism by multiplication-table closure.
+        """Extend to a full homomorphism along the source's word plan.
 
         Returns the element-wise map, or None if the generator images
-        are inconsistent (no homomorphism exists).
+        are inconsistent (no homomorphism exists).  Target images are
+        composed along the source's Cayley graph (`_cayley_plan`): the
+        first edge into an element gives its image, and every later edge
+        must agree.  A homomorphism is unique, so the table does not
+        depend on the order of the edges.
         """
-        src_id = Perm.identity(self.source.degree)
-        tgt_id = Perm.identity(self.target.degree)
-        mapping: dict[tuple[int, ...], Perm] = {src_id.images: tgt_id}
-        queue: list[tuple[Perm, Perm]] = [(src_id, tgt_id)]
-        while queue:
-            a, b = queue.pop()
-            for g, gi in zip(self.source.gens, self.images):
-                a2 = a * g
-                b2 = b * gi
-                known = mapping.get(a2.images)
+        elems, rows = _cayley_plan(self.source)
+        gens = [x.images for x in self.images]
+        imgs = [_IDENTITY[self.target.degree]] + [None] * (len(elems) - 1)
+        for i, row in enumerate(rows):
+            times = _getter(imgs[i])  # set: breadth-first, i was reached from a row < i
+            for s, k in zip(gens, row):
+                y = times(s)
+                known = imgs[k]
                 if known is None:
-                    mapping[a2.images] = b2
-                    queue.append((a2, b2))
-                elif known != b2:
+                    imgs[k] = y
+                elif known != y:
                     return None
-        return mapping
+        return dict(zip(elems, map(_perm, imgs)))
 
     @cached_property
     def _table(self) -> dict[tuple[int, ...], Perm] | None:
@@ -90,6 +102,30 @@ class GeneratorMap:
         return self._table[x.images]
 
 
+@memoized
+def _cayley_plan(g: PermGroup) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The word plan of g: its elements as image tuples, breadth-first from
+    the identity over g's gens, and per element a row whose entry j is the
+    index of element * gens[j].  Kept on g for every `GeneratorMap.extend`
+    from g."""
+    gens = [s.images for s in g.gens]
+    elems = [_IDENTITY[g.degree]]
+    index = {elems[0]: 0}
+    rows = []
+    for x in elems:
+        times = _getter(x)
+        row = []
+        for s in gens:
+            y = times(s)
+            k = index.get(y)
+            if k is None:
+                k = index[y] = len(elems)
+                elems.append(y)
+            row.append(k)
+        rows.append(tuple(row))
+    return elems, rows
+
+
 def element_order_profile(g: PermGroup) -> Counter:
     return Counter(x.order() for x in g.elements())
 
@@ -100,21 +136,22 @@ def abelian_invariants(g: PermGroup) -> tuple[int, ...]:
     Derived from the counts of elements of order dividing p^k: for an
     abelian p-group with invariants p^{l_1},...,p^{l_r}, the number of
     cyclic factors of order >= p^k is log_p of the ratio of consecutive
-    counts.
+    counts.  x^{p^k} = 1 exactly when ord(x) divides p^k, so the counts
+    come from one order per element (`element_order_profile`).
     """
     if not is_abelian(g):
         raise ValueError("group is not abelian")
     n = g.order()
     if n == 1:
         return ()
-    elems = g.elements()
+    profile = element_order_profile(g)
     out: list[int] = []
     for p in prime_divisors(n):
         prev = 1
         k = 1
         heights: list[int] = []
         while True:
-            count = sum(1 for x in elems if (x ** (p**k)).is_identity())
+            count = sum(c for o, c in profile.items() if p**k % o == 0)
             layers = _ilog(count // prev, p)
             if layers == 0:
                 break
@@ -154,8 +191,11 @@ def _ilog(n: int, p: int) -> int:
 
 
 def abelianization_invariants(g: PermGroup) -> tuple[int, ...]:
-    """Abelian invariants of G/G'."""
+    """Abelian invariants of G/G'; those of G itself when G' = 1, with no
+    quotient built."""
     gprime = derived_subgroup(g)
+    if gprime.is_trivial():
+        return abelian_invariants(g)
     q = quotient_group(g, gprime)
     return abelian_invariants(q.image)
 
@@ -357,7 +397,8 @@ def _subgroup_lattice(p: PermGroup, orbits: Iterable[list[Perm]]) -> list[PermGr
     of a group of operators (none, P by conjugation, Aut(P)) these are
     the subgroups closed under them: each is the join of the atoms of its
     elements (Holt, Eick and O'Brien, Handbook of CGT).  The identity's
-    block spans 1.
+    block spans 1.  A one-element block [x] gives <x> as its `_closure`
+    from 1, with gens (x,) as `span([x])` has; a larger block is a `span`.
 
     The frontier is joined with each atom in turn.  An atom inside H is
     skipped; otherwise the element set of <H, atom> comes first, closed
@@ -372,9 +413,15 @@ def _subgroup_lattice(p: PermGroup, orbits: Iterable[list[Perm]]) -> list[PermGr
     order = p.order()
     check_cap("subgroup enumeration", order, current_caps().subgroup_enum_cap)
     atoms: dict[frozenset, PermGroup] = {}
+    one = frozenset([_IDENTITY[p.degree]])
     for orbit in orbits:
-        a = span(p.degree, orbit)
-        atoms.setdefault(a.element_set(), a)
+        if len(orbit) == 1:
+            aset = _closure(p.degree, one, orbit, order)
+            if aset not in atoms:
+                atoms[aset] = _known_subgroup(p.degree, orbit, aset)
+        else:
+            a = span(p.degree, orbit)
+            atoms.setdefault(a.element_set(), a)
     known: dict[frozenset, PermGroup] = dict(atoms)
     frontier = list(atoms.items())
     while frontier:

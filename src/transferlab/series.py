@@ -175,8 +175,13 @@ def is_dedekind(p: PermGroup) -> bool:
 
 def norm_series(p: PermGroup) -> SeriesResult:
     """Ascending series of iterated norms, lifted through quotients; it
-    stalls where the norm of the quotient is trivial."""
+    stalls where the norm of the quotient is trivial.
+
+    The first step is norm(P), as P/1 is P.  A later step depends only on
+    the element set of the term before it (see `right_transversal`)."""
     def step(prev: PermGroup) -> PermGroup:
+        if prev.is_trivial():
+            return norm(p)
         q = quotient_group(p, prev)
         return q.preimage_subgroup(norm(q.image))
 

@@ -4,7 +4,10 @@ This is the search the iso layer used before Aut(P) became a permutation
 group: every tuple of images of the generating sequence, pruned only by
 subgroup orders, each checked by building its full multiplication
 table.  It stays here, and only here, as the oracle for the
-differential tests in test_iso.py.
+differential tests in test_iso.py.  `extend_by_products` is the body
+`GeneratorMap.extend` had before it read the source's word plan: a
+depth-first closure that multiplies Perms on both sides for every
+candidate map; it is the oracle for test_word_plan.py.
 """
 
 from transferlab.group import PermGroup
@@ -36,6 +39,26 @@ def every_automorphism(p: PermGroup) -> list[GeneratorMap]:
         if gm.is_isomorphism():
             found.append(gm)
     return found
+
+
+def extend_by_products(gm: GeneratorMap) -> dict[tuple[int, ...], Perm] | None:
+    """The element table of gm, or None if gm is no homomorphism."""
+    src_id = Perm.identity(gm.source.degree)
+    tgt_id = Perm.identity(gm.target.degree)
+    mapping: dict[tuple[int, ...], Perm] = {src_id.images: tgt_id}
+    queue: list[tuple[Perm, Perm]] = [(src_id, tgt_id)]
+    while queue:
+        a, b = queue.pop()
+        for g, gi in zip(gm.source.gens, gm.images):
+            a2 = a * g
+            b2 = b * gi
+            known = mapping.get(a2.images)
+            if known is None:
+                mapping[a2.images] = b2
+                queue.append((a2, b2))
+            elif known != b2:
+                return None
+    return mapping
 
 
 def is_characteristic_by_images(c: PermGroup, auts: list[GeneratorMap]) -> bool:

@@ -29,7 +29,7 @@ from transferlab.group import (
     right_transversal,
     span,
 )
-from transferlab.iso import automorphism_group
+from transferlab.iso import _cayley_plan, automorphism_group
 from transferlab.series import (
     nilpotency_class,
     norm,
@@ -81,6 +81,7 @@ CALLS = {
     sylow_intersections: lambda g, p, z: (g, (2,), {}),
     _tame_record: lambda g, p, z: (g, (p, *sylow_intersections(g, 2)[1], 2), {}),
     right_transversal: lambda g, p, z: (g, (p,), {}),
+    _cayley_plan: lambda g, p, z: (p, (), {}),
 }
 IDS = [fn.__name__ for fn in CALLS]
 
