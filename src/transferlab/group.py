@@ -12,27 +12,26 @@ argument by its element set, so a fresh subgroup with the same elements
 gets the kept result.  A kept object is shared by every caller that asks
 for it, so no caller may mutate it (a transversal's `reps` included).
 
-A subgroup built from elements, by `span`, by scanning a group's
-elements (`_scan_subgroup`) or by `normalizer`, goes through one path
-(`_from_elements`): one chain build over the elements, read lazily,
-whose result keeps as gens only the elements that build used, and keeps
-that chain.  A build told the order stops once the orbit lengths
-multiply to it, with the chain a full build gives, and reads no element
-past the one that completed the chain: `normalizer` takes |N_G(H)| as
-|G| over the number of conjugates of H, and so reads G only until its
-members generate N.  A normal H has N_G(H) = G, found by testing H's
-generators conjugated by G's: every normal H gets the one N = G kept
-for the trivial group, which shares G's element set.  A subgroup whose
-order is known (a conjugate, a step of the Sylow ascent, A^p(G) when
-O^p(G) = G) is made by `_of_order`, and one whose element set is known
-(the trivial group, a lattice join, the generating sequence of the
-isomorphism searches) by `_known_subgroup`, which keeps the set too;
-their chains are built on first use, stopped at that order.  A
-conjugate H^t also keeps H and t, and tests membership through H (see
+A subgroup whose facts are known when it is made (its order, element
+set, chain or conjugate source) is made by one constructor, `_subgroup`,
+the only code outside PermGroup's methods that sets them.  A subgroup
+built from elements, by `span`, by scanning a group's elements
+(`_scan_subgroup`) or by `normalizer`, comes from one chain build over
+the elements, read lazily (`_from_elements`), keeps as gens only the
+elements that build used, and keeps that chain.  A build given a stop
+ends once the orbit lengths multiply to it, with the chain a full build
+gives, and reads no element past the one that completed the chain:
+`normalizer` takes |N_G(H)| as |G| over the number of conjugates of H,
+and so reads G only until its members generate N.  A normal H gets the
+one N = G kept for the trivial group.  A subgroup told its order (a
+conjugate, a Sylow ascent step, A^p(G) when O^p(G) = G) or element set
+(the trivial group, a scanned subgroup, a lattice atom or join) builds
+its chain on first use, stopped at that order, and every chain is
+checked against a told order (`PermGroup._keep_chain`).  A conjugate
+H^t keeps H and t and tests membership through H (see
 `conjugate_subgroup`), so its chain is built only for `elements()` and
-for readers of `chain`, never for `contains`: the Sylow family's
-members, the conjugates in `core` and in the Mackey and Lemma 2.3
-loops share the one chain or element set of H.
+for readers of `chain`: the Sylow family's members and the conjugates in
+`core`, Mackey and Lemma 2.3 share the one chain or element set of H.
 
 Every orbit is found by one breadth-first search (`_keyed_orbit`, whose
 points `_orbit` lists): right cosets (`right_transversal`, which hands
@@ -57,7 +56,7 @@ tuples, during the build and after it; only strong generators are
 Perms.  The build and `contains` sift through one loop (`_sift`);
 `contains` looks an element up in the element set first when the group
 has one, a conjugate sifts in its source's chain, and a residue is
-compared with the identity kept for its degree (`_IDENTITY`).  The
+compared with the identity kept for its degree (`perm._IDENTITY`).  The
 inner loops compose bare image tuples (`perm._compose`) and wrap a Perm
 only for a value that leaves them: the orbit BFS, the sifts and the
 Schreier loop of `_build_chain` (which wraps a strong generator when it
@@ -78,7 +77,7 @@ from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .caps import check_cap, current_caps
-from .perm import Perm, _compose, _getter, _invert, _perm, commutator
+from .perm import _IDENTITY, Perm, _compose, _getter, _invert, _perm, commutator
 
 
 class InvariantError(AssertionError):
@@ -88,17 +87,6 @@ class InvariantError(AssertionError):
     AssertionError so existing ``except AssertionError`` handlers keep
     catching it.
     """
-
-
-class _Identities(dict):
-    """degree -> the image tuple of the identity, each built once."""
-
-    def __missing__(self, degree: int) -> tuple[int, ...]:
-        ident = self[degree] = tuple(range(degree))
-        return ident
-
-
-_IDENTITY = _Identities()
 
 
 @dataclass
@@ -158,7 +146,7 @@ def _orbit_transversal(
 ) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
     """BFS orbit of base: the image tuples of the transversal and of the
     inverse of each transversal element."""
-    ident = tuple(range(degree))
+    ident = _IDENTITY[degree]
     trans = {base: ident}
     invs = {base: ident}
     gen_imgs = [(g.images, g.inverse().images) for g in gens]
@@ -221,7 +209,7 @@ def _build_chain(
     strong generator.
     """
     levels: list[_Level] = []
-    ident = tuple(range(degree))
+    ident = _IDENTITY[degree]
 
     def eff_gens(i: int) -> list[Perm]:
         return [s for lvl in levels[i:] for s in lvl.gens]
@@ -296,18 +284,26 @@ class PermGroup:
     def chain(self) -> list[_Level]:
         """The stabilizer chain, built on first access.
 
-        A group whose order is already known (see `conjugate_subgroup`
-        and `_known_subgroup`) passes it to the build, which then stops
-        as soon as the orbit lengths multiply to it.  The early stop
-        leaves the chain as the full build makes it (see `_build_chain`).
+        A group told its order (see `_subgroup`) passes it to the build,
+        which then stops as soon as the orbit lengths multiply to it, with
+        the chain a full build gives (see `_build_chain`); one told too
+        large an order runs to the end, and `_keep_chain` rejects it.
         """
         if self._chain is None:
-            self._chain, _ = _build_chain(self.degree, self.gens, self._order)
+            self._keep_chain(_build_chain(self.degree, self.gens, self._order)[0])
         return self._chain
+
+    def _keep_chain(self, levels: list[_Level]) -> None:
+        """Keep levels and the product of their orbit lengths as chain and
+        order; InvariantError for a told order other than that product."""
+        found = prod(len(lvl.transversal) for lvl in levels)
+        if self._order not in (None, found):
+            raise InvariantError(f"the chain reached the wrong order: {found}, told {self._order}")
+        self._chain, self._order = levels, found
 
     def order(self) -> int:
         if self._order is None:
-            self._order = prod(len(lvl.transversal) for lvl in self.chain)
+            self.chain  # its build sets the order (see `_keep_chain`)
         return self._order
 
     def __len__(self) -> int:
@@ -337,7 +333,7 @@ class PermGroup:
         """All elements, in chain order, each exactly once."""
         if self._elements is None:
             check_cap("element enumeration", self.order(), current_caps().element_cap)
-            result = [tuple(range(self.degree))]
+            result = [_IDENTITY[self.degree]]
             for lvl in reversed(self.chain):
                 reps = [lvl.transversal[x] for x in sorted(lvl.transversal)]
                 result = [_compose(h, u) for u in reps for h in result]
@@ -363,7 +359,7 @@ class PermGroup:
     def random_element(self, rng) -> Perm:
         """A uniformly random element: one rng.choice of a transversal
         element per chain level, multiplied in elements() order."""
-        g = tuple(range(self.degree))
+        g = _IDENTITY[self.degree]
         for lvl in reversed(self.chain):
             g = _compose(g, lvl.transversal[rng.choice(sorted(lvl.transversal))])
         return _perm(g)
@@ -441,7 +437,7 @@ def memoized(fn):
 
 def trivial_group(degree: int) -> PermGroup:
     """The trivial group, whose order and element set need no chain."""
-    h = _known_subgroup(degree, (), frozenset([_IDENTITY[degree]]))
+    h = _subgroup(degree, (), element_set=frozenset([_IDENTITY[degree]]))
     h.name = "1"
     return h
 
@@ -449,7 +445,7 @@ def trivial_group(degree: int) -> PermGroup:
 def _distinct(degree: int, elems: Iterable[Perm]) -> Iterator[Perm]:
     """The elements of elems other than the identity, each once, in
     order, read lazily; ValueError for an element of another degree."""
-    seen = {tuple(range(degree))}
+    seen = {_IDENTITY[degree]}
     for g in elems:
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} != group degree {degree}")
@@ -458,39 +454,37 @@ def _distinct(degree: int, elems: Iterable[Perm]) -> Iterator[Perm]:
             yield g
 
 
-def _from_elements(
-    degree: int, elems: Iterable[Perm], order: int | None = None
+def _subgroup(
+    degree: int, gens: Iterable[Perm], *, order=None, element_set=None, chain=None, source=None
 ) -> PermGroup:
-    """<elems> from one chain build over elems, stopped at order if given.
-
-    elems is read lazily, so a build stopped at its order reads no
-    element past the one that completed the chain.  The group's gens are
-    the elements whose insert changed the chain, so it keeps the chain
-    just built: a build from those gens alone gives the same chain (see
-    `_build_chain`).
-    """
-    levels, used = _build_chain(degree, _distinct(degree, elems), order)
-    h = PermGroup(degree, used)
-    h._chain = levels
-    return h
-
-
-def _of_order(degree: int, gens: Iterable[Perm], order: int) -> PermGroup:
-    """<gens>, whose order is known: the chain is built on first use,
-    stopped at that order (see `PermGroup.chain`)."""
+    """<gens>, made with what is known of it: its order, its element set
+    (a frozenset of image tuples, whose size is the order), its chain
+    (levels built from gens), or a conjugate's source (see
+    `conjugate_subgroup`).  A chain is checked against the order
+    (`PermGroup._keep_chain`)."""
     h = PermGroup(degree, gens)
-    h._order = order
+    h._order = order if element_set is None else len(element_set)
+    h._element_set, h._source = element_set, source
+    if chain is not None:
+        h._keep_chain(chain)
     return h
 
 
-def _known_subgroup(
-    degree: int, gens: Iterable[Perm], element_set: frozenset[tuple[int, ...]]
+def _from_elements(
+    degree: int, elems: Iterable[Perm], stop: int | None = None, element_set=None
 ) -> PermGroup:
-    """<gens>, whose element set (as image tuples) is known.  Order and
-    membership need no chain."""
-    h = _of_order(degree, gens, len(element_set))
-    h._element_set = element_set
-    return h
+    """<elems> from one chain build over elems, ended once the orbit
+    lengths multiply to stop if given: a bound, not a told order, which a
+    smaller group never reaches (see `series.o_upper_p`).  element_set,
+    if given, goes to `_subgroup` with the chain.
+
+    elems is read lazily, so a stopped build reads no element past the
+    one that completed the chain.  The group's gens are the elements
+    whose insert changed the chain, so it keeps the chain just built: a
+    build from those gens alone gives the same chain (see `_build_chain`).
+    """
+    levels, used = _build_chain(degree, _distinct(degree, elems), stop)
+    return _subgroup(degree, used, element_set=element_set, chain=levels)
 
 
 def span(degree: int, elems: Iterable[Perm]) -> PermGroup:
@@ -514,13 +508,12 @@ def conjugate_subgroup(h: PermGroup, g: Perm) -> PermGroup:
     """
     if g.degree != h.degree:
         raise ValueError("degree mismatch")
-    conj = _of_order(h.degree, [x.conjugate(g) for x in h.gens], h.order())
     source, t = h, g.images
     if h._source is not None:
         source, s, _ = h._source
         t = _compose(s, t)
-    conj._source = (source, t, _invert(t))
-    return conj
+    gens = [x.conjugate(g) for x in h.gens]
+    return _subgroup(h.degree, gens, order=h.order(), source=(source, t, _invert(t)))
 
 
 def _scan_subgroup(g: PermGroup, keep) -> PermGroup:
@@ -532,9 +525,7 @@ def _scan_subgroup(g: PermGroup, keep) -> PermGroup:
     set `contains` looks up.
     """
     members = [x for x in g.elements() if keep(x)]
-    h = _from_elements(g.degree, members, len(members))
-    h._element_set = frozenset(x.images for x in members)
-    return h
+    return _from_elements(g.degree, members, len(members), frozenset(x.images for x in members))
 
 
 @memoized
@@ -575,11 +566,9 @@ def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
         xs, xi = x.images, _getter(x.inverse().images)
         return all(xi(t(xs)) in hset for t in getters)
 
-    n = _from_elements(g.degree, (x for x in elems if keep(x)), g.order() // count)
-    if count == 1:
-        n._element_set = g.element_set()
-    else:
-        n.element_set()
+    kept = g.element_set() if count == 1 else None  # N = G
+    n = _from_elements(g.degree, (x for x in elems if keep(x)), g.order() // count, kept)
+    n.element_set()
     return n
 
 
@@ -755,8 +744,7 @@ def right_transversal(g: PermGroup, h: PermGroup) -> Transversal:
     index = g.order() // h.order()
     check_cap("transversal", index, current_caps().element_cap)
     if h is g:
-        h = PermGroup(g.degree, g.gens)
-        h._chain = g.chain
+        h = _subgroup(g.degree, g.gens, chain=g.chain)
     # A coset is new when its key has not been seen.
     by_key = _keyed_orbit(
         Perm.identity(g.degree), g.gens, Perm.__mul__, lambda c: _coset_key(h, c)

@@ -13,8 +13,12 @@ partition of P's elements lists all, normal or characteristic subgroups
 (`_subgroup_lattice`).  A one-element block's atom, a cyclic subgroup,
 and each join's element set come first, closed by whole cosets of the
 smaller subgroup on image tuples; only a set not seen before becomes a
-subgroup, made by `group._known_subgroup` (so is the generating
-sequence), and builds its chain only on first use.
+subgroup, made with that element set by `group._subgroup` (so is the
+generating sequence), and builds its chain only on first use, where the
+build checks the set's size as its order.  `is_isomorphic` compares the
+invariants of the two groups one at a time, cheapest first
+(`_invariants`), so a pair told apart by its element orders computes
+no center, derived subgroup or abelianization.
 """
 
 from __future__ import annotations
@@ -30,10 +34,9 @@ from .caps import check_cap, current_caps
 from .group import (
     InvariantError,
     PermGroup,
-    _IDENTITY,
-    _known_subgroup,
     _orbit,
     _orbits,
+    _subgroup,
     centralizer,
     derived_subgroup,
     is_abelian,
@@ -41,7 +44,7 @@ from .group import (
     quotient_group,
     span,
 )
-from .perm import Perm, _compose, _getter, _perm
+from .perm import _IDENTITY, Perm, _compose, _getter, _perm
 
 
 @dataclass
@@ -200,15 +203,14 @@ def abelianization_invariants(g: PermGroup) -> tuple[int, ...]:
     return abelian_invariants(q.image)
 
 
-def _fingerprint(g: PermGroup) -> tuple:
-    z = centralizer(g, g)
-    return (
-        g.order(),
-        tuple(sorted(element_order_profile(g).items())),
-        z.order(),
-        derived_subgroup(g).order(),
-        abelianization_invariants(g),
-    )
+def _invariants(g: PermGroup) -> Iterator:
+    """Isomorphism invariants of g beyond its order, cheapest first, each
+    computed when asked for: the element-order profile, |Z(g)|, |g'| and
+    the abelianization."""
+    yield element_order_profile(g)
+    yield centralizer(g, g).order()
+    yield derived_subgroup(g).order()
+    yield abelianization_invariants(g)
 
 
 def _generating_sequence(g: PermGroup) -> tuple[PermGroup, list[int]]:
@@ -224,7 +226,7 @@ def _generating_sequence(g: PermGroup) -> tuple[PermGroup, list[int]]:
     """
     n = g.order()
     gens: tuple[Perm, ...] = ()
-    current = frozenset([tuple(range(g.degree))])
+    current = frozenset([_IDENTITY[g.degree]])
     orders: list[int] = []
     while len(current) < n:
         best, best_set = None, current
@@ -241,7 +243,7 @@ def _generating_sequence(g: PermGroup) -> tuple[PermGroup, list[int]]:
         gens += (best,)
         current = best_set
         orders.append(len(current))
-    return _known_subgroup(g.degree, gens, current), orders
+    return _subgroup(g.degree, gens, element_set=current), orders
 
 
 def conjugacy_classes(g: PermGroup) -> list[tuple[Perm, list[Perm]]]:
@@ -288,7 +290,7 @@ def _iso_search(
             yield gm
         return
     if chosen_set is None:
-        chosen_set = frozenset([tuple(range(target.degree))])
+        chosen_set = frozenset([_IDENTITY[target.degree]])
     for cand in pools[i]:
         images = chosen + (cand,)
         key = _closure(target.degree, chosen_set, images, orders[i] + 1)
@@ -303,7 +305,7 @@ def is_isomorphic(a: PermGroup, b: PermGroup) -> tuple[bool, GeneratorMap | None
         return False, None
     if a.order() == 1:
         return True, GeneratorMap(a, b, ())
-    if _fingerprint(a) != _fingerprint(b):
+    if any(x != y for x, y in zip(_invariants(a), _invariants(b))):
         return False, None
     source, orders = _generating_sequence(a)
     pools = _image_pools(source.gens, b)
@@ -379,7 +381,7 @@ def _closure(
     hlist = list(hset)
     found = set(hset)
     gen_imgs = [g.images for g in gens]
-    reps = [tuple(range(degree))]
+    reps = [_IDENTITY[degree]]
     for r in reps:
         for g in gen_imgs:
             y = _compose(g, r)
@@ -406,8 +408,9 @@ def _subgroup_lattice(p: PermGroup, orbits: Iterable[list[Perm]]) -> list[PermGr
     Handbook), stopped at |P|: a subset of P with |P| elements is P's
     element set, so the key is the same.  Only a set not yet known
     becomes a subgroup, generated by the gens of H and the atom and made
-    by `_known_subgroup`: its chain, built on first use and stopped at
-    the known order, is the one a full build makes.  The first join that
+    by `group._subgroup` with that element set: its chain, built on first
+    use and stopped at the set's size, is the one a full build makes,
+    and the build checks that size.  The first join that
     reaches a set keeps it, as a build of every join would.
     """
     order = p.order()
@@ -418,7 +421,7 @@ def _subgroup_lattice(p: PermGroup, orbits: Iterable[list[Perm]]) -> list[PermGr
         if len(orbit) == 1:
             aset = _closure(p.degree, one, orbit, order)
             if aset not in atoms:
-                atoms[aset] = _known_subgroup(p.degree, orbit, aset)
+                atoms[aset] = _subgroup(p.degree, orbit, element_set=aset)
         else:
             a = span(p.degree, orbit)
             atoms.setdefault(a.element_set(), a)
@@ -432,7 +435,7 @@ def _subgroup_lattice(p: PermGroup, orbits: Iterable[list[Perm]]) -> list[PermGr
                     continue
                 key = _closure(p.degree, hset, h.gens + a.gens, order)
                 if key not in known:
-                    known[key] = _known_subgroup(p.degree, h.gens + a.gens, key)
+                    known[key] = _subgroup(p.degree, h.gens + a.gens, element_set=key)
                     nxt.append((key, known[key]))
         frontier = nxt
     subs = list(known.values())

@@ -54,6 +54,17 @@ def _invert(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
+class _Identities(dict):
+    """degree -> the image tuple of the identity, each built once."""
+
+    def __missing__(self, degree: int) -> tuple[int, ...]:
+        ident = self[degree] = tuple(range(degree))
+        return ident
+
+
+_IDENTITY = _Identities()
+
+
 def _perm(images: tuple[int, ...]) -> "Perm":
     """A Perm of an image tuple that is already known to be a permutation."""
     p = _new(Perm)
@@ -84,7 +95,7 @@ class Perm:
 
     @staticmethod
     def identity(degree: int) -> "Perm":
-        return _perm(tuple(range(degree)))
+        return _perm(_IDENTITY[degree])
 
     @staticmethod
     def from_cycles(degree: int, cycles: Iterable[Iterable[int]]) -> "Perm":
@@ -141,7 +152,7 @@ class Perm:
         return self.images[point]
 
     def is_identity(self) -> bool:
-        return self.images == tuple(range(len(self.images)))
+        return self.images == _IDENTITY[len(self.images)]
 
     def order(self) -> int:
         """The lcm of the cycle lengths, from one pass over the images."""

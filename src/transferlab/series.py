@@ -26,8 +26,8 @@ from typing import Callable
 from .group import (
     PermGroup,
     _from_elements,
-    _of_order,
     _scan_subgroup,
+    _subgroup,
     centralizer,
     commutator_subgroup,
     derived_subgroup,
@@ -295,7 +295,7 @@ def a_p(g: PermGroup, p: int) -> PermGroup:
     """
     d, k = derived_subgroup(g), o_upper_p(g, p)
     if k.order() == g.order():
-        return _of_order(g.degree, [*d.gens, *k.gens], g.order())
+        return _subgroup(g.degree, [*d.gens, *k.gens], order=g.order())
     return join(d, k)
 
 

@@ -6,14 +6,12 @@ subgroups generated by the Aut(P)-orbits on P's elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
-
 from .caps import check_cap, current_caps
 from .group import (
     InvariantError,
     PermGroup,
-    _of_order,
     _orbits,
+    _subgroup,
     centralizer,
     conjugate_subgroup,
     intersection,
@@ -45,7 +43,7 @@ def sylow_subgroup(g: PermGroup, p: int) -> PermGroup:
     for x in g.elements():
         xp = element_p_part(x, p)
         if not xp.is_identity():
-            current = _of_order(g.degree, [xp], xp.order())
+            current = _subgroup(g.degree, [xp], order=xp.order())
             break
     if current is None:
         raise InvariantError(f"no element of order divisible by {p} (contradicts Cauchy)")
@@ -58,18 +56,17 @@ def sylow_subgroup(g: PermGroup, p: int) -> PermGroup:
             if current.contains(y**p):
                 # y normalizes current, y is outside it and y^p inside, so
                 # <current, y> has order |current| * p.
-                current = _of_order(
-                    g.degree, list(current.gens) + [y], current.order() * p
+                current = _subgroup(
+                    g.degree, list(current.gens) + [y], order=current.order() * p
                 )
                 grown = True
                 break
         if not grown:
             raise InvariantError("normalizer ascent stalled (should be impossible)")
     # The orders above come from the ascent's arithmetic.  P's chain, which
-    # every caller of P needs, checks the last one: a build told too large
-    # an order runs to the end and finds the true one.
-    if prod(len(lvl.transversal) for lvl in current.chain) != target:
-        raise InvariantError("Sylow ascent reached the wrong order")
+    # every caller of P needs, is built here, and its build checks the last
+    # one (see `PermGroup.chain`).
+    current.chain
     return current
 
 

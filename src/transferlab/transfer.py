@@ -23,7 +23,7 @@ from .group import (
     right_transversal,
 )
 from .iso import abelian_invariants, all_subgroups
-from .perm import Perm, _compose, _perm
+from .perm import _IDENTITY, Perm, _compose, _perm
 from .series import a_p, o_upper_p, p_part
 from .sylow import sylow_subgroup
 
@@ -40,7 +40,7 @@ def pretransfer(g: PermGroup, h: PermGroup, trans: Transversal, x: Perm) -> Perm
     if x.degree != g.degree:
         raise ValueError("degree mismatch")
     reps, xs = trans.reps, x.images
-    value = tuple(range(g.degree))
+    value = _IDENTITY[g.degree]
     for t in reps:
         u = _compose(t.images, xs)
         r = reps[trans._index_of_images(u)]

@@ -65,13 +65,13 @@ def test_normalizer_matches_full_scan(pair):
 
 
 def test_sylow_ascent_checks_the_order_it_reached(monkeypatch):
-    """Steps told twice their order end the ascent early; P's chain finds
-    the true order and the ascent raises."""
-    of_order = sylow_mod._of_order
+    """Steps told twice their order fail the ascent: the first chain built
+    for one finds the true order and raises."""
+    subgroup = sylow_mod._subgroup
     monkeypatch.setattr(
-        sylow_mod, "_of_order", lambda degree, gens, order: of_order(degree, gens, 2 * order)
+        sylow_mod, "_subgroup", lambda degree, gens, order: subgroup(degree, gens, order=2 * order)
     )
-    with pytest.raises(InvariantError, match="Sylow ascent reached the wrong order"):
+    with pytest.raises(InvariantError, match="reached the wrong order"):
         sylow_subgroup(corpus_group("S4"), 2)
 
 

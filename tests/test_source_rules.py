@@ -22,7 +22,7 @@ def test_no_assert_statements(path):
     assert lines == [], f"assert statements in {path.name} at lines {lines}"
 
 
-GROUP_PRIVATE_FIELDS = {"_chain", "_order", "_element_set", "_elements", "_memo"}
+GROUP_PRIVATE_FIELDS = {"_chain", "_order", "_element_set", "_elements", "_source", "_memo"}
 
 
 def _private_field_writes(tree: ast.AST) -> list[int]:
@@ -55,19 +55,106 @@ def test_private_field_rule_sees_writes():
         "del g._memo\n"
         "setattr(g, '_elements', [])\n"
         "y = g._chain\n"
+        "conj._source = (h, t, t_inv)\n"
     )
-    assert _private_field_writes(ast.parse(source)) == [1, 2, 3, 4]
+    assert _private_field_writes(ast.parse(source)) == [1, 2, 3, 4, 6]
 
 
 @pytest.mark.parametrize(
     "path", [path for path in MODULES if path.name != "group.py"], ids=lambda path: path.name
 )
 def test_only_group_writes_group_private_fields(path):
-    """A PermGroup's chain, order, element list and set, and memo are set
-    only in `group`; other modules make subgroups through its helpers."""
+    """A PermGroup's chain, order, element list and set, conjugate source
+    and memo are set only in `group`; other modules make subgroups
+    through its helpers."""
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = _private_field_writes(tree)
     assert lines == [], f"{path.name} writes a PermGroup private field at lines {lines}"
+
+
+# In group.py, the class and the one constructor that set a group's facts.
+GROUP_FIELD_WRITERS = {"PermGroup", "_subgroup"}
+
+
+def _writes_outside(tree: ast.Module, owners: set[str]) -> list[int]:
+    """Lines of the private-field writes in tree's top-level statements
+    other than the classes and functions named in owners."""
+    return sorted(
+        line
+        for node in tree.body
+        if getattr(node, "name", None) not in owners
+        for line in _private_field_writes(node)
+    )
+
+
+def test_writer_rule_sees_writes_outside_the_owners():
+    source = (
+        "class PermGroup:\n"
+        "    def order(self):\n"
+        "        self._order = 1\n"
+        "def _subgroup(h, c):\n"
+        "    h._chain = c\n"
+        "def _from_elements(h):\n"
+        "    h._source = None\n"
+        "class Transversal:\n"
+        "    def __init__(self, h):\n"
+        "        h._element_set = frozenset()\n"
+        "TRIVIAL._order = 1\n"
+    )
+    assert _writes_outside(ast.parse(source), GROUP_FIELD_WRITERS) == [7, 10, 11]
+
+
+def test_group_sets_facts_only_in_permgroup_and_the_constructor():
+    """Inside group.py, a group's chain, order, elements, source and memo
+    are written only by PermGroup's methods and by `_subgroup`, which
+    checks what it is told."""
+    path = SRC / "group.py"
+    lines = _writes_outside(ast.parse(path.read_text(), filename=str(path)), GROUP_FIELD_WRITERS)
+    assert lines == [], f"group.py writes a PermGroup private field at lines {lines}"
+
+
+def _identity_builds(tree: ast.Module) -> list[int]:
+    """Lines that call tuple(range(...)) outside the class _Identities."""
+    table = {
+        id(node)
+        for top in tree.body
+        if isinstance(top, ast.ClassDef) and top.name == "_Identities"
+        for node in ast.walk(top)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in table
+        and isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "tuple"
+        and len(node.args) == 1
+        and isinstance(node.args[0], ast.Call)
+        and isinstance(node.args[0].func, ast.Name)
+        and node.args[0].func.id == "range"
+    )
+
+
+def test_identity_rule_sees_tuple_range():
+    source = (
+        "class _Identities(dict):\n"
+        "    def __missing__(self, degree):\n"
+        "        return tuple(range(degree))\n"
+        "ident = tuple(range(degree))\n"
+        "seen = {tuple(range(len(imgs)))}\n"
+        "pts = list(range(degree))\n"
+        "gen = tuple(x for x in range(degree))\n"
+    )
+    assert _identity_builds(ast.parse(source)) == [4, 5]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_identity_tuples_come_from_the_table(path):
+    """The identity's image tuple is built once per degree, by
+    `perm._IDENTITY`; no other code builds tuple(range(degree))."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = _identity_builds(tree)
+    assert lines == [], f"{path.name} builds tuple(range(...)) at lines {lines}"
 
 
 STDLIB_MEMOS = {"cache", "lru_cache"}
