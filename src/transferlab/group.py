@@ -22,27 +22,35 @@ elements that build used, and keeps that chain.  A build given a stop
 ends once the orbit lengths multiply to it, with the chain a full build
 gives, and reads no element past the one that completed the chain:
 `normalizer` takes |N_G(H)| as |G| over the number of conjugates of H,
-and so reads G only until its members generate N.  A normal H gets the
-one N = G kept for the trivial group.  A subgroup told its order (a
-conjugate, a Sylow ascent step, A^p(G) when O^p(G) = G) or element set
-(the trivial group, a scanned subgroup, a lattice atom or join) builds
-its chain on first use, stopped at that order, and every chain is
-checked against a told order (`PermGroup._keep_chain`).  A conjugate
-H^t keeps H and t and tests membership through H (see
-`conjugate_subgroup`), so its chain is built only for `elements()` and
-for readers of `chain`: the Sylow family's members and the conjugates in
-`core`, Mackey and Lemma 2.3 share the one chain or element set of H.
+and so reads G only until its members generate N.  Its member test is
+one lookup in N's element set, listed from a chain of N's Schreier
+generators, which the search for H's conjugates yields (see
+`normalizer`).  A normal H gets the one N = G kept for the trivial
+group, and the centralizer of the trivial group is G's scan with no
+element tested.  A subgroup told its order (a conjugate, a Sylow ascent
+step, A^p(G) when O^p(G) = G) or element set (the trivial group, a
+scanned subgroup, a lattice atom or join) builds its chain on first
+use, stopped at that order, and every chain is checked against a told
+order (`PermGroup._keep_chain`), a stopped build also by sifting the
+gens it did not read (`PermGroup.chain`).  A conjugate H^t keeps H and
+t and tests membership through H (see `conjugate_subgroup`), so its
+chain is built only for `elements()` and for readers of `chain`: the
+Sylow family's members and the conjugates in `core`, Mackey and Lemma
+2.3 share the one chain or element set of H.
 
 Every orbit is found by one breadth-first search (`_keyed_orbit`, whose
 points `_orbit` lists): right cosets (`right_transversal`, which hands
 the coset keys it found to its `Transversal`), double cosets, conjugacy
-classes, the conjugates of H in `normalizer`, the <u>-orbits of the
-transfer evaluation and the Aut(P)-orbits.  One loop (`_orbits`) splits
+classes, the <u>-orbits of the transfer evaluation and the
+Aut(P)-orbits.  One loop (`_orbits`) splits
 a set of points into orbits, for every partition the library makes:
 double cosets, the H-orbits of the maximality test, conjugacy classes,
-the <u>-orbits and the Aut(P)-orbits.  Only the chain build keeps its
-own search (`_orbit_transversal`), because it also needs the
-transversal.  Right cosets are told apart by their coset key
+the <u>-orbits and the Aut(P)-orbits.  Only the chain build and
+`normalizer` keep their own searches: the chain build
+(`_orbit_transversal`) because it also needs the transversal, and the
+count of H's conjugates in `normalizer` because it also needs the
+element that first reached each conjugate and the edges outside its
+search tree.  Right cosets are told apart by their coset key
 (`_coset_key`): the images of one canonical element of the coset Hg,
 found by walking H's stabilizer chain and, at each level, stepping to
 the coset element that sends the base point to its smallest image.
@@ -60,12 +68,13 @@ compared with the identity kept for its degree (`perm._IDENTITY`).  The
 inner loops compose bare image tuples (`perm._compose`) and wrap a Perm
 only for a value that leaves them: the orbit BFS, the sifts and the
 Schreier loop of `_build_chain` (which wraps a strong generator when it
-is inserted), `contains`, `elements()`, `_coset_key`, and the member
-tests of `normalizer` and `centralizer`.  The member tests compose
-through prebuilt getters (`perm._getter`): one per generator of H, built
-before the scan, and one per scanned element (of x^-1 in `normalizer`,
-of x in `centralizer`), so each product is one itemgetter call and makes
-no new itemgetter.
+is inserted), `contains`, `elements()`, `_coset_key`, the conjugate
+count and Schreier generators of `normalizer`, and the member test of
+`centralizer`.  The count conjugates through one prebuilt getter
+(`perm._getter`) per generator of G.  The centralizer's member test
+composes through one getter per generator of H, built before the scan,
+and one of each scanned element x, so each product is one itemgetter
+call and makes no new itemgetter.
 """
 
 from __future__ import annotations
@@ -73,6 +82,7 @@ from __future__ import annotations
 import functools
 import inspect
 from dataclasses import dataclass
+import itertools
 from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -260,6 +270,17 @@ def _build_chain(
     return levels, used
 
 
+def _chain_images(degree: int, levels: Sequence[_Level]) -> list[tuple[int, ...]]:
+    """The image tuples of the group with this chain, in elements() order:
+    each element once, as the product of one transversal element per
+    level, deepest level first."""
+    result = [_IDENTITY[degree]]
+    for lvl in reversed(levels):
+        reps = [lvl.transversal[x] for x in sorted(lvl.transversal)]
+        result = [_compose(h, u) for u in reps for h in result]
+    return result
+
+
 class PermGroup:
     """A finitely generated permutation group on {0..degree-1}."""
 
@@ -287,10 +308,22 @@ class PermGroup:
         A group told its order (see `_subgroup`) passes it to the build,
         which then stops as soon as the orbit lengths multiply to it, with
         the chain a full build gives (see `_build_chain`); one told too
-        large an order runs to the end, and `_keep_chain` rejects it.
+        large an order runs to the end, and `_keep_chain` rejects it.  A
+        build that stopped left the gens after the last one it used
+        unread, so each of those is sifted, and one outside the chain
+        (told too small an order) raises InvariantError.  A build that
+        read every gen can still stop at too small an order with a partial
+        chain (S4's two gens told 12), which no sift of a gen shows.
         """
         if self._chain is None:
-            self._keep_chain(_build_chain(self.degree, self.gens, self._order)[0])
+            levels, used = _build_chain(self.degree, self.gens, self._order)
+            if self._order is not None and len(used) < len(self.gens):
+                for x in self.gens[self.gens.index(used[-1]) + 1 :]:
+                    if _sift(levels, x.images)[0] != _IDENTITY[self.degree]:
+                        raise InvariantError(
+                            f"the chain stopped at the told order {self._order}, short of a gen"
+                        )
+            self._keep_chain(levels)
         return self._chain
 
     def _keep_chain(self, levels: list[_Level]) -> None:
@@ -333,10 +366,7 @@ class PermGroup:
         """All elements, in chain order, each exactly once."""
         if self._elements is None:
             check_cap("element enumeration", self.order(), current_caps().element_cap)
-            result = [_IDENTITY[self.degree]]
-            for lvl in reversed(self.chain):
-                reps = [lvl.transversal[x] for x in sorted(lvl.transversal)]
-                result = [_compose(h, u) for u in reps for h in result]
+            result = _chain_images(self.degree, self.chain)
             self._elements = [_perm(x) for x in result]
             if self._element_set is None:
                 self._element_set = frozenset(result)
@@ -534,12 +564,22 @@ def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
     order, so the result (gens and chain too) depends only on H's
     elements.
 
-    |N| is |G| over the number of conjugates of H, the orbit of H's
-    element set under conjugation by G's gens.  The member test runs
-    lazily over G's elements, and the chain build stops at |N|, so it
-    reads G only until the members read generate N; the chain and gens
-    are those of a build over every member (see `_build_chain`).  The
-    element set is then listed from N's chain.
+    The conjugates of H are the orbit of H's element set under
+    conjugation by G's gens, found breadth first, so |N| is |G| over
+    their count.  The search keeps, for each conjugate K, the u with
+    H^u = K by which it first reached K, and each edge K -> K^s outside
+    the search tree, s a generator of G, gives the Schreier generator
+    u * s * v^-1 of N, where H^v = K^s (orbit and stabilizer; Seress,
+    Permutation Group Algorithms, 4.1); a tree edge would give 1.  A
+    conjugate's set found again is dropped at once, so the search keeps
+    alive no more sets than the count needs.  H's gens and
+    then these generators feed one chain build, stopped at |N|; a build
+    that does not reach |N| raises InvariantError, which checks the count.
+    N's element set is listed from that chain.  N itself is built over
+    G's elements in order, a member being one lookup in that set, and
+    its build stops at |N|, so it reads G only until the members read
+    generate N; its chain and gens are those of a build over every
+    member (see `_build_chain`).
 
     A nontrivial H that G's gens conjugate into H is normal, so N = G,
     and the call returns the N of the trivial group, kept on G: every
@@ -552,29 +592,53 @@ def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
     elems = g.elements()  # first, so an element cap fires as for a full scan
     if h.gens and h.is_normal_in(g):
         return normalizer(g, trivial_group(g.degree))  # one kept N = G per G
-    hset = h.element_set()
     # Each generator s as its images and the getter of s^-1, which conjugate
     # an element set as t^s = s^-1 * (t * s).
     by_gen = [(s.images, _getter(s.inverse().images)) for s in g.gens]
-    count = len(
-        _keyed_orbit(hset, by_gen, lambda k, s: frozenset([s[1](_compose(t, s[0])) for t in k]))
-    )
-    getters = [_getter(t.images) for t in h.gens]
+    hset = h.element_set()
+    reach = {hset: _IDENTITY[g.degree]}  # K -> the u with H^u = K that first reached K
+    queue, edges = [hset], []  # edges: (u * s, v) for K -> K^s = H^v outside the tree
+    for k in queue:
+        u = reach[k]
+        for s, s_inv in by_gen:
+            us, ks = _compose(u, s), frozenset([s_inv(_compose(t, s)) for t in k])
+            v = reach.setdefault(ks, us)
+            if v is us:
+                queue.append(ks)
+            else:
+                edges.append((us, v))
+    order = g.order() // len(reach)
+    if len(reach) == 1:
+        nset = g.element_set()  # N = G
+    else:
+        gens = itertools.chain(h.gens, _schreier_generators(edges))
+        levels, _ = _build_chain(g.degree, gens, order)
+        found = prod(len(lvl.transversal) for lvl in levels)
+        if found != order:
+            raise InvariantError(
+                f"the Schreier generators of N_G(H) reached order {found}, not |G|/{len(reach)}"
+            )
+        nset = frozenset(_chain_images(g.degree, levels))
+    return _from_elements(g.degree, (x for x in elems if x.images in nset), order, nset)
 
-    def keep(x: Perm) -> bool:
-        # t^x = x^-1 * (t * x), composed as x^-1's getter of t's getter of x
-        xs, xi = x.images, _getter(x.inverse().images)
-        return all(xi(t(xs)) in hset for t in getters)
 
-    kept = g.element_set() if count == 1 else None  # N = G
-    n = _from_elements(g.degree, (x for x in elems if keep(x)), g.order() // count, kept)
-    n.element_set()
-    return n
+def _schreier_generators(edges: list) -> Iterator[Perm]:
+    """u * s * v^-1 for each edge (u * s, v) of `normalizer`'s conjugate
+    search, lazily: each fixes H."""
+    for us, v in edges:
+        yield _perm(_compose(us, _invert(v)))
 
 
 def centralizer(g: PermGroup, h: PermGroup) -> PermGroup:
+    """C_G(H): the x of G's elements() that commute with each of H's
+    gens, scanned as `_scan_subgroup` does.  An H with no gens (the
+    trivial group) is centralized by all of G, so the scan's group is
+    built over G's elements with G's element set, and no element is
+    tested."""
     if g.degree != h.degree:
         raise ValueError("degree mismatch")
+    if not h.gens:
+        return _from_elements(g.degree, g.elements(), g.order(), g.element_set())
 
     hgens = [(t.images, _getter(t.images)) for t in h.gens]
 

@@ -405,8 +405,10 @@ def _subgroup_lattice(p: PermGroup, orbits: Iterable[list[Perm]]) -> list[PermGr
     The frontier is joined with each atom in turn.  An atom inside H is
     skipped; otherwise the element set of <H, atom> comes first, closed
     by cosets of H (`_closure`, as in the cyclic extension method of the
-    Handbook), stopped at |P|: a subset of P with |P| elements is P's
-    element set, so the key is the same.  Only a set not yet known
+    Handbook), stopped at Lagrange's bound: the join's order is a
+    multiple of |H| that divides |P|, so once the set has more elements
+    than top, the largest such order below |P|, the join is P, and its
+    key is P's element set.  Only a set not yet known
     becomes a subgroup, generated by the gens of H and the atom and made
     by `group._subgroup` with that element set: its chain, built on first
     use and stopped at the set's size, is the one a full build makes,
@@ -425,15 +427,21 @@ def _subgroup_lattice(p: PermGroup, orbits: Iterable[list[Perm]]) -> list[PermGr
         else:
             a = span(p.degree, orbit)
             atoms.setdefault(a.element_set(), a)
+    pset = p.element_set()
     known: dict[frozenset, PermGroup] = dict(atoms)
     frontier = list(atoms.items())
     while frontier:
         nxt = []
         for hset, h in frontier:
+            if len(hset) == order:
+                continue  # every atom lies in P
+            top = order // prime_divisors(order // len(hset))[0]
             for aset, a in atoms.items():
                 if aset <= hset:
                     continue
-                key = _closure(p.degree, hset, h.gens + a.gens, order)
+                key = _closure(p.degree, hset, h.gens + a.gens, top + 1)
+                if len(key) > top:
+                    key = pset
                 if key not in known:
                     known[key] = _subgroup(p.degree, h.gens + a.gens, element_set=key)
                     nxt.append((key, known[key]))

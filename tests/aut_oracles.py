@@ -8,11 +8,14 @@ differential tests in test_iso.py.  `extend_by_products` is the body
 `GeneratorMap.extend` had before it read the source's word plan: a
 depth-first closure that multiplies Perms on both sides for every
 candidate map; it is the oracle for test_word_plan.py.
+`lattice_by_closures_to_p` is `iso._subgroup_lattice` as it was before
+its joins stopped at Lagrange's bound: each join closed until it has
+|P| elements; it is the oracle for test_lattice_bound.py.
 """
 
-from transferlab.group import PermGroup
-from transferlab.iso import GeneratorMap, _generating_sequence
-from transferlab.perm import Perm
+from transferlab.group import PermGroup, _subgroup, span
+from transferlab.iso import GeneratorMap, _closure, _generating_sequence
+from transferlab.perm import _IDENTITY, Perm
 
 
 def every_automorphism(p: PermGroup) -> list[GeneratorMap]:
@@ -65,3 +68,35 @@ def is_characteristic_by_images(c: PermGroup, auts: list[GeneratorMap]) -> bool:
     """Does every automorphism map every element of c into c?"""
     cset = c.element_set()
     return all(phi.apply(x).images in cset for phi in auts for x in c.elements())
+
+
+def lattice_by_closures_to_p(p: PermGroup, orbits) -> list[PermGroup]:
+    """Every join of the atoms <orbit>, each join's set closed until it
+    has |P| elements, sorted by (order, sorted element tuple)."""
+    order = p.order()
+    atoms: dict[frozenset, PermGroup] = {}
+    one = frozenset([_IDENTITY[p.degree]])
+    for orbit in orbits:
+        if len(orbit) == 1:
+            aset = _closure(p.degree, one, orbit, order)
+            if aset not in atoms:
+                atoms[aset] = _subgroup(p.degree, orbit, element_set=aset)
+        else:
+            a = span(p.degree, orbit)
+            atoms.setdefault(a.element_set(), a)
+    known = dict(atoms)
+    frontier = list(atoms.items())
+    while frontier:
+        nxt = []
+        for hset, h in frontier:
+            for aset, a in atoms.items():
+                if aset <= hset:
+                    continue
+                key = _closure(p.degree, hset, h.gens + a.gens, order)
+                if key not in known:
+                    known[key] = _subgroup(p.degree, h.gens + a.gens, element_set=key)
+                    nxt.append((key, known[key]))
+        frontier = nxt
+    subs = list(known.values())
+    subs.sort(key=lambda h: (h.order(), sorted(h.element_set())))
+    return subs

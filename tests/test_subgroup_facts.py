@@ -5,7 +5,9 @@ element set, chain or conjugate source is already known.  A chain handed
 to it is checked against the order its element set gives, and a chain
 built later is checked against the told order (`PermGroup._keep_chain`).
 Each test below tells a subgroup a wrong fact through the constructor and
-expects InvariantError where the fact meets a chain.
+expects InvariantError where the fact meets a chain.  A build told too
+small an order can stop once a partial chain reaches it, so the gens it
+did not read are sifted (`PermGroup.chain`).
 """
 
 import pytest
@@ -76,3 +78,14 @@ def test_lattice_join_told_a_wrong_order_raises_at_its_first_chain_build(monkeyp
     with pytest.raises(InvariantError, match="reached the wrong order"):
         all_subgroups(p_syl)
 
+
+
+@pytest.mark.parametrize(
+    "label, told", [("S4", 4), ("PSL(2,17)", 8), ("PSL(2,17)", 4)], ids=["S4-4", "PSL-8", "PSL-4"]
+)
+def test_sylow_told_too_small_an_order_raises_at_its_chain_build(label, told):
+    p_syl = sylow_subgroup(corpus_group(label), 2)
+    h = _subgroup(p_syl.degree, p_syl.gens, order=told)
+    with pytest.raises(InvariantError, match=f"stopped at the told order {told}"):
+        h.chain
+    assert h._chain is None
