@@ -32,6 +32,7 @@ from .group import (
     memoized,
     normalizer,
     quotient_group,
+    trivial_group,
 )
 from .iso import all_subgroups, is_isomorphic, normal_subgroups, prime_divisors
 from .series import (
@@ -193,22 +194,20 @@ def _chk_hall_wielandt(ctx: Context):
 
 def _has_wreath_quotient(p_syl: PermGroup, p: int) -> bool:
     """Has P a quotient isomorphic to Z_p wr Z_p, of order p^{p+1}?  When
-    |P| is that order, N = 1 is the only kernel, and P/1 is P itself."""
+    |P| is that order, N = 1 is the only kernel, so P's normal subgroups
+    are not listed, and P/1 is P itself (see `QuotientGroup`)."""
     from .catalog import wreath_cyclic
 
     target = p ** (p + 1)
     if p_syl.order() % target:
         return False
     wreath = wreath_cyclic(p)
-    if p_syl.order() == target:
-        return is_isomorphic(p_syl, wreath)[0]
-    for n in normal_subgroups(p_syl):
-        if n.order() * target != p_syl.order():
-            continue
-        quot = quotient_group(p_syl, n).image
-        if is_isomorphic(quot, wreath)[0]:
-            return True
-    return False
+    kernels = [trivial_group(p_syl.degree)] if p_syl.order() == target else normal_subgroups(p_syl)
+    return any(
+        is_isomorphic(quotient_group(p_syl, n).image, wreath)[0]
+        for n in kernels
+        if n.order() * target == p_syl.order()
+    )
 
 
 @_checker("yoshida", "no Z_p wr Z_p quotient of P implies control")
@@ -370,15 +369,12 @@ def _normal_p_subgroup_candidates(ctx: Context) -> list[PermGroup]:
 
 
 def _quotient_controls(ctx: Context, z: PermGroup) -> bool:
-    """Does N_G(P)/Z control p-transfer in G/Z?"""
-    if z.is_trivial():
-        # Avoid the regular-representation quotient.
-        return ctx.controls_ngp()
+    """Does N_G(P)/Z control p-transfer in G/Z?  For Z = 1 this is the
+    kept answer for N_G(P) in G, as G/1 is G (see `QuotientGroup`)."""
     quot = quotient_group(ctx.group, z)
     if quot.image.order() % ctx.prime:
         return True
-    n_bar = quot.project_subgroup(ctx.ngp)
-    return controls_p_transfer(quot.image, n_bar, ctx.prime).controls
+    return _controls(quot.image, quot.project_subgroup(ctx.ngp), ctx.prime)
 
 
 def _lemma_condition_a(p_grp: PermGroup, z: PermGroup, p: int) -> bool:

@@ -26,8 +26,8 @@ and so reads G only until its members generate N.  Its member test is
 one lookup in N's element set, listed from a chain of N's Schreier
 generators, which the search for H's conjugates yields (see
 `normalizer`).  A normal H gets the one N = G kept for the trivial
-group, and the centralizer of the trivial group is G's scan with no
-element tested.  A subgroup told its order (a conjugate, a Sylow ascent
+group, as does the centralizer of the trivial group, with no element
+tested.  A subgroup told its order (a conjugate, a Sylow ascent
 step, A^p(G) when O^p(G) = G) or element set (the trivial group, a
 scanned subgroup, a lattice atom or join) builds its chain on first
 use, stopped at that order, and every chain is checked against a told
@@ -57,7 +57,8 @@ the coset element that sends the base point to its smallest image.
 Transversals, quotients, double cosets, the maximality test and the
 pretransfer look cosets up by this key instead of testing g * r^-1
 against H for every representative r.  `right_transversal` is memoized;
-a quotient builds its transversal unkept (see `QuotientGroup`).
+a quotient builds its transversal unkept, and a quotient by the trivial
+group builds none, as G/1 is G (see `QuotientGroup`).
 
 A chain level (`_Level`) keeps its transversal and inverses as image
 tuples, during the build and after it; only strong generators are
@@ -581,16 +582,18 @@ def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
     generate N; its chain and gens are those of a build over every
     member (see `_build_chain`).
 
-    A nontrivial H that G's gens conjugate into H is normal, so N = G,
-    and the call returns the N of the trivial group, kept on G: every
-    normal H shares one N, built over all of G's elements with no
-    conjugate count beyond the trivial one.  When H has one conjugate,
-    N takes G's element set instead of listing its own.
+    The trivial group (an H with no gens) has N = G, built over all of
+    G's elements with G's element set and no conjugates counted, kept on
+    G.  A nontrivial H that G's gens conjugate into H is normal, and the
+    call returns that N of the trivial group: every normal H shares one
+    N = G, and so does `centralizer(G, 1)`.
     """
     if g.degree != h.degree:
         raise ValueError("degree mismatch")
     elems = g.elements()  # first, so an element cap fires as for a full scan
-    if h.gens and h.is_normal_in(g):
+    if not h.gens:
+        return _from_elements(g.degree, elems, g.order(), g.element_set())
+    if h.is_normal_in(g):
         return normalizer(g, trivial_group(g.degree))  # one kept N = G per G
     # Each generator s as its images and the getter of s^-1, which conjugate
     # an element set as t^s = s^-1 * (t * s).
@@ -608,17 +611,14 @@ def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
             else:
                 edges.append((us, v))
     order = g.order() // len(reach)
-    if len(reach) == 1:
-        nset = g.element_set()  # N = G
-    else:
-        gens = itertools.chain(h.gens, _schreier_generators(edges))
-        levels, _ = _build_chain(g.degree, gens, order)
-        found = prod(len(lvl.transversal) for lvl in levels)
-        if found != order:
-            raise InvariantError(
-                f"the Schreier generators of N_G(H) reached order {found}, not |G|/{len(reach)}"
-            )
-        nset = frozenset(_chain_images(g.degree, levels))
+    gens = itertools.chain(h.gens, _schreier_generators(edges))
+    levels, _ = _build_chain(g.degree, gens, order)
+    found = prod(len(lvl.transversal) for lvl in levels)
+    if found != order:
+        raise InvariantError(
+            f"the Schreier generators of N_G(H) reached order {found}, not |G|/{len(reach)}"
+        )
+    nset = frozenset(_chain_images(g.degree, levels))
     return _from_elements(g.degree, (x for x in elems if x.images in nset), order, nset)
 
 
@@ -632,13 +632,12 @@ def _schreier_generators(edges: list) -> Iterator[Perm]:
 def centralizer(g: PermGroup, h: PermGroup) -> PermGroup:
     """C_G(H): the x of G's elements() that commute with each of H's
     gens, scanned as `_scan_subgroup` does.  An H with no gens (the
-    trivial group) is centralized by all of G, so the scan's group is
-    built over G's elements with G's element set, and no element is
-    tested."""
+    trivial group) is centralized by all of G, and C_G(1) is the one kept
+    N_G(1) = G, which tests no element (see `normalizer`)."""
     if g.degree != h.degree:
         raise ValueError("degree mismatch")
     if not h.gens:
-        return _from_elements(g.degree, g.elements(), g.order(), g.element_set())
+        return normalizer(g, h)
 
     hgens = [(t.images, _getter(t.images)) for t in h.gens]
 
@@ -841,7 +840,12 @@ def double_coset_reps(g: PermGroup, h: PermGroup, k: PermGroup) -> list[Perm]:
 # quotients ----------------------------------------------------------------
 
 class QuotientGroup:
-    """G/N acting on the right cosets of N; N must be normal in G."""
+    """G/N acting on the right cosets of N; N must be normal in G.
+
+    G/1 is G: a trivial kernel gives image G and no transversal, and the
+    maps return their argument (ValueError for one outside G), so no
+    caller builds the regular representation of degree |G|.
+    """
 
     def __init__(self, source: PermGroup, kernel: PermGroup):
         if not kernel.is_subgroup_of(source):
@@ -850,13 +854,15 @@ class QuotientGroup:
             raise ValueError("kernel is not normal in the source")
         self.source = source
         self.kernel = kernel
-        # Unkept: the kernel is often a fresh join whose elements nobody has
-        # listed, and the memo key would enumerate them.
-        self.transversal = _unkept_right_transversal(source, kernel)
-        self.image = PermGroup(
-            max(len(self.transversal.reps), 1),
-            [self._coset_perm(g) for g in source.gens],
-        )
+        self.transversal: Transversal | None = None
+        self.image = source
+        if kernel.gens:
+            # Unkept: the kernel is often a fresh join whose elements nobody
+            # has listed, and the memo key would enumerate them.
+            self.transversal = _unkept_right_transversal(source, kernel)
+            self.image = PermGroup(
+                len(self.transversal.reps), [self._coset_perm(g) for g in source.gens]
+            )
 
     def _coset_perm(self, g: Perm) -> Perm:
         return Perm(self.transversal.action(g))
@@ -864,10 +870,11 @@ class QuotientGroup:
     def project(self, g: Perm) -> Perm:
         if not self.source.contains(g):
             raise ValueError("element not in the source group")
-        return self._coset_perm(g)
+        return g if self.transversal is None else self._coset_perm(g)
 
     def project_subgroup(self, h: PermGroup) -> PermGroup:
-        return PermGroup(self.image.degree, [self.project(x) for x in h.gens])
+        gens = [self.project(x) for x in h.gens]
+        return h if self.transversal is None else PermGroup(self.image.degree, gens)
 
     def preimage_subgroup(self, q: PermGroup) -> PermGroup:
         """Full inverse image of a subgroup of the image.
@@ -876,6 +883,8 @@ class QuotientGroup:
         action of the one rep that sends coset 0 (N itself) to coset x(0):
         the lift of x is reps[x(0)].  The lifts come in transversal order.
         """
+        if self.transversal is None:
+            return self.project_subgroup(q)
         reps = self.transversal.reps
         for x in q.gens:
             i = x.images[0]

@@ -194,13 +194,9 @@ def _ilog(n: int, p: int) -> int:
 
 
 def abelianization_invariants(g: PermGroup) -> tuple[int, ...]:
-    """Abelian invariants of G/G'; those of G itself when G' = 1, with no
-    quotient built."""
-    gprime = derived_subgroup(g)
-    if gprime.is_trivial():
-        return abelian_invariants(g)
-    q = quotient_group(g, gprime)
-    return abelian_invariants(q.image)
+    """Abelian invariants of G/G'; of G itself when G' = 1, as G/1 is G
+    (see `QuotientGroup`)."""
+    return abelian_invariants(quotient_group(g, derived_subgroup(g)).image)
 
 
 def _invariants(g: PermGroup) -> Iterator:

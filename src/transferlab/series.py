@@ -177,11 +177,10 @@ def norm_series(p: PermGroup) -> SeriesResult:
     """Ascending series of iterated norms, lifted through quotients; it
     stalls where the norm of the quotient is trivial.
 
-    The first step is norm(P), as P/1 is P.  A later step depends only on
-    the element set of the term before it (see `right_transversal`)."""
+    The first step is norm(P), as P/1 is P (see `QuotientGroup`).  A later
+    step depends only on the element set of the term before it (see
+    `right_transversal`)."""
     def step(prev: PermGroup) -> PermGroup:
-        if prev.is_trivial():
-            return norm(p)
         q = quotient_group(p, prev)
         return q.preimage_subgroup(norm(q.image))
 
@@ -316,15 +315,12 @@ def p_series(g: PermGroup, p: int) -> SeriesResult:
     trivial: right after a p' step O_{p'}(G/prev) = 1 and right after a p
     step O_p(G/prev) = 1, so the steps alternate, and the series stops
     when it reaches g or both cores are trivial.  The first step, from
-    prev = 1, takes the cores of g itself rather than of G/1, the regular
-    representation of degree |G|.  A factor is "p" when p divides its
-    index.  Kept on g: no term is g itself (a core is a span or an
-    intersection, never g), so the result never references g.
+    prev = 1, takes the cores of g itself, as G/1 is G (see
+    `QuotientGroup`).  A factor is "p" when p divides its index.  Kept on
+    g: no term is g itself (a core is a span or an intersection, never
+    g), so the result never references g.
     """
     def step(prev: PermGroup) -> PermGroup:
-        if prev.is_trivial():
-            core = o_p_prime(g, p)
-            return o_p(g, p) if core.is_trivial() else core
         q = quotient_group(g, prev)
         core = o_p_prime(q.image, p)
         return q.preimage_subgroup(o_p(q.image, p) if core.is_trivial() else core)

@@ -158,14 +158,12 @@ class ControlReport:
 @memoized
 def _ap_quotient_invariants(g: PermGroup, p: int) -> tuple[int, ...]:
     """The abelian invariants of G/A^p(G); () with no quotient built when
-    O^p(G) = G, since A^p(G) = G' * O^p(G) is then G, and those of G itself
-    when A^p(G) = 1 (G is an abelian p-group), since G/1 is G."""
+    O^p(G) = G, since A^p(G) = G' * O^p(G) is then G.  When A^p(G) = 1 (G
+    is an abelian p-group) they are those of G, as G/1 is G (see
+    `QuotientGroup`)."""
     if o_upper_p(g, p).order() == g.order():
         return ()
-    ap = a_p(g, p)
-    if ap.is_trivial():
-        return abelian_invariants(g)
-    return abelian_invariants(quotient_group(g, ap).image)
+    return abelian_invariants(quotient_group(g, a_p(g, p)).image)
 
 
 def controls_p_transfer(g: PermGroup, n: PermGroup, p: int) -> ControlReport:

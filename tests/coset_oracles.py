@@ -11,6 +11,7 @@ test_transfer.py.
 
 from itertools import combinations
 
+from quotient_oracles import RegularQuotient
 from transferlab.group import PermGroup, QuotientGroup, Transversal, _joins_all_cosets
 from transferlab.perm import Perm
 from transferlab.sylow import SylowFamily
@@ -77,7 +78,17 @@ def all_pairs_max_intersection(family: SylowFamily) -> int:
 def preimage_by_scan(quot: QuotientGroup, q: PermGroup) -> PermGroup:
     """QuotientGroup.preimage_subgroup by computing the coset action of
     every rep, in transversal order, until each generator of q is found
-    (O(|G:N|^2) coset keys)."""
+    (O(|G:N|^2) coset keys).
+
+    G/1 is G, and the preimage of Q is Q: the scan runs in G's right
+    regular representation (`quotient_oracles.RegularQuotient`), where
+    each generator of q must lift to itself, and the lifts keep q's
+    order."""
+    if quot.transversal is None:
+        regular = RegularQuotient(quot.source)
+        found = preimage_by_scan(regular, regular.project_subgroup(q))
+        lifts = {x.images: x for x in found.gens}
+        return PermGroup(quot.source.degree, [lifts[x.images] for x in q.gens])
     lifts = []
     needed = {x.images for x in q.gens}
     for r in quot.transversal.reps:

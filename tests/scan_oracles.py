@@ -10,19 +10,21 @@ and a member test against the powers of every element (the norm).  They
 stay here, and only here, as oracles for the differential tests in
 test_known_order_scans.py.  `p_series_by_flags` is the loop
 `series.p_series` had before it became one `_series` call, kept as the
-oracle for test_series.py.  `core_by_chains` and `o_p_by_chains` are
+oracle for test_series.py; it builds G/1 as the right regular
+representation (`quotient_oracles.coset_quotient`), as that loop did.
+`core_by_chains` and `o_p_by_chains` are
 `group.core` and `series.o_p` with each conjugate a plain group on the
 conjugated generators, which builds its own chain to test membership,
 as every conjugate did before it tested membership through its source;
 they are the oracles for test_conjugate_membership.py.
 """
 
+from quotient_oracles import coset_quotient
 from transferlab.group import (
     PermGroup,
     _scan_subgroup,
     intersection,
     normalizer,
-    quotient_group,
     right_transversal,
     span,
     trivial_group,
@@ -73,7 +75,7 @@ def p_series_by_flags(g: PermGroup, p: int) -> SeriesResult:
     want_p = False
     stalled_once = False
     while current.order() < g.order():
-        q = quotient_group(g, current)
+        q = coset_quotient(g, current)
         nxt_img = o_p(q.image, p) if want_p else o_p_prime(q.image, p)
         if nxt_img.is_trivial():
             if stalled_once:

@@ -258,19 +258,21 @@ def test_p_series_stalls_after_a_p_prime_step():
     ids=["PSL(2,17)-p2", "S4-p2"],
 )
 def test_p_series_takes_its_first_step_on_g(monkeypatch, build, p, orders, factors):
-    """The first step takes the cores of G itself: no quotient by the
-    trivial group, whose image is the regular representation of degree
-    |G| (for PSL(2,17), 6 s against 0.03 s)."""
-    kernels = []
+    """The first step takes the cores of G itself: its quotient is by the
+    trivial group, whose image is G, not the regular representation of
+    degree |G| (for PSL(2,17), 6 s against 0.03 s)."""
+    quotients = []
     real = series.quotient_group
 
     def recording(g, n):
-        kernels.append(n.order())
-        return real(g, n)
+        q = real(g, n)
+        quotients.append((n.order(), q.image is g))
+        return q
 
     monkeypatch.setattr(series, "quotient_group", recording)
     s = p_series(build(), p)
-    assert 1 not in kernels
+    assert quotients[0] == (1, True)
+    assert all(is_source for order, is_source in quotients if order == 1)
     assert [t.order() for t in s.terms] == orders
     assert s.factors == factors
 

@@ -219,6 +219,51 @@ def test_only_group_uses_the_chain_orbit_search(path):
     assert lines == [], f"{path.name} names _orbit_transversal at lines {lines}"
 
 
+def _transversal_reads(tree: ast.AST) -> list[int]:
+    """Lines that read a `.transversal` attribute, directly or by getattr
+    with a literal name."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and node.attr == "transversal"
+        )
+        or (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value == "transversal"
+        )
+    )
+
+
+def test_transversal_rule_sees_reads():
+    source = (
+        "reps = quot.transversal.reps\n"
+        "quot.transversal = None\n"
+        "trans = right_transversal(g, h)\n"
+        "f(lvl.transversal)\n"
+        "t = getattr(quot, 'transversal', None)\n"
+    )
+    assert _transversal_reads(ast.parse(source)) == [1, 4, 5]
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in MODULES if path.name != "group.py"], ids=lambda path: path.name
+)
+def test_only_group_reads_a_transversal_attribute(path):
+    """A quotient by the trivial group has no coset transversal (G/1 is G,
+    see `QuotientGroup`), so no code outside `group` may depend on one:
+    other modules go through the quotient's maps and `right_transversal`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = _transversal_reads(tree)
+    assert lines == [], f"{path.name} reads a .transversal attribute at lines {lines}"
+
+
 def _called_names(node: ast.AST) -> set[str]:
     """The names called in node, by name or as an attribute."""
     names = set()
