@@ -237,7 +237,7 @@ def _is_int(x) -> bool:
 
 # field -> (type test, what it asks for); tags and annotations are only copied
 _FIELD_TYPES = {
-    "label": (lambda v: isinstance(v, str), "a string"),
+    "label": (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
     "degree": (_is_int, "an integer"),
     "generators": (
         lambda v: isinstance(v, list)

@@ -23,6 +23,7 @@ import traceback
 from dataclasses import dataclass, field
 
 from .caps import CapExceeded
+from .catalog import dihedral, generalized_quaternion, psl2, symmetric, wreath_cyclic
 from .group import (
     InvariantError,
     PermGroup,
@@ -59,6 +60,7 @@ from .sylow import (
     max_intersection_order,
     is_weakly_closed,
     characteristic_subgroups_above,
+    is_tame_intersection,
     sylow_subgroup,
     tame_intersections_between,
 )
@@ -196,8 +198,6 @@ def _has_wreath_quotient(p_syl: PermGroup, p: int) -> bool:
     """Has P a quotient isomorphic to Z_p wr Z_p, of order p^{p+1}?  When
     |P| is that order, N = 1 is the only kernel, so P's normal subgroups
     are not listed, and P/1 is P itself (see `QuotientGroup`)."""
-    from .catalog import wreath_cyclic
-
     target = p ** (p + 1)
     if p_syl.order() % target:
         return False
@@ -685,9 +685,6 @@ def scan_corpus(entries, checker_ids: list[str] | None = None) -> TheoremReport:
 
 def verify_paper_witnesses() -> list[tuple[str, bool]]:
     """Evaluate the hard-coded named-group facts the write-up relies on."""
-    from .catalog import dihedral, generalized_quaternion, psl2, symmetric, wreath_cyclic
-    from .sylow import is_tame_intersection
-
     results: list[tuple[str, bool]] = []
 
     s4 = symmetric(4)

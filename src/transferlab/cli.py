@@ -75,8 +75,8 @@ def _resolve_group(selector: str, args) -> PermGroup:
 
 
 def _checked_prime(group: PermGroup, p: int) -> int:
-    """p, if it is a prime that divides |G|; else an input error."""
-    if prime_divisors(p) != [p] or group.order() % p:
+    """p, if a prime dividing |G| (tested first: a huge p is never factored)."""
+    if p < 2 or group.order() % p or prime_divisors(p) != [p]:
         raise ValueError(f"--prime must be a prime dividing the group order {group.order()}")
     return p
 

@@ -899,10 +899,13 @@ def quotient_group(g: PermGroup, n: PermGroup) -> QuotientGroup:
 
 
 def core(g: PermGroup, h: PermGroup) -> PermGroup:
-    """Core_G(H): intersection of the conjugates of H over a transversal."""
-    trans = right_transversal(g, h)
+    """Core_G(H): H met with one conjugate H^t per right coset of N_G(H),
+    as H^{nt} = H^t, until trivial; a normal H is its own core.  For a
+    Sylow P, N_G(P)'s kept transversal is the one its family is listed by."""
+    if not h.is_subgroup_of(g):
+        raise ValueError("H is not a subgroup of G")
     result = h
-    for t in trans.reps[1:]:
+    for t in right_transversal(g, normalizer(g, h)).reps[1:]:
         result = intersection(result, conjugate_subgroup(h, t))
         if result.is_trivial():
             break

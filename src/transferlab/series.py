@@ -30,6 +30,7 @@ from .group import (
     _subgroup,
     centralizer,
     commutator_subgroup,
+    core,
     derived_subgroup,
     intersection,
     join,
@@ -230,18 +231,14 @@ def omega(p_grp: PermGroup, p: int, i: int = 1) -> PermGroup:
 
 @memoized
 def o_p(g: PermGroup, p: int) -> PermGroup:
-    """O_p(G): the p-core, as the intersection of all Sylow p-subgroups."""
-    from .sylow import all_sylow_subgroups, sylow_subgroup
+    """O_p(G): the p-core, Core_G(P) for a Sylow p-subgroup P (see
+    `group.core`), so a normal P is returned itself; trivial when p does
+    not divide |G|."""
+    from .sylow import sylow_subgroup  # sylow imports series
 
-    syl = sylow_subgroup(g, p) if g.order() % p == 0 else None
-    if syl is None:
+    if g.order() % p:
         return trivial_group(g.degree)
-    result = syl
-    for q in all_sylow_subgroups(g, p).members:
-        result = intersection(result, q)
-        if result.is_trivial():
-            break
-    return result
+    return core(g, sylow_subgroup(g, p))
 
 
 def _core_by_closure(g: PermGroup, is_pi: Callable[[int], bool]) -> PermGroup:
@@ -317,8 +314,8 @@ def p_series(g: PermGroup, p: int) -> SeriesResult:
     when it reaches g or both cores are trivial.  The first step, from
     prev = 1, takes the cores of g itself, as G/1 is G (see
     `QuotientGroup`).  A factor is "p" when p divides its index.  Kept on
-    g: no term is g itself (a core is a span or an intersection, never
-    g), so the result never references g.
+    g: no term is g itself (a core is a span, an intersection or a Sylow
+    ascent's subgroup, never g), so the result never references g.
     """
     def step(prev: PermGroup) -> PermGroup:
         q = quotient_group(g, prev)

@@ -34,9 +34,10 @@ def sylow_subgroup(g: PermGroup, p: int) -> PermGroup:
 
     Start from the p-part of the first p-singular element in enumeration
     order; while not full, adjoin an element of the normalizer whose
-    image in N/current has order p.  Deterministic.
+    image in N/current has order p.  Deterministic.  p < 2 and |G| % p
+    are tested before p's primality, so a huge p is never factored.
     """
-    if prime_divisors(p) != [p] or g.order() % p:
+    if p < 2 or g.order() % p or prime_divisors(p) != [p]:
         raise ValueError(f"{p} is not a prime dividing the group order")
     target = p_part(g.order(), p)
     current: PermGroup | None = None

@@ -22,7 +22,7 @@ from .group import (
     quotient_group,
     right_transversal,
 )
-from .iso import abelian_invariants, all_subgroups
+from .iso import abelian_invariants, all_subgroups, is_isomorphic
 from .perm import _IDENTITY, Perm, _compose, _perm
 from .series import a_p, o_upper_p, p_part
 from .sylow import sylow_subgroup
@@ -145,9 +145,9 @@ def focal_subgroup(g: PermGroup, p_syl: PermGroup) -> PermGroup:
 
 @dataclass
 class ControlReport:
-    g: PermGroup
-    n: PermGroup
-    prime: int
+    """The control test's answer, with the Sylow subgroup P of N it used."""
+
+    sylow: PermGroup  # P
     focal_g: PermGroup  # P cap G'
     focal_n: PermGroup  # P cap N'
     controls: bool
@@ -196,7 +196,7 @@ def controls_p_transfer(g: PermGroup, n: PermGroup, p: int) -> ControlReport:
     controls = focal_g.same_group_as(focal_n)
     if controls != (inv_g == inv_n):
         raise InvariantError("focal test and quotient test disagree")
-    return ControlReport(g, n, p, focal_g, focal_n, controls, inv_g, inv_n)
+    return ControlReport(p_syl, focal_g, focal_n, controls, inv_g, inv_n)
 
 
 @dataclass
@@ -215,11 +215,12 @@ class NonControlWitness:
 
 
 def lemma23_witness(g: PermGroup, n: PermGroup, p: int) -> NonControlWitness | str:
-    """Extract the full non-control witness structure, or "controls"."""
+    """The full non-control witness structure, or "controls", over the P the
+    control test used (`ControlReport.sylow`): N = N_G(P) runs no ascent."""
     report = controls_p_transfer(g, n, p)
     if report.controls:
         return "controls"
-    p_syl = sylow_subgroup(n, p)
+    p_syl = report.sylow
     # Candidate M: preimages of the index-p subgroups of the abelian
     # p-group N / A^p(N).
     apn = a_p(n, p)
@@ -262,8 +263,6 @@ def lemma23_witness(g: PermGroup, n: PermGroup, p: int) -> NonControlWitness | s
 
 def tate_agreement(g: PermGroup, n: PermGroup, p: int) -> bool:
     """Do the A^p-quotient and O^p-quotient formulations of control agree?"""
-    from .iso import is_isomorphic
-
     report = controls_p_transfer(g, n, p)
     abelian_side = report.quotient_invariants_g == report.quotient_invariants_n
     qg = quotient_group(g, o_upper_p(g, p)).image

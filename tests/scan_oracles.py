@@ -98,9 +98,10 @@ def conjugate_by_chain(h: PermGroup, t) -> PermGroup:
 
 
 def core_by_chains(g: PermGroup, h: PermGroup) -> PermGroup:
-    """Core_G(H), intersecting H with `conjugate_by_chain` conjugates."""
+    """Core_G(H), intersecting H with `conjugate_by_chain` conjugates, one
+    per right coset of N_G(H)."""
     result = h
-    for t in right_transversal(g, h).reps[1:]:
+    for t in right_transversal(g, normalizer(g, h)).reps[1:]:
         result = intersection(result, conjugate_by_chain(h, t))
         if result.is_trivial():
             break
@@ -108,17 +109,9 @@ def core_by_chains(g: PermGroup, h: PermGroup) -> PermGroup:
 
 
 def o_p_by_chains(g: PermGroup, p: int) -> PermGroup:
-    """O_p(G), intersecting P with the `conjugate_by_chain` conjugates of
-    P over the transversal of N_G(P), the Sylow family in its order."""
+    """O_p(G) as `core_by_chains` of a Sylow p-subgroup P."""
     from transferlab.sylow import sylow_subgroup
 
     if g.order() % p:
         return trivial_group(g.degree)
-    syl = sylow_subgroup(g, p)
-    reps = right_transversal(g, normalizer(g, syl)).reps
-    result = syl
-    for q in [syl] + [conjugate_by_chain(syl, t) for t in reps[1:]]:
-        result = intersection(result, q)
-        if result.is_trivial():
-            break
-    return result
+    return core_by_chains(g, sylow_subgroup(g, p))

@@ -466,3 +466,54 @@ def test_each_checker_is_registered_by_its_own_decorator():
     assert stray == [], f"checkers.py registers a checker outside a decorator at lines {stray}"
     assert len(counts) == len(CHECKERS) == 23
     assert sorted(spec.run.__name__ for spec in CHECKERS.values()) == [name for name, _ in counts]
+
+
+def _function_imports(tree: ast.AST) -> list[tuple[str, int]]:
+    """(function, line) of each import statement inside a function,
+    named by the innermost function around it."""
+    found = []
+
+    def visit(node: ast.AST, owner: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if owner is not None and isinstance(child, (ast.Import, ast.ImportFrom)):
+                found.append((owner, child.lineno))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            else:
+                visit(child, owner)
+
+    visit(tree, None)
+    return sorted(found)
+
+
+def test_function_import_rule_sees_imports_in_functions():
+    source = (
+        "import os\n"
+        "def f():\n"
+        "    from .sylow import sylow_subgroup\n"
+        "class C:\n"
+        "    from x import y\n"
+        "    def m(self):\n"
+        "        if self:\n"
+        "            import json\n"
+        "def outer():\n"
+        "    def inner():\n"
+        "        import re\n"
+        "    return inner\n"
+        "if os:\n"
+        "    import sys\n"
+    )
+    assert _function_imports(ast.parse(source)) == [("f", 3), ("inner", 11), ("m", 8)]
+
+
+# sylow imports series at load time, and o_p needs sylow_subgroup.
+FUNCTION_IMPORTS = {"series.py": ["o_p"]}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_imports_sit_at_module_level_unless_a_cycle_forces_them(path):
+    """A module imports what it uses at its top, where its dependencies
+    are read at a glance; only an import cycle puts one inside a function."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owners = [name for name, _ in _function_imports(tree)]
+    assert owners == FUNCTION_IMPORTS.get(path.name, []), f"{path.name} imports inside {owners}"
