@@ -28,7 +28,6 @@ from .group import (
     double_coset_reps,
     intersection,
     is_maximal,
-    join,
     normal_closure,
     normalizer,
     quotient_group,

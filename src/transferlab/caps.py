@@ -52,7 +52,6 @@ class Caps:
     iso_cap: int = 512
     aut_cap: int = 256
     subgroup_enum_cap: int = 256
-    sylow_family_cap: int = 4096
 
     @classmethod
     def default(cls) -> "Caps":

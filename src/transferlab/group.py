@@ -42,10 +42,9 @@ Every orbit is found by one breadth-first search (`_keyed_orbit`, whose
 points `_orbit` lists): right cosets (`right_transversal`, which hands
 the coset keys it found to its `Transversal`), double cosets, conjugacy
 classes, the <u>-orbits of the transfer evaluation and the
-Aut(P)-orbits.  One loop (`_orbits`) splits
-a set of points into orbits, for every partition the library makes:
-double cosets, the H-orbits of the maximality test, conjugacy classes,
-the <u>-orbits and the Aut(P)-orbits.  Only the chain build and
+Aut(P)-orbits.  One loop (`_orbits`) splits a set of points into orbits
+for each of these partitions but the right cosets, and for the H-orbits
+of the maximality test.  Only the chain build and
 `normalizer` keep their own searches: the chain build
 (`_orbit_transversal`) because it also needs the transversal, and the
 count of H's conjugates in `normalizer` because it also needs the
@@ -407,9 +406,7 @@ class PermGroup:
 
     def is_normal_in(self, other: "PermGroup") -> bool:
         """True iff self is normalized by every generator of other."""
-        return all(
-            self.contains(h.conjugate(g)) for g in other.gens for h in self.gens
-        )
+        return all(self.contains(h.conjugate(g)) for g in other.gens for h in self.gens)
 
     def __repr__(self) -> str:
         label = self.name or "PermGroup"
@@ -658,38 +655,34 @@ def intersection(a: PermGroup, b: PermGroup) -> PermGroup:
     return _scan_subgroup(small, large.contains)
 
 
-def join(a: PermGroup, b: PermGroup) -> PermGroup:
-    if a.degree != b.degree:
-        raise ValueError("degree mismatch")
-    return PermGroup(a.degree, list(a.gens) + list(b.gens))
-
-
 def normal_closure(g: PermGroup, seeds: Sequence[Perm]) -> PermGroup:
-    """Smallest normal subgroup of G containing the seeds, by saturation."""
-    for s in seeds:
-        if not g.contains(s):
-            raise ValueError("seed not in ambient group")
-    current = PermGroup(g.degree, seeds)
+    """Smallest normal subgroup of G containing the seeds; ValueError for
+    a seed outside G."""
+    if not all(map(g.contains, seeds)):
+        raise ValueError("seed not in ambient group")
+    return _closure(g.degree, seeds, g.gens)
+
+
+def _closure(degree: int, seeds: Sequence[Perm], gens: Sequence[Perm]) -> PermGroup:
+    """<seeds> closed under conjugation by gens: the normal closure in <gens>."""
+    current = PermGroup(degree, seeds)
     while True:
-        new = []
-        for s in current.gens:
-            for x in g.gens:
-                c = s.conjugate(x)
-                if not current.contains(c):
-                    new.append(c)
+        new = [c for s in current.gens for x in gens if not current.contains(c := s.conjugate(x))]
         if not new:
             return current
-        current = PermGroup(g.degree, list(current.gens) + new)
+        current = PermGroup(degree, [*current.gens, *new])
         check_cap("normal closure", current.order(), current_caps().element_cap)
 
 
 def commutator_subgroup(a: PermGroup, b: PermGroup) -> PermGroup:
-    """[A, B]: normal closure in <A,B> of generator commutators."""
-    comms = [commutator(x, y) for x in a.gens for y in b.gens]
-    comms = [c for c in comms if not c.is_identity()]
+    """[A, B]: the gens' commutators closed under A's, then B's gens; no
+    chain of <A, B> is built."""
+    if a.degree != b.degree:
+        raise ValueError("degree mismatch")
+    comms = [c for x in a.gens for y in b.gens if not (c := commutator(x, y)).is_identity()]
     if not comms:
         return trivial_group(a.degree)
-    return normal_closure(join(a, b), comms)
+    return _closure(a.degree, comms, tuple(_distinct(a.degree, [*a.gens, *b.gens])))
 
 
 @memoized

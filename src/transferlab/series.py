@@ -33,7 +33,6 @@ from .group import (
     core,
     derived_subgroup,
     intersection,
-    join,
     memoized,
     normal_closure,
     quotient_group,
@@ -220,9 +219,12 @@ def frattini_by_maximals(p_grp: PermGroup, p: int) -> PermGroup:
 
 
 def omega(p_grp: PermGroup, p: int, i: int = 1) -> PermGroup:
-    """Omega_i(P): generated by the elements of order dividing p^i."""
+    """Omega_i(P): generated by the elements of order dividing p^i;
+    ValueError for i < 0."""
     if not is_p_group(p_grp, p):
         raise ValueError("not a p-group for the given prime")
+    if i < 0:
+        raise ValueError(f"i must be >= 0, got {i}")
     q = p**i
     return span(p_grp.degree, (x for x in p_grp.elements() if (x**q).is_identity()))
 
@@ -286,13 +288,12 @@ def a_p(g: PermGroup, p: int) -> PermGroup:
     quotient, generated by the gens of G' and then of O^p(G).
 
     When O^p(G) = G (a known order, see `o_upper_p`), A^p(G) is G, and
-    the join is told |G|, so its chain build stops there (see
-    `_build_chain`) with the chain a full build gives.
+    it is told |G|, so its chain build stops there (see `_build_chain`)
+    with the chain a full build gives.
     """
     d, k = derived_subgroup(g), o_upper_p(g, p)
-    if k.order() == g.order():
-        return _subgroup(g.degree, [*d.gens, *k.gens], order=g.order())
-    return join(d, k)
+    order = g.order() if k.order() == g.order() else None
+    return _subgroup(g.degree, [*d.gens, *k.gens], order=order)
 
 
 def is_p_nilpotent(g: PermGroup, p: int) -> bool:
@@ -368,9 +369,11 @@ def is_pi_central_of_height(
     p_grp: PermGroup, p: int, i: int, k: int, order_divides: bool = False
 ) -> bool:
     """Every element of order p^i (or dividing p^i, with the flag) lies in
-    the k-th center."""
+    the k-th center; ValueError for i < 0."""
     if not is_p_group(p_grp, p):
         raise ValueError("not a p-group for the given prime")
+    if i < 0:
+        raise ValueError(f"i must be >= 0, got {i}")
     zk = z_k(p_grp, k)
     target = p**i
     for x in p_grp.elements():

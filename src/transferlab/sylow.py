@@ -6,7 +6,6 @@ subgroups generated by the Aut(P)-orbits on P's elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .caps import check_cap, current_caps
 from .group import (
     InvariantError,
     PermGroup,
@@ -94,8 +93,6 @@ def all_sylow_subgroups(g: PermGroup, p: int) -> SylowFamily:
     normalizer."""
     syl = sylow_subgroup(g, p)
     n = normalizer(g, syl)
-    count = g.order() // n.order()
-    check_cap("Sylow family", count, current_caps().sylow_family_cap)
     trans = right_transversal(g, n)
     members = [syl] + [conjugate_subgroup(syl, t) for t in trans.reps[1:]]
     return SylowFamily(p, members, n)
@@ -207,8 +204,11 @@ def tame_intersections_between(
 @memoized
 def is_weakly_closed(g: PermGroup, p_syl: PermGroup, k: PermGroup) -> tuple[bool, Perm | None]:
     """Is K weakly closed in P (wrt G)?  On failure, return a conjugating
-    element g with K^g <= P but K^g != K.  Kept on G: the answer holds no
-    group, and depends only on the elements of P and K."""
+    element g with K^g <= P but K^g != K; ValueError unless K <= P <= G.
+    Kept on G: the answer holds no group, and depends only on the elements
+    of P and K, so the check runs once per distinct call."""
+    if not (k.is_subgroup_of(p_syl) and p_syl.is_subgroup_of(g)):
+        raise ValueError("K <= P <= G is required")
     n = normalizer(g, k)
     trans = right_transversal(g, n)
     # Every rep t after the first lies outside N_G(K), so K^t != K.

@@ -1,12 +1,17 @@
 """Inputs rejected before any work: a prime that does not divide |G| is
-never factored, and a catalog label must be a non-empty string."""
+never factored, a catalog label must be a non-empty string, the weak
+closure test needs K <= P <= G, and Omega_i and the centrality height
+need i >= 0."""
 
 import pytest
 
 from transferlab import cli, sylow
-from transferlab.catalog import load_catalog, symmetric
+from transferlab.catalog import alternating, dihedral, load_catalog, symmetric
 from transferlab.cli import main
-from transferlab.sylow import sylow_subgroup
+from transferlab.group import PermGroup
+from transferlab.perm import Perm
+from transferlab.series import is_pi_central_of_height, omega
+from transferlab.sylow import is_weakly_closed, sylow_subgroup
 
 HUGE_PRIME = 1000000000000000003  # factoring it by trial division runs to 10^9
 
@@ -45,3 +50,23 @@ def test_an_empty_catalog_label_is_rejected_with_its_line(tmp_path):
     )
     with pytest.raises(ValueError, match=r"cat.jsonl:2: .*label must be a non-empty string"):
         load_catalog(str(path))
+
+
+def test_weak_closure_needs_k_in_p_in_g():
+    """A 3-cycle's subgroup is no subgroup of S4's Sylow 2-subgroup P,
+    and P is no subgroup of A4, though its (0 2)(1 3) lies in A4."""
+    s4 = symmetric(4)
+    p_syl = sylow_subgroup(s4, 2)
+    three = PermGroup(4, [Perm.from_cycles(4, [(0, 1, 2)])])
+    with pytest.raises(ValueError, match="K <= P <= G"):
+        is_weakly_closed(s4, p_syl, three)
+    with pytest.raises(ValueError, match="K <= P <= G"):
+        is_weakly_closed(alternating(4), p_syl, PermGroup(4, [p_syl.gens[2]]))
+
+
+def test_a_negative_omega_or_height_index_is_rejected():
+    d8 = dihedral(8)
+    with pytest.raises(ValueError, match="i must be >= 0"):
+        omega(d8, 2, -1)
+    with pytest.raises(ValueError, match="i must be >= 0"):
+        is_pi_central_of_height(d8, 2, -1, 1)

@@ -5,7 +5,8 @@ the library).
 Hypothesis draws random subgroups G of S_n for n <= 8, generated by up
 to three random permutations, and subgroups of G as words in G's
 generators.  The tests that enumerate G (element sets, Sylow ascent)
-draw n <= 6.
+draw n <= 6.  [A, B] is checked for two distinct Sylow subgroups of
+S4, S5, PSL(2,7) and A5, neither of which contains the other.
 """
 
 import pytest
@@ -14,7 +15,14 @@ from hypothesis import given, settings, strategies as st
 sympy_comb = pytest.importorskip("sympy.combinatorics")
 SymPerm, SymGroup = sympy_comb.Permutation, sympy_comb.PermutationGroup
 
-from transferlab.group import PermGroup, centralizer, normal_closure, normalizer  # noqa: E402
+from transferlab.catalog import alternating, psl2, symmetric  # noqa: E402
+from transferlab.group import (  # noqa: E402
+    PermGroup,
+    centralizer,
+    commutator_subgroup,
+    normal_closure,
+    normalizer,
+)
 from transferlab.iso import conjugacy_classes, prime_divisors  # noqa: E402
 from transferlab.perm import Perm  # noqa: E402
 from transferlab.series import (  # noqa: E402
@@ -22,7 +30,7 @@ from transferlab.series import (  # noqa: E402
     is_nilpotent,
     lower_central_series,
 )
-from transferlab.sylow import sylow_subgroup  # noqa: E402
+from transferlab.sylow import all_sylow_subgroups, sylow_subgroup  # noqa: E402
 
 
 def draw_group(data, max_degree):
@@ -133,3 +141,31 @@ def test_conjugacy_classes_match_sympy(data):
     assert all(position[rep] == min(map(position.get, cls)) for rep, cls in classes)
     firsts = [position[rep] for rep, _ in classes]
     assert firsts == sorted(firsts)
+
+
+SYLOW_CASES = [
+    (symmetric(4), 2),
+    (symmetric(5), 2),
+    (psl2(7), 2),
+    (symmetric(5), 3),
+    (alternating(5), 5),
+]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_commutator_of_distinct_sylow_subgroups_matches_sympy(data):
+    """[A, B] for two distinct members of a Sylow family, against sympy's
+    normal closure in <A, B> of the gens' commutators."""
+    g, p = data.draw(st.sampled_from(SYLOW_CASES), label="case")
+    members = all_sylow_subgroups(g, p).members
+    i, j = data.draw(
+        st.lists(st.integers(0, len(members) - 1), min_size=2, max_size=2, unique=True),
+        label="members",
+    )
+    a, b = members[i], members[j]
+    assert not a.is_subgroup_of(b) and not b.is_subgroup_of(a)
+    n = g.degree
+    joined = sym_group(n, [*a.gens, *b.gens])
+    expected = joined.commutator(sym_group(n, a.gens), sym_group(n, b.gens))
+    assert commutator_subgroup(a, b).element_set() == sym_elements(expected)
