@@ -35,7 +35,7 @@ from .checkers import (
     verify_paper_witnesses,
 )
 from .group import PermGroup, is_maximal, trivial_group
-from .iso import prime_divisors
+from .iso import is_prime_divisor
 from .series import (
     a_p,
     center,
@@ -76,7 +76,7 @@ def _resolve_group(selector: str, args) -> PermGroup:
 
 def _checked_prime(group: PermGroup, p: int) -> int:
     """p, if a prime dividing |G| (tested first: a huge p is never factored)."""
-    if p < 2 or group.order() % p or prime_divisors(p) != [p]:
+    if not is_prime_divisor(p, group.order()):
         raise ValueError(f"--prime must be a prime dividing the group order {group.order()}")
     return p
 

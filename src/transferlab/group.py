@@ -434,7 +434,10 @@ def memoized(fn):
     element sets of its other group arguments.  A subgroup in the result
     may carry the generators of the first call's arguments, and a kept
     transversal holds the first call's H (see `right_transversal`).
-    Every caller gets the one kept object, so none may mutate it.
+    Every caller gets the one kept object, so none may mutate it.  A kept
+    object may fill a cache of its own on first read, once, under the
+    caps it was made under (see `sylow.TameIntersectionRecord`); no
+    caller may change that either.
     """
     params = list(inspect.signature(fn).parameters.values())[1:]
     names = [q.name for q in params]
@@ -560,7 +563,7 @@ def _scan_subgroup(g: PermGroup, keep) -> PermGroup:
 def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
     """N_G(H): the x of G's elements() with H^x = H as a set, in that
     order, so the result (gens and chain too) depends only on H's
-    elements.
+    elements; ValueError for an H that is not a subgroup of G.
 
     The conjugates of H are the orbit of H's element set under
     conjugation by G's gens, found breadth first, so |N| is |G| over
@@ -588,6 +591,8 @@ def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
     if g.degree != h.degree:
         raise ValueError("degree mismatch")
     elems = g.elements()  # first, so an element cap fires as for a full scan
+    if not h.is_subgroup_of(g):
+        raise ValueError("H is not a subgroup of G")
     if not h.gens:
         return _from_elements(g.degree, elems, g.order(), g.element_set())
     if h.is_normal_in(g):
@@ -655,9 +660,10 @@ def intersection(a: PermGroup, b: PermGroup) -> PermGroup:
     return _scan_subgroup(small, large.contains)
 
 
-def normal_closure(g: PermGroup, seeds: Sequence[Perm]) -> PermGroup:
-    """Smallest normal subgroup of G containing the seeds; ValueError for
-    a seed outside G."""
+def normal_closure(g: PermGroup, seeds: Iterable[Perm]) -> PermGroup:
+    """Smallest normal subgroup of G containing the seeds, read once (an
+    iterator will do); ValueError for a seed outside G."""
+    seeds = tuple(seeds)
     if not all(map(g.contains, seeds)):
         raise ValueError("seed not in ambient group")
     return _closure(g.degree, seeds, g.gens)

@@ -185,6 +185,12 @@ def prime_divisors(n: int) -> list[int]:
     return out
 
 
+def is_prime_divisor(p: int, n: int) -> bool:
+    """Is p a prime dividing n?  p < 2 and n % p are tested first, so a p
+    that does not divide n is never factored."""
+    return not (p < 2 or n % p or prime_divisors(p) != [p])
+
+
 def _ilog(n: int, p: int) -> int:
     k = 0
     while n % p == 0 and n > 1:

@@ -5,7 +5,10 @@ subgroups generated by the Aut(P)-orbits on P's elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+
+from .caps import current_caps, limits
 from .group import (
     InvariantError,
     PermGroup,
@@ -18,7 +21,7 @@ from .group import (
     normalizer,
     right_transversal,
 )
-from .iso import _subgroup_lattice, automorphism_group, prime_divisors
+from .iso import _subgroup_lattice, automorphism_group, is_prime_divisor
 from .perm import Perm
 from .series import (
     element_p_part,
@@ -34,9 +37,10 @@ def sylow_subgroup(g: PermGroup, p: int) -> PermGroup:
     Start from the p-part of the first p-singular element in enumeration
     order; while not full, adjoin an element of the normalizer whose
     image in N/current has order p.  Deterministic.  p < 2 and |G| % p
-    are tested before p's primality, so a huge p is never factored.
+    are tested before p's primality, so a huge p is never factored
+    (`iso.is_prime_divisor`).
     """
-    if p < 2 or g.order() % p or prime_divisors(p) != [p]:
+    if not is_prime_divisor(p, g.order()):
         raise ValueError(f"{p} is not a prime dividing the group order")
     target = p_part(g.order(), p)
     current: PermGroup | None = None
@@ -125,11 +129,45 @@ def max_intersection_order(g: PermGroup, p: int) -> int:
 
 @dataclass
 class TameIntersectionRecord:
+    """The tame test of D = P cap Q, and the predicates the theorems read.
+
+    Whether N_G(D) is p-nilpotent and whether N_G(D)/C_G(D) is a p-group
+    are worked out together, once, when either is first read, under the
+    caps the record was made under (`made_under`, the caps of
+    `_tame_record`'s memo key), so a kept record gives the same answer
+    whoever reads it and under whatever caps.  The first read also checks
+    that a p-nilpotent N_G(D) has N/C a p-group (InvariantError
+    otherwise); a read that raises keeps nothing.  A kept record fills
+    its own cache once, and no caller may change it.
+    """
+
     d: PermGroup  # P cap Q
     tame: bool
     normalizer: PermGroup  # N_G(D)
-    normalizer_p_nilpotent: bool
-    n_over_c_is_p_group: bool
+    prime: int
+    made_under: object = field(default_factory=current_caps, init=False, repr=False, compare=False)
+
+    @cached_property
+    def _predicates(self) -> tuple[bool, bool]:
+        n_g_d, p = self.normalizer, self.prime
+        with limits(self.made_under):
+            # C_G(D) <= N_G(D), so C_N(D) is C_G(D): scan N's elements, not G's.
+            n_over_c = n_g_d.order() // centralizer(n_g_d, self.d).order()
+            p_nilpotent = is_p_nilpotent(n_g_d, p)
+        n_over_c_is_p_group = p_part(n_over_c, p) == n_over_c
+        # A p-nilpotent normalizer always forces N/C to be a p-group (the
+        # normal p'-part centralizes D).
+        if p_nilpotent and not n_over_c_is_p_group:
+            raise InvariantError("p-nilpotent N_G(D) with N/C not a p-group")
+        return p_nilpotent, n_over_c_is_p_group
+
+    @property
+    def normalizer_p_nilpotent(self) -> bool:
+        return self._predicates[0]
+
+    @property
+    def n_over_c_is_p_group(self) -> bool:
+        return self._predicates[1]
 
 
 def is_tame_intersection(
@@ -149,27 +187,16 @@ def is_tame_intersection(
 def _tame_record(
     g: PermGroup, p_syl: PermGroup, d: PermGroup, q_syl: PermGroup, prime: int
 ) -> TameIntersectionRecord:
-    """The record of D = P cap Q.  Kept on G: it holds only D and N_G(D),
-    subgroups of G that never reference G."""
+    """The record of D = P cap Q: D is tame when N_P(D) and N_Q(D) are
+    both Sylow in N_G(D).  Its other predicates wait for their first read
+    (see `TameIntersectionRecord`).  Kept on G: it holds only D and
+    N_G(D), subgroups of G that never reference G."""
     n_g_d = normalizer(g, d)
     n_p_d = intersection(n_g_d, p_syl)
     n_q_d = intersection(n_g_d, q_syl)
     sylow_order_in_n = p_part(n_g_d.order(), prime)
     tame = n_p_d.order() == sylow_order_in_n and n_q_d.order() == sylow_order_in_n
-    # C_G(D) <= N_G(D), so C_N(D) is C_G(D): scan N's elements, not G's.
-    n_over_c = n_g_d.order() // centralizer(n_g_d, d).order()
-    rec = TameIntersectionRecord(
-        d=d,
-        tame=tame,
-        normalizer=n_g_d,
-        normalizer_p_nilpotent=is_p_nilpotent(n_g_d, prime),
-        n_over_c_is_p_group=p_part(n_over_c, prime) == n_over_c,
-    )
-    # A p-nilpotent normalizer always forces N/C to be a p-group (the
-    # normal p'-part centralizes D).
-    if rec.normalizer_p_nilpotent and not rec.n_over_c_is_p_group:
-        raise InvariantError("p-nilpotent N_G(D) with N/C not a p-group")
-    return rec
+    return TameIntersectionRecord(d=d, tame=tame, normalizer=n_g_d, prime=prime)
 
 
 @memoized

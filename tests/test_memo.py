@@ -25,6 +25,7 @@ from transferlab.group import (
     PermGroup,
     Transversal,
     derived_subgroup,
+    memoized,
     normalizer,
     right_transversal,
     span,
@@ -40,6 +41,7 @@ from transferlab.series import (
     z_k,
 )
 from transferlab.sylow import (
+    TameIntersectionRecord,
     _tame_record,
     all_sylow_subgroups,
     is_tame_intersection,
@@ -89,13 +91,17 @@ IDS = [fn.__name__ for fn in CALLS]
 def _plain(value):
     """A comparable form: groups by their generator images, transversals
     by their subgroup's and their reps' images, dataclasses field by
-    field, sequences item by item."""
+    field (and a tame record's predicates), sequences item by item."""
     if isinstance(value, PermGroup):
         return ("group", value.degree, tuple(x.images for x in value.gens))
     if isinstance(value, Transversal):
         return ("transversal", _plain(value.subgroup), tuple(r.images for r in value.reps))
     if dataclasses.is_dataclass(value):
-        return tuple(_plain(getattr(value, f.name)) for f in dataclasses.fields(value))
+        fields = tuple(_plain(getattr(value, f.name)) for f in dataclasses.fields(value))
+        if isinstance(value, TameIntersectionRecord):
+            # Its predicates are properties, worked out on first read.
+            return (*fields, value.normalizer_p_nilpotent, value.n_over_c_is_p_group)
+        return fields
     if isinstance(value, (list, tuple)):
         return tuple(_plain(v) for v in value)
     return value
@@ -103,11 +109,14 @@ def _plain(value):
 
 def test_every_memoized_function_is_covered():
     modules = ["group", "iso", "series", "sylow", "transfer", "checkers"]
+    # Every wrapper `memoized` makes runs one code object; other wrapped
+    # callables (`caps.limits`, a contextmanager) are not memos.
+    wrapper_code = memoized(lambda g: None).__code__
     found = {
         obj.__wrapped__
         for name in modules
         for obj in vars(importlib.import_module(f"transferlab.{name}")).values()
-        if callable(obj) and hasattr(obj, "__wrapped__")
+        if getattr(obj, "__code__", None) is wrapper_code
     }
     assert found == {fn.__wrapped__ for fn in CALLS}
 

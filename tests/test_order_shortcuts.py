@@ -8,7 +8,9 @@ the work they replace, and that each gives what that work gave.
   must be those of the chain-based search, kept here as the oracle.
 - `_closure` stops once its set reaches a stop size; a stopped closure
   must accept and reject as the full one does.
-- `is_tame_intersection` counts C_G(D) inside N_G(D); it must be C_G(D).
+- `is_tame_intersection` counts C_G(D) inside N_G(D); it must be C_G(D),
+  and its N_G(D) must be p-nilpotent just when the N_G(D) found by
+  testing every element of G is.
 - The member tests of `normalizer` and `centralizer` compose through
   prebuilt getters, which must hold at degree 1 and 2 as well.
 """
@@ -18,6 +20,7 @@ import sys
 
 import pytest
 
+from scan_oracles import normalizer_by_scan
 from test_scanned_subgroups import PAIRS, _levels, _pair_id
 from transferlab import group as group_module
 from transferlab.catalog import default_corpus, symmetric
@@ -27,15 +30,19 @@ from transferlab.group import (
     _build_chain,
     centralizer,
     conjugate_subgroup,
-    intersection,
     normalizer,
     right_transversal,
     span,
 )
 from transferlab.iso import _closure, _generating_sequence, automorphism_group
 from transferlab.perm import Perm, _compose, _getter, all_perms
-from transferlab.series import p_part
-from transferlab.sylow import all_sylow_subgroups, is_tame_intersection, sylow_subgroup
+from transferlab.series import is_p_nilpotent, p_part
+from transferlab.sylow import (
+    all_sylow_subgroups,
+    is_tame_intersection,
+    sylow_intersections,
+    sylow_subgroup,
+)
 
 CORPUS = {e.label: e for e in default_corpus()}
 
@@ -113,22 +120,21 @@ def test_stopped_closure_decides_as_the_full_one(seed):
 
 @pytest.mark.parametrize("pair", PAIRS, ids=_pair_id)
 def test_centralizer_inside_the_normalizer_is_c_g_d(pair):
-    """For every D = P cap Q (deduplicated by D), C_{N_G(D)}(D) = C_G(D),
-    and the record's N/C answer is the one C_G(D) gives."""
+    """For every D = P cap Q from `sylow_intersections`, tame or not,
+    C_{N_G(D)}(D) = C_G(D), the record's N/C answer is the one C_G(D)
+    gives, and its p-nilpotency answer is that of N_G(D) found by testing
+    every element of G."""
     entry, p = pair
     g = entry.build()
-    fam = all_sylow_subgroups(g, p)
-    seen = set()
-    for q_syl in fam.members:
-        key = intersection(fam.base_member, q_syl).element_set()
-        if key in seen:
-            continue
-        seen.add(key)
-        rec = is_tame_intersection(g, fam.base_member, q_syl, p)
+    base = all_sylow_subgroups(g, p).base_member
+    for d, q_syl in sylow_intersections(g, p):
+        rec = is_tame_intersection(g, base, q_syl, p)
+        assert rec.d.element_set() == d.element_set()
         c_g_d = centralizer(g, rec.d)
         assert centralizer(rec.normalizer, rec.d).element_set() == c_g_d.element_set()
         n_over_c = rec.normalizer.order() // c_g_d.order()
         assert rec.n_over_c_is_p_group == (p_part(n_over_c, p) == n_over_c)
+        assert rec.normalizer_p_nilpotent == is_p_nilpotent(normalizer_by_scan(g, d), p)
 
 
 def _subgroups_by_brute_force(degree: int) -> list[PermGroup]:

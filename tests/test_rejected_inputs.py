@@ -1,14 +1,15 @@
 """Inputs rejected before any work: a prime that does not divide |G| is
 never factored, a catalog label must be a non-empty string, the weak
-closure test needs K <= P <= G, and Omega_i and the centrality height
-need i >= 0."""
+closure test needs K <= P <= G, the normalizer N_G(H) needs H <= G, and
+Omega_i and the centrality height need i >= 0.  An iterator of seeds is
+a good input to the normal closure, read once."""
 
 import pytest
 
-from transferlab import cli, sylow
+from transferlab import iso
 from transferlab.catalog import alternating, dihedral, load_catalog, symmetric
 from transferlab.cli import main
-from transferlab.group import PermGroup
+from transferlab.group import PermGroup, normal_closure, normalizer
 from transferlab.perm import Perm
 from transferlab.series import is_pi_central_of_height, omega
 from transferlab.sylow import is_weakly_closed, sylow_subgroup
@@ -20,8 +21,7 @@ def _refuse_factoring(monkeypatch):
     def refuse(n):
         raise AssertionError(f"factored {n}")
 
-    monkeypatch.setattr(cli, "prime_divisors", refuse)
-    monkeypatch.setattr(sylow, "prime_divisors", refuse)
+    monkeypatch.setattr(iso, "prime_divisors", refuse)
 
 
 @pytest.mark.parametrize("p", [HUGE_PRIME, 0, -2, 1, 25])
@@ -70,3 +70,19 @@ def test_a_negative_omega_or_height_index_is_rejected():
         omega(d8, 2, -1)
     with pytest.raises(ValueError, match="i must be >= 0"):
         is_pi_central_of_height(d8, 2, -1, 1)
+
+
+def test_the_normalizer_rejects_a_subgroup_outside_g():
+    """<(0 1)> is no subgroup of A4: a bad input, not a broken invariant."""
+    outside = PermGroup(4, [Perm.from_cycles(4, [(0, 1)])])
+    with pytest.raises(ValueError, match="H is not a subgroup of G"):
+        normalizer(alternating(4), outside)
+
+
+def test_the_normal_closure_reads_an_iterator_of_seeds_once():
+    """The seed check and the closure read one tuple of the seeds, so an
+    iterator gives what a list gives."""
+    s4 = symmetric(4)
+    t = Perm.from_cycles(4, [(0, 1)])
+    assert normal_closure(s4, (x for x in [t])).order() == 24
+    assert normal_closure(s4, [t]).order() == 24

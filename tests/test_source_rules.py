@@ -517,3 +517,46 @@ def test_imports_sit_at_module_level_unless_a_cycle_forces_them(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     owners = [name for name, _ in _function_imports(tree)]
     assert owners == FUNCTION_IMPORTS.get(path.name, []), f"{path.name} imports inside {owners}"
+
+
+def _calls_prime_divisors(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and (
+        (isinstance(node.func, ast.Name) and node.func.id == "prime_divisors")
+        or (isinstance(node.func, ast.Attribute) and node.func.attr == "prime_divisors")
+    )
+
+
+def _prime_divisor_tests(tree: ast.AST) -> list[int]:
+    """Lines of the `or` tests that take a remainder and compare
+    prime_divisors(...) with something: the test that p is a prime
+    dividing n, written out."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
+            parts = [v.left if isinstance(v, ast.Compare) else v for v in node.values]
+            has_mod = any(isinstance(v, ast.BinOp) and isinstance(v.op, ast.Mod) for v in parts)
+            if has_mod and any(map(_calls_prime_divisors, parts)):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_prime_divisor_rule_sees_the_test_written_out():
+    source = (
+        "if p < 2 or g.order() % p or prime_divisors(p) != [p]:\n    pass\n"
+        "ok = not (n % p != 0 or iso.prime_divisors(p) != [p])\n"
+        "if q < 3 or prime_divisors(q) != [q]:\n    pass\n"
+        "if n % p or p < 2:\n    pass\n"
+    )
+    assert _prime_divisor_tests(ast.parse(source)) == [1, 3]
+
+
+def test_the_prime_divisor_test_is_written_once():
+    """Whether p is a prime dividing n is `iso.is_prime_divisor`, which
+    tests p < 2 and n % p before it factors p; its callers keep only their
+    own error messages."""
+    found = [
+        (path.name, line)
+        for path in MODULES
+        for line in _prime_divisor_tests(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert [name for name, _ in found] == ["iso.py"], f"the prime-divisor test is written at {found}"
