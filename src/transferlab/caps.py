@@ -1,9 +1,11 @@
 """Resource caps for enumeration-heavy operations.
 
 A cap never changes an answer; it only decides whether the answer is
-computed.  The caps in force are one setting, read by the functions that
-check a cap (`current_caps`) and set for a block by `limits`, the way
-`decimal.localcontext` sets the precision:
+computed.  So a cap is checked when an answer is computed, and an answer
+that is already kept (a memo entry, a group's listed elements) is
+returned under any caps.  The caps in force are one setting, read by
+the functions that check a cap (`current_caps`) and set for a block by
+`limits`, the way `decimal.localcontext` sets the precision:
 
     with limits(Caps(element_cap=1000)):
         ...

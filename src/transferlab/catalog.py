@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .group import InvariantError, PermGroup
-from .iso import prime_divisors
+from .iso import is_prime_divisor
 from .perm import Perm
 
 
@@ -94,7 +94,7 @@ def generalized_quaternion(order: int) -> PermGroup:
 
 
 def elementary_abelian(p: int, k: int) -> PermGroup:
-    if prime_divisors(p) != [p] or k < 1:
+    if not is_prime_divisor(p, p) or k < 1:
         raise ValueError("need a prime p and k >= 1")
     gens = []
     degree = p * k
@@ -126,7 +126,7 @@ def psl2(q: int) -> PermGroup:
     Points 0..q-1 are the affine line, point q is infinity; generators
     are the Mobius maps z -> z+1 and z -> z/(z+1).
     """
-    if q < 3 or prime_divisors(q) != [q]:
+    if q < 3 or not is_prime_divisor(q, q):
         raise ValueError("q must be an odd prime")
     inf = q
 

@@ -642,21 +642,27 @@ class TheoremReport:
 def scan_corpus(entries, checker_ids: list[str] | None = None) -> TheoremReport:
     """Run every applicable checker over every (group, prime) pair.
 
-    An unknown checker id, a repeated one or a repeated entry label is a
-    ValueError, raised before any checker runs: a repeated one would give
-    each of its verdicts twice.
+    The loop makes the record order: the entries, read once, by label,
+    then primes ascending, then checker ids.  An unknown checker id, a
+    repeated one, an empty entry label or a repeated one is a ValueError,
+    raised before any checker runs: a repeated one would give each of its
+    verdicts twice, and an empty one labels its verdicts by degree, out
+    of order.
     """
     ids = sorted(checker_ids or CHECKERS.keys())
     for checker_id in ids:
         if checker_id not in CHECKERS:
             raise ValueError(f"unknown checker: {checker_id}")
-    for what, names in (("checker", ids), ("entry label", sorted(e.label for e in entries))):
+    by_label = sorted(entries, key=lambda e: e.label)
+    if any(e.label == "" for e in by_label):
+        raise ValueError("empty entry label")
+    for what, names in (("checker", ids), ("entry label", [e.label for e in by_label])):
         for a, b in zip(names, names[1:]):
             if a == b:
                 raise ValueError(f"repeated {what}: {a}")
     verdicts: list[CheckerVerdict] = []
     pairs = 0
-    for entry in entries:
+    for entry in by_label:
         group = entry.build()
         for p in prime_divisors(group.order()):
             pairs += 1
@@ -664,7 +670,6 @@ def scan_corpus(entries, checker_ids: list[str] | None = None) -> TheoremReport:
                 if CHECKERS[checker_id].applies(group, p):
                     verdicts.append(run_checker(checker_id, group, p))
 
-    verdicts.sort(key=lambda v: (v.group_label, v.prime, v.checker_id))
     summary = dict.fromkeys(("implication_ok", "vacuous", "VIOLATION", "skipped:cap", "error"), 0)
     for v in verdicts:
         summary[v.verdict] += 1
@@ -676,7 +681,7 @@ def scan_corpus(entries, checker_ids: list[str] | None = None) -> TheoremReport:
         and v.hypothesis_holds
         and v.witnesses.get("strict_reading_ok") != v.witnesses.get("p_prime_reading_ok")
     ]
-    description = f"{len(entries)} groups, {pairs} (group, prime) pairs"
+    description = f"{len(by_label)} groups, {pairs} (group, prime) pairs"
     return TheoremReport(description, verdicts, summary, violations, discrepancies)
 
 

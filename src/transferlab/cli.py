@@ -231,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.set_defaults(func=cmd_scan)
 
     p_wit = sub.add_parser("witness", help="verify the named-group witness facts")
-    common(p_wit, catalog=False, verdicts=False)
     p_wit.set_defaults(func=cmd_witness)
 
     p_b = sub.add_parser("builtin", help="built-in group constructors")

@@ -6,11 +6,12 @@ from and never mutate them.  Identical generator lists always produce
 identical chains, orderings and transversals, which keeps every
 downstream computation (including transfer values) reproducible.
 Derived subgroups, right transversals and the like are kept on the group
-they come from by one decorator (`memoized`), keyed by the caps in force
-and the call's arguments with defaults filled in, each other group
-argument by its element set, so a fresh subgroup with the same elements
-gets the kept result.  A kept object is shared by every caller that asks
-for it, so no caller may mutate it (a transversal's `reps` included).
+they come from by one decorator (`memoized`), keyed by the call's
+arguments with defaults filled in, each other group argument by its
+element set, so a fresh subgroup with the same elements gets the kept
+result under any caps (see `caps`).  A kept object is shared by every
+caller that asks for it, so no caller may mutate it (a transversal's
+`reps` included).
 
 A subgroup whose facts are known when it is made (its order, element
 set, chain or conjugate source) is made by one constructor, `_subgroup`,
@@ -419,25 +420,23 @@ def is_abelian(g: PermGroup) -> bool:
 
 
 def memoized(fn):
-    """Keep fn(g, ...) on g, keyed by fn, the caps in force and the call's
-    other arguments.
+    """Keep fn(g, ...) on g, keyed by fn and the call's other arguments.
 
     The arguments are bound to fn's parameters with defaults filled in,
     so a default passed or left out is one call.  Arguments compare by
-    value, and each group argument by its element set.  The caps in
-    force (`caps.current_caps`) are part of the key, so a call under
-    other caps is a fresh call.  A call that raises, CapExceeded
-    included, keeps nothing.  Memoize fn only if (a) its result never
-    references g, which would make g and its memo a reference cycle
-    (hence nilpotency_class is memoized, but not lower_central_series,
-    whose first term is g), and (b) its result depends only on the
-    element sets of its other group arguments.  A subgroup in the result
-    may carry the generators of the first call's arguments, and a kept
-    transversal holds the first call's H (see `right_transversal`).
-    Every caller gets the one kept object, so none may mutate it.  A kept
-    object may fill a cache of its own on first read, once, under the
-    caps it was made under (see `sylow.TameIntersectionRecord`); no
-    caller may change that either.
+    value, and each group argument by its element set.  A kept answer is
+    returned under any caps (see `caps`).  A call that raises,
+    CapExceeded included, keeps nothing.  Memoize fn only if (a) its
+    result never references g, which would make g and its memo a
+    reference cycle (hence nilpotency_class is memoized, but not
+    lower_central_series, whose first term is g), and (b) its result
+    depends only on the element sets of its other group arguments.  A
+    subgroup in the result may carry the generators of the first call's
+    arguments, and a kept transversal holds the first call's H (see
+    `right_transversal`).  Every caller gets the one kept object, so none
+    may mutate it.  A kept object may fill a cache of its own on first
+    read, once (see `sylow.TameIntersectionRecord`); no caller may change
+    that either.
     """
     params = list(inspect.signature(fn).parameters.values())[1:]
     names = [q.name for q in params]
@@ -452,11 +451,7 @@ def memoized(fn):
             if name not in names:
                 return fn(g, *args, **kwargs)  # raises fn's TypeError
             bound[names.index(name)] = value
-        key = (
-            fn,
-            current_caps(),
-            *[a.element_set() if isinstance(a, PermGroup) else a for a in bound],
-        )
+        key = (fn, *[a.element_set() if isinstance(a, PermGroup) else a for a in bound])
         if key not in g._memo:
             g._memo[key] = fn(g, *args, **kwargs)
         return g._memo[key]

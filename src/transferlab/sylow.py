@@ -5,10 +5,9 @@ subgroups generated by the Aut(P)-orbits on P's elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
-from .caps import current_caps, limits
 from .group import (
     InvariantError,
     PermGroup,
@@ -79,7 +78,6 @@ class SylowFamily:
     """The Sylow p-subgroups of G: members[0] is sylow_subgroup(G, p) itself,
     the others its conjugates by a transversal of normalizer = N_G(P)."""
 
-    prime: int
     members: list[PermGroup]
     normalizer: PermGroup
 
@@ -99,7 +97,7 @@ def all_sylow_subgroups(g: PermGroup, p: int) -> SylowFamily:
     n = normalizer(g, syl)
     trans = right_transversal(g, n)
     members = [syl] + [conjugate_subgroup(syl, t) for t in trans.reps[1:]]
-    return SylowFamily(p, members, n)
+    return SylowFamily(members, n)
 
 
 @memoized
@@ -133,9 +131,7 @@ class TameIntersectionRecord:
 
     Whether N_G(D) is p-nilpotent and whether N_G(D)/C_G(D) is a p-group
     are worked out together, once, when either is first read, under the
-    caps the record was made under (`made_under`, the caps of
-    `_tame_record`'s memo key), so a kept record gives the same answer
-    whoever reads it and under whatever caps.  The first read also checks
+    caps in force at that read, and kept.  The first read also checks
     that a p-nilpotent N_G(D) has N/C a p-group (InvariantError
     otherwise); a read that raises keeps nothing.  A kept record fills
     its own cache once, and no caller may change it.
@@ -145,15 +141,13 @@ class TameIntersectionRecord:
     tame: bool
     normalizer: PermGroup  # N_G(D)
     prime: int
-    made_under: object = field(default_factory=current_caps, init=False, repr=False, compare=False)
 
     @cached_property
     def _predicates(self) -> tuple[bool, bool]:
         n_g_d, p = self.normalizer, self.prime
-        with limits(self.made_under):
-            # C_G(D) <= N_G(D), so C_N(D) is C_G(D): scan N's elements, not G's.
-            n_over_c = n_g_d.order() // centralizer(n_g_d, self.d).order()
-            p_nilpotent = is_p_nilpotent(n_g_d, p)
+        # C_G(D) <= N_G(D), so C_N(D) is C_G(D): scan N's elements, not G's.
+        n_over_c = n_g_d.order() // centralizer(n_g_d, self.d).order()
+        p_nilpotent = is_p_nilpotent(n_g_d, p)
         n_over_c_is_p_group = p_part(n_over_c, p) == n_over_c
         # A p-nilpotent normalizer always forces N/C to be a p-group (the
         # normal p'-part centralizes D).

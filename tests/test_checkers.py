@@ -237,11 +237,17 @@ def test_weakly_closed_normalizer_containment():
 
 
 def test_scan_small_subset_clean_and_deterministic():
+    """The scan's loop walks the entries by label, so the entries reversed,
+    and read once from an iterator, give the same records and summary, in
+    (label, prime, checker) order."""
     entries = [e for e in default_corpus() if e.label in ("S3", "S4", "A4", "D8", "Q8")]
     r1 = scan_corpus(entries, ["burnside", "main_1_3", "thm_4_2"])
-    r2 = scan_corpus(entries, ["burnside", "main_1_3", "thm_4_2"])
+    r2 = scan_corpus(reversed(entries), ["burnside", "main_1_3", "thm_4_2"])
     assert not r1.violations
     assert r1.record_lines() == r2.record_lines()
+    assert (r1.corpus_description, r1.summary) == (r2.corpus_description, r2.summary)
+    keys = [(v.group_label, v.prime, v.checker_id) for v in r1.verdicts]
+    assert keys == sorted(keys)
 
 
 def test_corrupt_checker_is_detected(corrupt_burnside):

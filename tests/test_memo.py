@@ -1,7 +1,7 @@
 """The memo that keeps derived objects on the group they come from:
 repeat calls return the kept object, kept objects equal fresh ones,
-a call is keyed by its arguments bound with defaults filled in, a call
-under other caps in force recomputes, a result kept by a subgroup's
+a call is keyed by its arguments bound with defaults filled in, a kept
+answer is returned under any caps in force, a result kept by a subgroup's
 element set is the one any subgroup with those elements gets, and
 running the checkers leaves no cyclic garbage."""
 
@@ -13,7 +13,7 @@ import weakref
 
 import pytest
 
-from transferlab.caps import DEFAULT_CAPS, CapExceeded, Caps, limits
+from transferlab.caps import CapExceeded, Caps, limits
 from transferlab.catalog import symmetric, wreath_cyclic
 from transferlab.checkers import (
     CHECKERS,
@@ -165,14 +165,15 @@ def test_repeat_tame_intersection_returns_the_kept_record():
     assert is_tame_intersection(g, p_syl, q_syl, 2) is kept
 
 
-def test_other_caps_recompute():
-    g = symmetric(4)
-    kept = derived_subgroup(g)
-    with limits(Caps(element_cap=DEFAULT_CAPS.element_cap - 1)):
-        other = derived_subgroup(g)
-        assert derived_subgroup(g) is other
-    assert other is not kept and _plain(other) == _plain(kept)
-    assert derived_subgroup(g) is kept
+def test_a_kept_answer_is_returned_under_any_caps():
+    """A cap is checked when an answer is computed, not when a kept one
+    is returned: under an element cap of 1, which any computation of
+    these would exceed, both calls return the kept objects."""
+    g, p_syl, _ = _s4_p2_d8()
+    derived, trans = derived_subgroup(g), right_transversal(g, p_syl)
+    with limits(Caps(element_cap=1)):
+        assert derived_subgroup(g) is derived
+        assert right_transversal(g, p_syl) is trans
 
 
 def test_capped_call_is_not_kept():

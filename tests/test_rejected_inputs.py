@@ -1,13 +1,15 @@
 """Inputs rejected before any work: a prime that does not divide |G| is
 never factored, a catalog label must be a non-empty string, the weak
 closure test needs K <= P <= G, the normalizer N_G(H) needs H <= G, and
-Omega_i and the centrality height need i >= 0.  An iterator of seeds is
-a good input to the normal closure, read once."""
+Omega_i and the centrality height need i >= 0, and a scan refuses an
+entry with an empty label.  An iterator of seeds is a good input to the
+normal closure, read once."""
 
 import pytest
 
 from transferlab import iso
-from transferlab.catalog import alternating, dihedral, load_catalog, symmetric
+from transferlab.catalog import CatalogEntry, alternating, dihedral, load_catalog, symmetric
+from transferlab.checkers import CHECKERS, scan_corpus
 from transferlab.cli import main
 from transferlab.group import PermGroup, normal_closure, normalizer
 from transferlab.perm import Perm
@@ -50,6 +52,21 @@ def test_an_empty_catalog_label_is_rejected_with_its_line(tmp_path):
     )
     with pytest.raises(ValueError, match=r"cat.jsonl:2: .*label must be a non-empty string"):
         load_catalog(str(path))
+
+
+def test_a_scan_rejects_an_empty_entry_label_before_any_checker_runs(monkeypatch):
+    """The scan's loop walks the entries by label and so writes the records
+    in label order; an empty label would name its verdicts "group(deg 3)",
+    out of that order."""
+    ran = []
+    monkeypatch.setattr(CHECKERS["burnside"], "run", ran.append)
+    entries = [
+        CatalogEntry(label="S3", degree=3, generators=[[1, 2, 0], [1, 0, 2]]),
+        CatalogEntry(label="", degree=3, generators=[[1, 0, 2]]),
+    ]
+    with pytest.raises(ValueError, match="empty entry label"):
+        scan_corpus(entries, ["burnside"])
+    assert ran == []
 
 
 def test_weak_closure_needs_k_in_p_in_g():

@@ -528,15 +528,19 @@ def _calls_prime_divisors(node: ast.AST) -> bool:
 
 def _prime_divisor_tests(tree: ast.AST) -> list[int]:
     """Lines of the `or` tests that take a remainder and compare
-    prime_divisors(...) with something: the test that p is a prime
-    dividing n, written out."""
-    lines = []
+    prime_divisors(...) with something, and of the comparisons of
+    prime_divisors(...) with a list: the test that p is a prime dividing
+    n, or that x is prime, written out."""
+    lines = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
             parts = [v.left if isinstance(v, ast.Compare) else v for v in node.values]
             has_mod = any(isinstance(v, ast.BinOp) and isinstance(v.op, ast.Mod) for v in parts)
             if has_mod and any(map(_calls_prime_divisors, parts)):
-                lines.append(node.lineno)
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Compare) and _calls_prime_divisors(node.left):
+            if any(isinstance(c, ast.List) for c in node.comparators):
+                lines.add(node.lineno)
     return sorted(lines)
 
 
@@ -546,14 +550,17 @@ def test_prime_divisor_rule_sees_the_test_written_out():
         "ok = not (n % p != 0 or iso.prime_divisors(p) != [p])\n"
         "if q < 3 or prime_divisors(q) != [q]:\n    pass\n"
         "if n % p or p < 2:\n    pass\n"
+        "prime = prime_divisors(x) == [x]\n"
+        "top = prime_divisors(n)[0]\n"
     )
-    assert _prime_divisor_tests(ast.parse(source)) == [1, 3]
+    assert _prime_divisor_tests(ast.parse(source)) == [1, 3, 4, 8]
 
 
 def test_the_prime_divisor_test_is_written_once():
     """Whether p is a prime dividing n is `iso.is_prime_divisor`, which
-    tests p < 2 and n % p before it factors p; its callers keep only their
-    own error messages."""
+    tests p < 2 and n % p before it factors p; its callers, x's primality
+    as is_prime_divisor(x, x) included, keep only their own error
+    messages."""
     found = [
         (path.name, line)
         for path in MODULES

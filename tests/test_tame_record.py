@@ -1,12 +1,12 @@
 """A tame-intersection record works out N_G(D)'s p-nilpotency and whether
 N_G(D)/C_G(D) is a p-group together, once, on the first read of either,
-under the caps it was made under; `analyze`, which prints only the tame
-D's, reads neither."""
+under the caps in force at that read; `analyze`, which prints only the
+tame D's, reads neither."""
 
 import pytest
 
 from transferlab import sylow
-from transferlab.caps import Caps, limits
+from transferlab.caps import CapExceeded, Caps, limits
 from transferlab.catalog import symmetric
 from transferlab.cli import main
 from transferlab.group import InvariantError
@@ -67,10 +67,14 @@ def test_a_p_nilpotent_normalizer_with_n_over_c_not_a_p_group_raises(monkeypatch
             getattr(rec, name)
 
 
-def test_a_record_answers_under_the_caps_it_was_made_under():
-    """Made under the default caps and first read under an element cap of
-    1, the record still answers, and as a record read at once does."""
+def test_a_capped_first_read_raises_and_keeps_nothing():
+    """A record computes its predicates under the caps in force at its
+    first read: an element cap of 1 raises there, and keeps nothing, so
+    the next read, under the default caps, answers as a fresh record."""
     rec, fresh = _s4_v4_record(), _s4_v4_record()
     with limits(Caps(element_cap=1)):
-        late = (rec.normalizer_p_nilpotent, rec.n_over_c_is_p_group)
+        with pytest.raises(CapExceeded):
+            rec.normalizer_p_nilpotent
+    assert "_predicates" not in vars(rec)
+    late = (rec.normalizer_p_nilpotent, rec.n_over_c_is_p_group)
     assert late == (fresh.normalizer_p_nilpotent, fresh.n_over_c_is_p_group) == (False, False)
