@@ -27,6 +27,7 @@ from .group import (
     derived_subgroup,
     double_coset_reps,
     intersection,
+    intersection_order,
     is_maximal,
     normal_closure,
     normalizer,

@@ -28,6 +28,7 @@ from .group import (
     InvariantError,
     PermGroup,
     intersection,
+    intersection_order,
     is_abelian,
     is_maximal,
     memoized,
@@ -701,7 +702,7 @@ def verify_paper_witnesses() -> list[tuple[str, bool]]:
         (
             "s4_intersection_index",
             all(
-                p_syl.order() // intersection(p_syl, q).order() == 2
+                p_syl.order() // intersection_order(p_syl, q) == 2
                 for q in distinct
             ),
         )

@@ -22,18 +22,20 @@ the elements, read lazily (`_from_elements`), keeps as gens only the
 elements that build used, and keeps that chain.  A build given a stop
 ends once the orbit lengths multiply to it, with the chain a full build
 gives, and reads no element past the one that completed the chain:
-`normalizer` takes |N_G(H)| as |G| over the number of conjugates of H,
-and so reads G only until its members generate N.  Its member test is
-one lookup in N's element set, listed from a chain of N's Schreier
+`normalizer` takes |N_G(H)| as |M| over the number of conjugates of H
+under M's gens, where M is G or, for a non-abelian H, N_G(Z(H)), and so
+reads G only until its members generate N.  Its member test is one
+lookup in N's element set, listed from a chain of N's Schreier
 generators, which the search for H's conjugates yields (see
 `normalizer`).  A normal H gets the one N = G kept for the trivial
 group, as does the centralizer of the trivial group, with no element
-tested.  A subgroup told its order (a conjugate, a Sylow ascent
-step, A^p(G) when O^p(G) = G) or element set (the trivial group, a
-scanned subgroup, a lattice atom or join) builds its chain on first
-use, stopped at that order, and every chain is checked against a told
-order (`PermGroup._keep_chain`), a stopped build also by sifting the
-gens it did not read (`PermGroup.chain`).  A conjugate H^t keeps H and
+tested, and an H normal in N_G(Z(H)) gets that kept normalizer.  A
+subgroup told its order (a conjugate, a Sylow ascent step, A^p(G) when
+O^p(G) = G) or element set (the trivial group, a scanned subgroup, a
+lattice atom or join) builds its chain on first use, stopped at that
+order, and every chain is checked against a told order
+(`PermGroup._keep_chain`), a stopped build also by sifting the gens it
+did not read (`PermGroup.chain`).  A conjugate H^t keeps H and
 t and tests membership through H (see `conjugate_subgroup`), so its
 chain is built only for `elements()` and for readers of `chain`: the
 Sylow family's members and the conjugates in `core`, Mackey and Lemma
@@ -560,11 +562,18 @@ def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
     order, so the result (gens and chain too) depends only on H's
     elements; ValueError for an H that is not a subgroup of G.
 
-    The conjugates of H are the orbit of H's element set under
-    conjugation by G's gens, found breadth first, so |N| is |G| over
+    The conjugates are counted inside a group M that holds N: for a
+    non-abelian H, M = N_G(Z(H)), since Z(H) is characteristic in H and
+    so normalized by N_G(H) (Holt, Eick and O'Brien, Handbook of CGT);
+    for an abelian H, or when M is G, M is G with G's own gens, not the
+    gens kept by N_G(1)'s build.  An H normal in M returns the kept M
+    (N_G(P) for the Sylow 2-subgroup P of PSL(2,17) is N_G(Z(P)) = P),
+    with no count.  Otherwise the conjugates of H are the orbit of H's
+    element set, less the identity, which conjugation fixes, under
+    conjugation by M's gens, found breadth first, so |N| is |M| over
     their count.  The search keeps, for each conjugate K, the u with
     H^u = K by which it first reached K, and each edge K -> K^s outside
-    the search tree, s a generator of G, gives the Schreier generator
+    the search tree, s a generator of M, gives the Schreier generator
     u * s * v^-1 of N, where H^v = K^s (orbit and stabilizer; Seress,
     Permutation Group Algorithms, 4.1); a tree edge would give 1.  A
     conjugate's set found again is dropped at once, so the search keeps
@@ -575,7 +584,8 @@ def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
     G's elements in order, a member being one lookup in that set, and
     its build stops at |N|, so it reads G only until the members read
     generate N; its chain and gens are those of a build over every
-    member (see `_build_chain`).
+    member (see `_build_chain`).  A returned M was built the same way
+    from the same element set, so it is the N this build would give.
 
     The trivial group (an H with no gens) has N = G, built over all of
     G's elements with G's element set and no conjugates counted, kept on
@@ -592,10 +602,17 @@ def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
         return _from_elements(g.degree, elems, g.order(), g.element_set())
     if h.is_normal_in(g):
         return normalizer(g, trivial_group(g.degree))  # one kept N = G per G
+    within, count_gens = g, g.gens  # M and the gens the count runs under
+    if not is_abelian(h):
+        m = normalizer(g, centralizer(h, h))
+        if m.order() < g.order():
+            if h.is_normal_in(m):
+                return m
+            within, count_gens = m, m.gens
     # Each generator s as its images and the getter of s^-1, which conjugate
     # an element set as t^s = s^-1 * (t * s).
-    by_gen = [(s.images, _getter(s.inverse().images)) for s in g.gens]
-    hset = h.element_set()
+    by_gen = [(s.images, _getter(s.inverse().images)) for s in count_gens]
+    hset = h.element_set() - {_IDENTITY[g.degree]}  # conjugation fixes 1
     reach = {hset: _IDENTITY[g.degree]}  # K -> the u with H^u = K that first reached K
     queue, edges = [hset], []  # edges: (u * s, v) for K -> K^s = H^v outside the tree
     for k in queue:
@@ -607,13 +624,14 @@ def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
                 queue.append(ks)
             else:
                 edges.append((us, v))
-    order = g.order() // len(reach)
+    order = within.order() // len(reach)
     gens = itertools.chain(h.gens, _schreier_generators(edges))
     levels, _ = _build_chain(g.degree, gens, order)
     found = prod(len(lvl.transversal) for lvl in levels)
     if found != order:
+        name = "G" if within is g else "N_G(Z(H))"
         raise InvariantError(
-            f"the Schreier generators of N_G(H) reached order {found}, not |G|/{len(reach)}"
+            f"the Schreier generators of N_G(H) reached order {found}, not |{name}|/{len(reach)}"
         )
     nset = frozenset(_chain_images(g.degree, levels))
     return _from_elements(g.degree, (x for x in elems if x.images in nset), order, nset)
@@ -653,6 +671,15 @@ def intersection(a: PermGroup, b: PermGroup) -> PermGroup:
         raise ValueError("degree mismatch")
     small, large = (a, b) if a.order() <= b.order() else (b, a)
     return _scan_subgroup(small, large.contains)
+
+
+def intersection_order(a: PermGroup, b: PermGroup) -> int:
+    """|A ∩ B|, counted over the smaller group's elements, as `intersection`
+    scans them, with no group built."""
+    if a.degree != b.degree:
+        raise ValueError("degree mismatch")
+    small, large = (a, b) if a.order() <= b.order() else (b, a)
+    return sum(map(large.contains, small.elements()))
 
 
 def normal_closure(g: PermGroup, seeds: Iterable[Perm]) -> PermGroup:

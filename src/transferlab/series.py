@@ -39,7 +39,7 @@ from .group import (
     span,
     trivial_group,
 )
-from .iso import all_subgroups, conjugacy_classes
+from .iso import all_subgroups, conjugacy_classes, is_prime_divisor
 from .perm import Perm, commutator
 
 
@@ -231,13 +231,20 @@ def omega(p_grp: PermGroup, p: int, i: int = 1) -> PermGroup:
 
 # p-cores and p-residuals --------------------------------------------------
 
+def _check_prime(p: int) -> None:
+    """ValueError unless p is a prime (`iso.is_prime_divisor(p, p)`)."""
+    if not is_prime_divisor(p, p):
+        raise ValueError(f"{p} is not a prime")
+
+
 @memoized
 def o_p(g: PermGroup, p: int) -> PermGroup:
     """O_p(G): the p-core, Core_G(P) for a Sylow p-subgroup P (see
-    `group.core`), so a normal P is returned itself; trivial when p does
-    not divide |G|."""
+    `group.core`), so a normal P is returned itself; trivial when the
+    prime p does not divide |G|.  ValueError for a p that is no prime."""
     from .sylow import sylow_subgroup  # sylow imports series
 
+    _check_prime(p)
     if g.order() % p:
         return trivial_group(g.degree)
     return core(g, sylow_subgroup(g, p))
@@ -261,7 +268,10 @@ def o_p_by_closure(g: PermGroup, p: int) -> PermGroup:
 
 
 def o_p_prime(g: PermGroup, p: int) -> PermGroup:
-    """O_{p'}(G): generated by the x whose normal closure is a p'-group."""
+    """O_{p'}(G): generated by the x whose normal closure is a p'-group;
+    G itself when the prime p does not divide |G|.  ValueError for a p
+    that is no prime."""
+    _check_prime(p)
     return _core_by_closure(g, lambda n: n % p != 0)
 
 
@@ -270,13 +280,16 @@ def o_upper_p(g: PermGroup, p: int) -> PermGroup:
     """O^p(G): generated by all p'-elements (smallest normal subgroup with
     p-group quotient), spanned in G's elements() order.
 
-    It is trivial for a p-group.  Otherwise the span is told |G| as its
-    order: the orbit lengths of a partial chain multiply to at most the
-    order of the group it spans, so they reach |G| only when O^p(G) = G,
-    and then the build stops there with the chain a full span gives (see
-    `_build_chain`).  A smaller O^p(G) never reaches it, and its build
-    reads every p'-element, as a plain span does.
+    It is trivial for a p-group, and G itself when the prime p does not
+    divide |G|; ValueError for a p that is no prime.  Otherwise the span
+    is told |G| as its order: the orbit lengths of a partial chain
+    multiply to at most the order of the group it spans, so they reach
+    |G| only when O^p(G) = G, and then the build stops there with the
+    chain a full span gives (see `_build_chain`).  A smaller O^p(G)
+    never reaches it, and its build reads every p'-element, as a plain
+    span does.
     """
+    _check_prime(p)
     elems = g.elements()  # first, so an element cap fires as for a full span
     if is_p_group(g, p):
         return span(g.degree, ())
@@ -316,8 +329,12 @@ def p_series(g: PermGroup, p: int) -> SeriesResult:
     prev = 1, takes the cores of g itself, as G/1 is G (see
     `QuotientGroup`).  A factor is "p" when p divides its index.  Kept on
     g: no term is g itself (a core is a span, an intersection or a Sylow
-    ascent's subgroup, never g), so the result never references g.
+    ascent's subgroup, never g), so the result never references g.  When
+    the prime p does not divide |G|, the one step is O_{p'}(G) = G;
+    ValueError for a p that is no prime.
     """
+    _check_prime(p)
+
     def step(prev: PermGroup) -> PermGroup:
         q = quotient_group(g, prev)
         core = o_p_prime(q.image, p)

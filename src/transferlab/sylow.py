@@ -11,11 +11,13 @@ from functools import cached_property
 from .group import (
     InvariantError,
     PermGroup,
+    _from_elements,
     _orbits,
     _subgroup,
     centralizer,
     conjugate_subgroup,
     intersection,
+    intersection_order,
     memoized,
     normalizer,
     right_transversal,
@@ -107,14 +109,19 @@ def sylow_intersections(g: PermGroup, p: int) -> list[tuple[PermGroup, PermGroup
     order that gives D.  The first pair is (P cap P, P); no other member
     meets P in P.  Every pair of Sylow subgroups is conjugate to one
     containing P, so every Sylow intersection is conjugate to one of
-    these.  Kept on G: D and Q never reference G.
+    these.  Each P cap Q is listed from P's elements, and only a new
+    member set is built into a group, as `intersection` builds it (one
+    chain per distinct D: 14, not 153, for PSL(2,17) at p = 2).  Kept
+    on G: D and Q never reference G.
     """
     fam = all_sylow_subgroups(g, p)
-    base = fam.base_member
+    elems = fam.base_member.elements()
     first: dict[frozenset, tuple[PermGroup, PermGroup]] = {}
     for q_syl in fam.members:
-        d = intersection(base, q_syl)
-        first.setdefault(d.element_set(), (d, q_syl))
+        members = [x for x in elems if q_syl.contains(x)]
+        key = frozenset(x.images for x in members)
+        if key not in first:
+            first[key] = (_from_elements(g.degree, members, len(members), key), q_syl)
     return list(first.values())
 
 
@@ -181,15 +188,18 @@ def is_tame_intersection(
 def _tame_record(
     g: PermGroup, p_syl: PermGroup, d: PermGroup, q_syl: PermGroup, prime: int
 ) -> TameIntersectionRecord:
-    """The record of D = P cap Q: D is tame when N_P(D) and N_Q(D) are
-    both Sylow in N_G(D).  Its other predicates wait for their first read
-    (see `TameIntersectionRecord`).  Kept on G: it holds only D and
-    N_G(D), subgroups of G that never reference G."""
+    """The record of D = P cap Q: D is tame when N_P(D) = N_G(D) cap P
+    and N_Q(D) are both Sylow in N_G(D), a test of their orders alone,
+    which `intersection_order` counts with no group built.  Its other
+    predicates wait for their first read (see `TameIntersectionRecord`).
+    Kept on G: it holds only D and N_G(D), subgroups of G that never
+    reference G."""
     n_g_d = normalizer(g, d)
-    n_p_d = intersection(n_g_d, p_syl)
-    n_q_d = intersection(n_g_d, q_syl)
     sylow_order_in_n = p_part(n_g_d.order(), prime)
-    tame = n_p_d.order() == sylow_order_in_n and n_q_d.order() == sylow_order_in_n
+    tame = (
+        intersection_order(n_g_d, p_syl) == sylow_order_in_n
+        and intersection_order(n_g_d, q_syl) == sylow_order_in_n
+    )
     return TameIntersectionRecord(d=d, tame=tame, normalizer=n_g_d, prime=prime)
 
 

@@ -92,15 +92,17 @@ def _count_builds(monkeypatch) -> list:
 
 
 def test_sylow_intersections_builds_no_chain_for_a_member(monkeypatch):
-    """PSL(2,17) at p = 2 has 153 Sylow subgroups.  With P's elements
-    listed, each P cap Q builds the one chain of its scan; when each
-    member built its own chain to test membership, the count was 305."""
+    """PSL(2,17) at p = 2 has 153 Sylow subgroups and 14 distinct P cap Q.
+    With P's elements listed, each P cap Q is listed from them and only a
+    new D builds a chain; when every P cap Q was built the count was 153,
+    and when each member built its own chain to test membership, 305."""
     g = psl2(17)
     fam = all_sylow_subgroups(g, 2)
     fam.base_member.elements()
     calls = _count_builds(monkeypatch)
-    sylow_intersections(g, 2)
-    assert len(calls) == len(fam) == 153
+    pairs = sylow_intersections(g, 2)
+    assert len(fam) == 153
+    assert len(calls) == len(pairs) == 14
     assert all(q._chain is None for q in fam.members[1:])
 
 

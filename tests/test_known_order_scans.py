@@ -1,9 +1,11 @@
 """N_G(H) and O^p(G) are built knowing (or bounding) their order.
 
-`normalizer` counts H's conjugates to get |N| and stops reading G once its
-members generate N; `o_upper_p` tells its span |G|, which it reaches only
-when O^p(G) = G; `sylow_subgroup` knows the order of each step of its
-ascent; `norm` tests one generator per cyclic subgroup.  None of this may
+`normalizer` counts H's conjugates to get |N| (inside N_G(Z(H)) for a
+non-abelian H, such as each non-abelian subgroup of a Sylow P of order
+<= 32) and stops reading G once its members generate N; `o_upper_p`
+tells its span |G|, which it reaches only when O^p(G) = G;
+`sylow_subgroup` knows the order of each step of its ascent; `norm`
+tests one generator per cyclic subgroup.  None of this may
 change a result: gens, chain levels and element set must be those of the
 full scans kept in scan_oracles.py, on every corpus pair.
 """
@@ -15,8 +17,15 @@ from test_scanned_subgroups import _levels
 from transferlab import sylow as sylow_mod
 from transferlab.caps import CapExceeded, Caps, limits
 from transferlab.catalog import corpus_group, default_corpus
-from transferlab.group import InvariantError, PermGroup, normalizer, span, trivial_group
-from transferlab.iso import prime_divisors
+from transferlab.group import (
+    InvariantError,
+    PermGroup,
+    is_abelian,
+    normalizer,
+    span,
+    trivial_group,
+)
+from transferlab.iso import all_subgroups, prime_divisors
 from transferlab.perm import Perm
 from transferlab.series import element_p_part, norm, o_upper_p, p_part
 from transferlab.sylow import sylow_intersections, sylow_subgroup
@@ -58,6 +67,9 @@ def test_normalizer_matches_full_scan(pair):
     steps, p_syl = _ascent_by_scan(g, p)
     _assert_same(sylow_subgroup(g, p), p_syl)
     subgroups = steps + [d for d, _ in sylow_intersections(g, p)]
+    if p_syl.order() <= 32:
+        # N_G(H) of a non-abelian H is sought inside N_G(Z(H)).
+        subgroups += [h for h in all_subgroups(p_syl) if not is_abelian(h)]
     for h in subgroups + [p_syl, trivial_group(g.degree)]:
         n = normalizer(g, h)
         assert n._element_set is not None

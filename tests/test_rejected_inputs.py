@@ -1,9 +1,10 @@
 """Inputs rejected before any work: a prime that does not divide |G| is
 never factored, a catalog label must be a non-empty string, the weak
 closure test needs K <= P <= G, the normalizer N_G(H) needs H <= G, and
-Omega_i and the centrality height need i >= 0, and a scan refuses an
-entry with an empty label.  An iterator of seeds is a good input to the
-normal closure, read once."""
+Omega_i and the centrality height need i >= 0, the p-functors need a
+prime p, and a scan refuses an entry with an empty label.  A prime that
+does not divide |G| is a good input to the p-functors, as is an
+iterator of seeds to the normal closure, read once."""
 
 import pytest
 
@@ -13,7 +14,18 @@ from transferlab.checkers import CHECKERS, scan_corpus
 from transferlab.cli import main
 from transferlab.group import PermGroup, normal_closure, normalizer
 from transferlab.perm import Perm
-from transferlab.series import is_pi_central_of_height, omega
+from transferlab.series import (
+    a_p,
+    is_p_nilpotent,
+    is_p_solvable,
+    is_pi_central_of_height,
+    o_p,
+    o_p_prime,
+    o_upper_p,
+    omega,
+    p_length,
+    p_series,
+)
 from transferlab.sylow import is_weakly_closed, sylow_subgroup
 
 HUGE_PRIME = 1000000000000000003  # factoring it by trial division runs to 10^9
@@ -103,3 +115,25 @@ def test_the_normal_closure_reads_an_iterator_of_seeds_once():
     t = Perm.from_cycles(4, [(0, 1)])
     assert normal_closure(s4, (x for x in [t])).order() == 24
     assert normal_closure(s4, [t]).order() == 24
+
+
+P_FUNCTORS = [o_p, o_upper_p, o_p_prime, p_series, p_length, is_p_solvable, a_p, is_p_nilpotent]
+
+
+@pytest.mark.parametrize("p", [0, 1, 4])
+@pytest.mark.parametrize("functor", P_FUNCTORS, ids=lambda f: f.__name__)
+def test_a_p_functor_rejects_a_p_that_is_no_prime(functor, p):
+    """p = 0 divided by zero, and 4 answered as if it were a prime
+    (O_{4'}(S4) was 1)."""
+    with pytest.raises(ValueError, match=f"^{p} is not a prime$"):
+        functor(symmetric(4), p)
+
+
+def test_a_prime_not_dividing_the_order_keeps_its_defined_answer():
+    """S4 at p = 5: O_p = 1, O_{p'} = O^p = A^p = G, one p' step."""
+    s4 = symmetric(4)
+    assert o_p(s4, 5).is_trivial()
+    assert o_p_prime(s4, 5).order() == o_upper_p(s4, 5).order() == a_p(s4, 5).order() == 24
+    series = p_series(s4, 5)
+    assert ([t.order() for t in series.terms], series.factors) == ([1, 24], ["p'"])
+    assert (p_length(s4, 5), is_p_solvable(s4, 5), is_p_nilpotent(s4, 5)) == (0, True, True)

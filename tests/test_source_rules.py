@@ -567,3 +567,44 @@ def test_the_prime_divisor_test_is_written_once():
         for line in _prime_divisor_tests(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert [name for name, _ in found] == ["iso.py"], f"the prime-divisor test is written at {found}"
+
+
+def _intersection_orders(tree: ast.AST) -> list[int]:
+    """Lines that call .order() on an intersection(...) result."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "order"
+        and isinstance(node.func.value, ast.Call)
+        and (
+            (isinstance(node.func.value.func, ast.Name) and node.func.value.func.id == "intersection")
+            or (
+                isinstance(node.func.value.func, ast.Attribute)
+                and node.func.value.func.attr == "intersection"
+            )
+        )
+    )
+
+
+def test_intersection_order_rule_sees_the_order_of_a_built_meet():
+    source = (
+        "n = intersection(a, b).order()\n"
+        "m = group.intersection(a, b).order() // 2\n"
+        "k = intersection_order(a, b)\n"
+        "d = intersection(a, b)\n"
+        "e = d.order()\n"
+        "f = g.intersection(a).order()\n"
+    )
+    assert _intersection_orders(ast.parse(source)) == [1, 2, 6]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_the_order_of_a_meet_is_counted_not_built(path):
+    """|A cap B| alone is `group.intersection_order`, which counts the
+    smaller group's members with no group built; building A cap B to read
+    its order builds a chain nobody reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = _intersection_orders(tree)
+    assert lines == [], f"{path.name} reads the order of an intersection(...) at lines {lines}"
