@@ -201,9 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p_cmd, catalog=True, verdicts=True, prime=False):
-        if catalog:
-            p_cmd.add_argument("--catalog", help="path to a JSONL catalog file")
+    def common(p_cmd, verdicts=True, prime=False):
+        p_cmd.add_argument("--catalog", help="path to a JSONL catalog file")
         if verdicts:
             p_cmd.add_argument(
                 "--format", choices=("text", "records"), default="text", dest="format"

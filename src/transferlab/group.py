@@ -22,24 +22,22 @@ the elements, read lazily (`_from_elements`), keeps as gens only the
 elements that build used, and keeps that chain.  A build given a stop
 ends once the orbit lengths multiply to it, with the chain a full build
 gives, and reads no element past the one that completed the chain:
-`normalizer` takes |N_G(H)| as |M| over the number of conjugates of H
-under M's gens, where M is G or, for a non-abelian H, N_G(Z(H)), and so
-reads G only until its members generate N.  Its member test is one
-lookup in N's element set, listed from a chain of N's Schreier
-generators, which the search for H's conjugates yields (see
-`normalizer`).  A normal H gets the one N = G kept for the trivial
-group, as does the centralizer of the trivial group, with no element
-tested, and an H normal in N_G(Z(H)) gets that kept normalizer.  A
-subgroup told its order (a conjugate, a Sylow ascent step, A^p(G) when
-O^p(G) = G) or element set (the trivial group, a scanned subgroup, a
-lattice atom or join) builds its chain on first use, stopped at that
-order, and every chain is checked against a told order
-(`PermGroup._keep_chain`), a stopped build also by sifting the gens it
-did not read (`PermGroup.chain`).  A conjugate H^t keeps H and
-t and tests membership through H (see `conjugate_subgroup`), so its
-chain is built only for `elements()` and for readers of `chain`: the
-Sylow family's members and the conjugates in `core`, Mackey and Lemma
-2.3 share the one chain or element set of H.
+`normalizer` takes |N_G(H)| as |G| over the number of conjugates of H
+under G's gens, and so reads G only until its members generate N.  Its
+member test is one lookup in N's element set, listed from a chain of
+N's Schreier generators, which the search for H's conjugates yields
+(see `normalizer`).  A normal H gets the one N = G kept for the trivial
+group, with no element tested, and a non-abelian H normal in N_G(Z(H))
+gets that kept normalizer.  A subgroup told its order (a conjugate, a
+Sylow ascent step, A^p(G) when O^p(G) = G) or element set (the trivial
+group, a scanned subgroup, a lattice atom or join) builds its chain on
+first use, stopped at that order, and every chain is checked against a
+told order (`PermGroup._keep_chain`), a stopped build also by sifting
+the gens it did not read (`PermGroup.chain`).  A conjugate H^t keeps H
+and t and tests membership through H (see `conjugate_subgroup`), so its
+chain is built only for `elements()`, for readers of `chain` and for the
+tests of a conjugate of H^t: the Sylow family's members and the conjugates in
+`core`, Mackey and Lemma 2.3 share the one chain or element set of H.
 
 Every orbit is found by one breadth-first search (`_keyed_orbit`, whose
 points `_orbit` lists): right cosets (`right_transversal`, which hands
@@ -530,18 +528,13 @@ def conjugate_subgroup(h: PermGroup, g: Perm) -> PermGroup:
     `PermGroup.chain`).  It keeps H as its source and tests membership
     through it: x is in H^g iff g * x * g^-1 is in H (Holt, Eick and
     O'Brien, Handbook of CGT, ch. 4), one lookup in H's element set or
-    one sift in H's chain, which all of H's conjugates share.  A
-    conjugate of a conjugate K^s keeps K and s * g, so every test is one
-    step from a group that is no conjugate.
+    one sift in H's chain, which all of H's conjugates share.  H may
+    itself be a conjugate, whose chain such a test then builds.
     """
     if g.degree != h.degree:
         raise ValueError("degree mismatch")
-    source, t = h, g.images
-    if h._source is not None:
-        source, s, _ = h._source
-        t = _compose(s, t)
     gens = [x.conjugate(g) for x in h.gens]
-    return _subgroup(h.degree, gens, order=h.order(), source=(source, t, _invert(t)))
+    return _subgroup(h.degree, gens, order=h.order(), source=(h, g.images, _invert(g.images)))
 
 
 def _scan_subgroup(g: PermGroup, keep) -> PermGroup:
@@ -562,24 +555,22 @@ def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
     order, so the result (gens and chain too) depends only on H's
     elements; ValueError for an H that is not a subgroup of G.
 
-    The conjugates are counted inside a group M that holds N: for a
-    non-abelian H, M = N_G(Z(H)), since Z(H) is characteristic in H and
-    so normalized by N_G(H) (Holt, Eick and O'Brien, Handbook of CGT);
-    for an abelian H, or when M is G, M is G with G's own gens, not the
-    gens kept by N_G(1)'s build.  An H normal in M returns the kept M
-    (N_G(P) for the Sylow 2-subgroup P of PSL(2,17) is N_G(Z(P)) = P),
-    with no count.  Otherwise the conjugates of H are the orbit of H's
-    element set, less the identity, which conjugation fixes, under
-    conjugation by M's gens, found breadth first, so |N| is |M| over
-    their count.  The search keeps, for each conjugate K, the u with
-    H^u = K by which it first reached K, and each edge K -> K^s outside
-    the search tree, s a generator of M, gives the Schreier generator
-    u * s * v^-1 of N, where H^v = K^s (orbit and stabilizer; Seress,
-    Permutation Group Algorithms, 4.1); a tree edge would give 1.  A
-    conjugate's set found again is dropped at once, so the search keeps
-    alive no more sets than the count needs.  H's gens and
-    then these generators feed one chain build, stopped at |N|; a build
-    that does not reach |N| raises InvariantError, which checks the count.
+    A non-abelian H normal in M = N_G(Z(H)) returns the kept M, with no
+    count: Z(H) is characteristic in H and so normalized by N_G(H)
+    (Holt, Eick and O'Brien, Handbook of CGT), so N_G(H) <= M, and N_G(P)
+    for the Sylow 2-subgroup P of PSL(2,17) is N_G(Z(P)) = P.  Otherwise
+    the conjugates of H are the orbit of H's element set, less the
+    identity, which conjugation fixes, under conjugation by G's gens,
+    found breadth first, so |N| is |G| over their count.  The search
+    keeps, for each conjugate K, the u with H^u = K by which it first
+    reached K, and each edge K -> K^s outside the search tree, s a
+    generator of G, gives the Schreier generator u * s * v^-1 of N, where
+    H^v = K^s (orbit and stabilizer; Seress, Permutation Group
+    Algorithms, 4.1); a tree edge would give 1.  A conjugate's set found
+    again is dropped at once, so the search keeps alive no more sets than
+    the count needs.  H's gens and then these generators feed one chain
+    build, stopped at |N|; a build that does not reach |N| raises
+    InvariantError, which checks the count.
     N's element set is listed from that chain.  N itself is built over
     G's elements in order, a member being one lookup in that set, and
     its build stops at |N|, so it reads G only until the members read
@@ -591,7 +582,7 @@ def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
     G's elements with G's element set and no conjugates counted, kept on
     G.  A nontrivial H that G's gens conjugate into H is normal, and the
     call returns that N of the trivial group: every normal H shares one
-    N = G, and so does `centralizer(G, 1)`.
+    N = G.
     """
     if g.degree != h.degree:
         raise ValueError("degree mismatch")
@@ -602,16 +593,11 @@ def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
         return _from_elements(g.degree, elems, g.order(), g.element_set())
     if h.is_normal_in(g):
         return normalizer(g, trivial_group(g.degree))  # one kept N = G per G
-    within, count_gens = g, g.gens  # M and the gens the count runs under
-    if not is_abelian(h):
-        m = normalizer(g, centralizer(h, h))
-        if m.order() < g.order():
-            if h.is_normal_in(m):
-                return m
-            within, count_gens = m, m.gens
+    if not is_abelian(h) and h.is_normal_in(m := normalizer(g, centralizer(h, h))):
+        return m
     # Each generator s as its images and the getter of s^-1, which conjugate
     # an element set as t^s = s^-1 * (t * s).
-    by_gen = [(s.images, _getter(s.inverse().images)) for s in count_gens]
+    by_gen = [(s.images, _getter(s.inverse().images)) for s in g.gens]
     hset = h.element_set() - {_IDENTITY[g.degree]}  # conjugation fixes 1
     reach = {hset: _IDENTITY[g.degree]}  # K -> the u with H^u = K that first reached K
     queue, edges = [hset], []  # edges: (u * s, v) for K -> K^s = H^v outside the tree
@@ -624,14 +610,13 @@ def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
                 queue.append(ks)
             else:
                 edges.append((us, v))
-    order = within.order() // len(reach)
+    order = g.order() // len(reach)
     gens = itertools.chain(h.gens, _schreier_generators(edges))
     levels, _ = _build_chain(g.degree, gens, order)
     found = prod(len(lvl.transversal) for lvl in levels)
     if found != order:
-        name = "G" if within is g else "N_G(Z(H))"
         raise InvariantError(
-            f"the Schreier generators of N_G(H) reached order {found}, not |{name}|/{len(reach)}"
+            f"the Schreier generators of N_G(H) reached order {found}, not |G|/{len(reach)}"
         )
     nset = frozenset(_chain_images(g.degree, levels))
     return _from_elements(g.degree, (x for x in elems if x.images in nset), order, nset)
@@ -646,14 +631,9 @@ def _schreier_generators(edges: list) -> Iterator[Perm]:
 
 def centralizer(g: PermGroup, h: PermGroup) -> PermGroup:
     """C_G(H): the x of G's elements() that commute with each of H's
-    gens, scanned as `_scan_subgroup` does.  An H with no gens (the
-    trivial group) is centralized by all of G, and C_G(1) is the one kept
-    N_G(1) = G, which tests no element (see `normalizer`)."""
+    gens, scanned as `_scan_subgroup` does."""
     if g.degree != h.degree:
         raise ValueError("degree mismatch")
-    if not h.gens:
-        return normalizer(g, h)
-
     hgens = [(t.images, _getter(t.images)) for t in h.gens]
 
     def keep(x: Perm) -> bool:

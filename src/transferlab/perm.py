@@ -99,12 +99,18 @@ class Perm:
 
     @staticmethod
     def from_cycles(degree: int, cycles: Iterable[Iterable[int]]) -> "Perm":
+        """The product of disjoint cycles; ValueError for a point out of
+        range or met twice, in one cycle or across two."""
         imgs = list(range(degree))
+        placed: set[int] = set()
         for cycle in cycles:
             pts = list(cycle)
             for a, b in zip(pts, pts[1:] + pts[:1]):
                 if not 0 <= a < degree:
                     raise ValueError(f"point {a} out of range for degree {degree}")
+                if a in placed:
+                    raise ValueError(f"repeated point {a} in the cycles")
+                placed.add(a)
                 imgs[a] = b
         return Perm(imgs)
 
@@ -239,8 +245,6 @@ def parse_cycles(text: str, degree: int) -> Perm:
             continue
         body = chunk.strip("()").replace(",", " ")
         pts = [int(tok) for tok in body.split()]
-        if len(set(pts)) != len(pts):
-            raise ValueError(f"repeated point in cycle: {chunk!r}")
         if pts:
             cycles.append(pts)
     return Perm.from_cycles(degree, cycles)

@@ -67,7 +67,15 @@ def p_prime_part(n: int, p: int) -> int:
     return n // p_part(n, p)
 
 
+def _check_prime(p: int) -> None:
+    """ValueError unless p is a prime (`iso.is_prime_divisor(p, p)`)."""
+    if not is_prime_divisor(p, p):
+        raise ValueError(f"{p} is not a prime")
+
+
 def is_p_group(g: PermGroup, p: int) -> bool:
+    """Is |G| a power of the prime p?  ValueError for a p that is no prime."""
+    _check_prime(p)
     return p_part(g.order(), p) == g.order()
 
 
@@ -231,12 +239,6 @@ def omega(p_grp: PermGroup, p: int, i: int = 1) -> PermGroup:
 
 # p-cores and p-residuals --------------------------------------------------
 
-def _check_prime(p: int) -> None:
-    """ValueError unless p is a prime (`iso.is_prime_divisor(p, p)`)."""
-    if not is_prime_divisor(p, p):
-        raise ValueError(f"{p} is not a prime")
-
-
 @memoized
 def o_p(g: PermGroup, p: int) -> PermGroup:
     """O_p(G): the p-core, Core_G(P) for a Sylow p-subgroup P (see
@@ -263,7 +265,9 @@ def _core_by_closure(g: PermGroup, is_pi: Callable[[int], bool]) -> PermGroup:
 
 
 def o_p_by_closure(g: PermGroup, p: int) -> PermGroup:
-    """O_p(G) as <x : the normal closure of x is a p-group> (oracle route)."""
+    """O_p(G) as <x : the normal closure of x is a p-group> (oracle route);
+    ValueError for a p that is no prime."""
+    _check_prime(p)
     return _core_by_closure(g, lambda n: p_part(n, p) == n)
 
 

@@ -175,9 +175,12 @@ def is_tame_intersection(
     g: PermGroup, p_syl: PermGroup, q_syl: PermGroup, prime: int
 ) -> TameIntersectionRecord:
     """Classify P cap Q for two Sylow p-subgroups P and Q of G, and record
-    the predicates the theorems need (see `_tame_record`)."""
+    the predicates the theorems need (see `_tame_record`); ValueError
+    unless prime is a prime dividing |G|."""
     if not (p_syl.is_subgroup_of(g) and q_syl.is_subgroup_of(g)):
         raise ValueError("both subgroups must be subgroups of G")
+    if not is_prime_divisor(prime, g.order()):
+        raise ValueError(f"{prime} is not a prime dividing the group order")
     target = p_part(g.order(), prime)
     if p_syl.order() != target or q_syl.order() != target:
         raise ValueError("both subgroups must be Sylow p-subgroups")

@@ -3,10 +3,10 @@ Sylow-intersection layer lists or counts what it does not keep.
 
 Z(H) is characteristic in H, so N_G(H) <= M: an H normal in M gets M
 itself, with no count of H's conjugates, and otherwise the conjugates
-are counted under M's gens (G's own when M is G).  Nothing of N may
-change: gens, chain levels and element set must be those of the full
-scan in scan_oracles.py (test_known_order_scans.py also checks each
-non-abelian subgroup of the small corpus Sylow subgroups).
+are counted under G's own gens.  Nothing of N may change: gens, chain
+levels and element set must be those of the full scan in
+scan_oracles.py (test_known_order_scans.py also checks each non-abelian
+subgroup of the small corpus Sylow subgroups).
 `sylow_intersections` builds one chain per distinct D, and
 `_tame_record` counts N_G(D) cap P and N_G(D) cap Q with
 `intersection_order`, which builds no group.
@@ -25,7 +25,6 @@ from transferlab.group import (
     intersection,
     intersection_order,
     normalizer,
-    trivial_group,
 )
 from transferlab.perm import Perm
 from transferlab.series import p_part
@@ -60,41 +59,30 @@ def test_n_g_p_in_psl2_17_at_2_is_n_g_z_p_with_no_count_of_p(monkeypatch):
     _assert_same(n, normalizer_by_scan(g, p_syl))
 
 
-def test_a_z_h_normal_in_g_counts_under_g_s_own_gens(monkeypatch):
-    """H = S3 on {0, 1, 2} in S6 is not normal, but Z(H) = 1 is, so M is
-    the kept N_G(1) = G, whose build over G's elements kept 8 gens; the
-    count runs under G's own 2 gens, and its 20 conjugates give |N| = 36."""
+@pytest.mark.parametrize(
+    "cycles, m_order, n_order",
+    [([(0, 1, 2), (0, 1)], 720, 36), ([(0, 1, 2), (0, 1), (3, 4)], 48, 12)],
+    ids=["S3", "S3xC2"],
+)
+def test_an_h_not_normal_in_n_g_z_h_is_counted_under_g_s_gens(
+    monkeypatch, cycles, m_order, n_order
+):
+    """H = S3 on {0, 1, 2} in S6 has Z(H) = 1, so M = N_G(Z(H)) is G;
+    H = S3 x <(3 4)> has M = C_G((3 4)) of order 48.  Neither H is normal
+    in M, so its conjugates are counted under G's own 2 gens: 20 give
+    |N| = 36 and 60 give |N| = 12."""
     g = symmetric(6)
-    h = PermGroup(6, [Perm.from_cycles(6, [c]) for c in [(0, 1, 2), (0, 1)]])
+    h = PermGroup(6, [Perm.from_cycles(6, [c]) for c in cycles])
     m = normalizer(g, centralizer(h, h))
-    assert m is normalizer(g, trivial_group(g.degree))
-    assert (len(g.gens), len(m.gens)) == (2, 8)
+    assert (m.order(), h.is_normal_in(m)) == (m_order, False)
     getters = _count_calls(monkeypatch, group_mod, "_getter")
     n = normalizer(g, h)
     _assert_same(n, normalizer_by_scan(g, h))
-    assert n.order() == 36
+    assert n.order() == n_order
     # The scan for Z(H) builds a getter per gen and per element of H; the
     # count then builds one per gen of G.
     assert len(getters) == len(h.gens) + h.order() + len(g.gens)
     assert [args[0] for args in getters[-len(g.gens) :]] == [s.inverse().images for s in g.gens]
-
-
-def test_an_h_not_normal_in_m_is_counted_under_m_s_gens(monkeypatch):
-    """H = S3 x <(3 4)> in S6: Z(H) = <(3 4)>, M = C_G((3 4)) has order 48,
-    and H is not normal in M; its 4 conjugates under M's gens give
-    |N| = 12."""
-    g = symmetric(6)
-    h = PermGroup(6, [Perm.from_cycles(6, [c]) for c in [(0, 1, 2), (0, 1), (3, 4)]])
-    m = normalizer(g, centralizer(h, h))
-    assert (h.order(), m.order(), h.is_normal_in(m)) == (12, 48, False)
-    getters = _count_calls(monkeypatch, group_mod, "_getter")
-    n = normalizer(g, h)
-    _assert_same(n, normalizer_by_scan(g, h))
-    assert n.order() == 12
-    # The scan for Z(H) builds a getter per gen and per element of H; the
-    # count then builds one per gen of M.
-    assert len(getters) == len(h.gens) + h.order() + len(m.gens)
-    assert [args[0] for args in getters[-len(m.gens) :]] == [s.inverse().images for s in m.gens]
 
 
 @pytest.mark.parametrize("pair", PAIRS, ids=_pair_id)

@@ -52,17 +52,22 @@ def test_sylow_members_answer_as_their_own_chain(pair):
 
 def test_a_conjugate_sifts_in_its_source_chain():
     """A source with no element set builds its chain once, for all its
-    conjugates, and a conjugate of a conjugate tests through the first
-    source; no conjugate builds a chain."""
+    conjugates, which build none; a conjugate of a conjugate tests through
+    the group it conjugates, whose chain those tests build."""
     g = symmetric(5)
     h = PermGroup(g.degree, sylow_subgroup(g, 2).gens)
     s, t = g.elements()[7], g.elements()[50]
-    once, twice = conjugate_subgroup(h, s), conjugate_subgroup(conjugate_subgroup(h, s), t)
+    once = conjugate_subgroup(h, s)
+    twice = conjugate_subgroup(once, t)
     copies = [conjugate_by_chain(h, s), conjugate_by_chain(conjugate_by_chain(h, s), t)]
-    for conj, copy in zip((once, twice), copies):
-        assert [conj.contains(x) for x in g] == [copy.contains(x) for x in g]
-        assert conj._chain is None and conj._element_set is None
+    assert [once.contains(x) for x in g] == [copies[0].contains(x) for x in g]
+    assert once._chain is None and once._element_set is None
     assert h._chain is not None and h._element_set is None
+    h_chain = h._chain
+    assert [twice.contains(x) for x in g] == [copies[1].contains(x) for x in g]
+    assert twice._chain is None and twice._element_set is None
+    assert once._chain is not None and once._element_set is None
+    assert h._chain is h_chain
     assert twice.elements() == copies[1].elements()
 
 

@@ -111,6 +111,13 @@ def test_composition_is_left_to_right():
 def test_parse_cycles():
     assert parse_cycles("(0 1 2)(3 4)", 5) == Perm.from_cycles(5, [(0, 1, 2), (3, 4)])
     assert parse_cycles("()", 4) == Perm.identity(4)
+    # (0 1)(0 1) read as (0 1), though the product is 1, and (0 1)(1 2)
+    # raised "not a permutation of 0..2".
+    for text in ["(0 1)(0 1)", "(0 1)(1 2)", "(0 1 0)"]:
+        with pytest.raises(ValueError, match="repeated point"):
+            parse_cycles(text, 3)
+    with pytest.raises(ValueError, match="repeated point 0"):
+        Perm.from_cycles(3, [(0, 1), (0, 1)])
 
 
 def test_all_perms_count():

@@ -1,32 +1,44 @@
 """Inputs rejected before any work: a prime that does not divide |G| is
 never factored, a catalog label must be a non-empty string, the weak
 closure test needs K <= P <= G, the normalizer N_G(H) needs H <= G, and
-Omega_i and the centrality height need i >= 0, the p-functors need a
-prime p, and a scan refuses an entry with an empty label.  A prime that
-does not divide |G| is a good input to the p-functors, as is an
-iterator of seeds to the normal closure, read once."""
+Omega_i and the centrality height need i >= 0, the p-functors, the
+p-group tests and the tame-intersection test need a prime p, and a scan
+refuses an entry with an empty label.  A prime that does not divide |G|
+is a good input to the p-functors, as is an iterator of seeds to the
+normal closure, read once."""
 
 import pytest
 
 from transferlab import iso
-from transferlab.catalog import CatalogEntry, alternating, dihedral, load_catalog, symmetric
+from transferlab.catalog import (
+    CatalogEntry,
+    alternating,
+    cyclic,
+    dihedral,
+    load_catalog,
+    symmetric,
+)
 from transferlab.checkers import CHECKERS, scan_corpus
 from transferlab.cli import main
-from transferlab.group import PermGroup, normal_closure, normalizer
+from transferlab.group import PermGroup, conjugate_subgroup, normal_closure, normalizer
 from transferlab.perm import Perm
 from transferlab.series import (
     a_p,
+    frattini_by_maximals,
+    frattini_p,
+    is_p_group,
     is_p_nilpotent,
     is_p_solvable,
     is_pi_central_of_height,
     o_p,
+    o_p_by_closure,
     o_p_prime,
     o_upper_p,
     omega,
     p_length,
     p_series,
 )
-from transferlab.sylow import is_weakly_closed, sylow_subgroup
+from transferlab.sylow import is_tame_intersection, is_weakly_closed, sylow_subgroup
 
 HUGE_PRIME = 1000000000000000003  # factoring it by trial division runs to 10^9
 
@@ -127,6 +139,36 @@ def test_a_p_functor_rejects_a_p_that_is_no_prime(functor, p):
     (O_{4'}(S4) was 1)."""
     with pytest.raises(ValueError, match=f"^{p} is not a prime$"):
         functor(symmetric(4), p)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: is_p_group(cyclic(16), 4),
+        lambda: frattini_p(cyclic(16), 4),
+        lambda: frattini_by_maximals(cyclic(16), 4),
+        lambda: omega(cyclic(16), 4, 1),
+        lambda: is_pi_central_of_height(cyclic(16), 4, 1, 1),
+        lambda: o_p_by_closure(symmetric(4), 4),
+    ],
+    ids=["is_p_group", "frattini_p", "frattini_by_maximals", "omega", "height", "o_p_by_closure"],
+)
+def test_a_p_group_test_rejects_a_composite_p(call):
+    """C16 passed as a 4-group, so its Frattini subgroup and Omega_1 had
+    order 4, and O_4(S4) by closure was 1."""
+    with pytest.raises(ValueError, match="^4 is not a prime$"):
+        call()
+
+
+def test_a_tame_intersection_test_rejects_a_composite_p():
+    """<(0 1 2 3)> and its conjugate by (1 2) in S4 have order 4, the
+    4-part of 24, and got a record whose predicates raised only when
+    first read."""
+    s4 = symmetric(4)
+    c4 = PermGroup(4, [Perm.from_cycles(4, [(0, 1, 2, 3)])])
+    other = conjugate_subgroup(c4, Perm.from_cycles(4, [(1, 2)]))
+    with pytest.raises(ValueError, match="4 is not a prime dividing"):
+        is_tame_intersection(s4, c4, other, 4)
 
 
 def test_a_prime_not_dividing_the_order_keeps_its_defined_answer():
