@@ -60,22 +60,25 @@ against H for every representative r.  `right_transversal` is memoized;
 a quotient builds its transversal unkept, and a quotient by the trivial
 group builds none, as G/1 is G (see `QuotientGroup`).
 
-A chain level (`_Level`) keeps its transversal and inverses as image
-tuples, during the build and after it; only strong generators are
-Perms.  The build and `contains` sift through one loop (`_sift`);
-`contains` looks an element up in the element set first when the group
-has one, a conjugate sifts in its source's chain, and a residue is
-compared with the identity kept for its degree (`perm._IDENTITY`).  The
-inner loops compose bare image tuples (`perm._compose`) and wrap a Perm
-only for a value that leaves them: the orbit BFS, the sifts and the
-Schreier loop of `_build_chain` (which wraps a strong generator when it
-is inserted), `contains`, `elements()`, `_coset_key`, the conjugate
-count and Schreier generators of `normalizer`, and the member test of
-`centralizer`.  The count conjugates through one prebuilt getter
-(`perm._getter`) per generator of G.  The centralizer's member test
-composes through one getter per generator of H, built before the scan,
-and one of each scanned element x, so each product is one itemgetter
-call and makes no new itemgetter.
+A chain level (`_Level`) keeps its transversal and inverses as bare
+images (`perm.Images`), during the build and after it; only strong
+generators are Perms.  The build and `contains` sift through one loop
+(`_sift`); `contains` looks an element up in the element set first when
+the group has one, a conjugate sifts in its source's chain, and a
+residue is compared with the identity kept for its degree
+(`perm._IDENTITY`).  The inner loops compose bare images
+(`perm._compose`) and wrap a Perm only for a value that leaves them: the
+orbit BFS, the sifts and the Schreier loop of `_build_chain` (which
+wraps a strong generator when it is inserted), `contains`, `elements()`,
+`_coset_key`, the conjugate count and Schreier generators of
+`normalizer`, and the member test of `centralizer`.  A loop that reuses
+a right factor builds its translate table (`perm._table_of`) once, so
+each product is one `translate` call: the generators in the orbit BFS
+and the Schreier loop, the transversal elements in `_chain_images`, G's
+generators in the conjugate count and H's generators and each scanned
+element in the centralizer's member test.  The count conjugates by s^-1
+on the left through one prebuilt getter (`perm._getter`) per generator
+s of G.
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .caps import check_cap, current_caps
-from .perm import _IDENTITY, Perm, _compose, _getter, _invert, _perm, commutator
+from .perm import _IDENTITY, Images, Perm, _compose, _getter, _invert, _perm, _table_of, commutator
 
 
 class InvariantError(AssertionError):
@@ -103,13 +106,13 @@ class InvariantError(AssertionError):
 @dataclass
 class _Level:
     """One level of a stabilizer chain: the strong generators first found
-    at this level, as Perms, and the transversal and inverses as image
-    tuples."""
+    at this level, as Perms, and the transversal and inverses as bare
+    images."""
 
     base: int
     gens: list[Perm]
-    transversal: dict[int, tuple[int, ...]]  # point -> u with u(base) = point
-    inverses: dict[int, tuple[int, ...]]  # point -> u^-1 for the u above
+    transversal: dict[int, Images]  # point -> u with u(base) = point
+    inverses: dict[int, Images]  # point -> u^-1 for the u above
 
 
 def _keyed_orbit(start, gens: Sequence, act: Callable, key: Callable | None = None) -> dict:
@@ -154,26 +157,26 @@ def _orbits(points: Iterable, gens: Sequence, act: Callable) -> Iterator[list]:
 
 def _orbit_transversal(
     base: int, gens: Sequence[Perm], degree: int
-) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
-    """BFS orbit of base: the image tuples of the transversal and of the
+) -> tuple[dict[int, Images], dict[int, Images]]:
+    """BFS orbit of base: the images of the transversal and of the
     inverse of each transversal element."""
     ident = _IDENTITY[degree]
     trans = {base: ident}
     invs = {base: ident}
-    gen_imgs = [(g.images, g.inverse().images) for g in gens]
+    gen_imgs = [(g.images, _table_of(g.images), g.inverse().images) for g in gens]
     queue = [base]
     for x in queue:
         ux, vx = trans[x], invs[x]
-        for g, g_inv in gen_imgs:
+        for g, g_table, g_inv in gen_imgs:
             y = g[x]
             if y not in trans:
-                trans[y] = _compose(ux, g)
+                trans[y] = ux.translate(g_table)
                 invs[y] = _compose(g_inv, vx)
                 queue.append(y)
     return trans, invs
 
 
-def _sift(levels: Sequence[_Level], g: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+def _sift(levels: Sequence[_Level], g: Images) -> tuple[Images, int]:
     """Sift g down the chain: the residue and the level where it stopped,
     len(levels) if it passed every level.  g is in the group iff the
     residue is the identity."""
@@ -214,9 +217,9 @@ def _build_chain(
     `series.o_upper_p`).  gens is read once, in order, and not past the
     generator that completed the chain.
 
-    The build sifts (`_sift`) and forms Schreier generators on image
-    tuples.  The levels keep transversals and inverses as image tuples,
-    and a sifted tuple becomes a Perm only when it is inserted as a
+    The build sifts (`_sift`) and forms Schreier generators on bare
+    images.  The levels keep transversals and inverses as bare images,
+    and a sifted residue becomes a Perm only when it is inserted as a
     strong generator.
     """
     levels: list[_Level] = []
@@ -234,7 +237,7 @@ def _build_chain(
                 lvl.base, eff_gens(lvl_i), degree
             )
 
-    def insert(g: tuple[int, ...]) -> bool:
+    def insert(g: Images) -> bool:
         h, i = _sift(levels, g)
         if h == ident:
             return False
@@ -258,11 +261,11 @@ def _build_chain(
         changed = False
         for i in range(len(levels)):
             lvl = levels[i]
-            level_gens = [s.images for s in eff_gens(i)]
+            level_tables = [_table_of(s.images) for s in eff_gens(i)]
             for x in sorted(lvl.transversal):
                 ux = lvl.transversal[x]
-                for s in level_gens:
-                    us = _compose(ux, s)
+                for s_table in level_tables:
+                    us = ux.translate(s_table)
                     y = us[lvl.base]
                     if us == lvl.transversal[y]:
                         continue  # a tree edge: the Schreier generator is 1
@@ -271,14 +274,14 @@ def _build_chain(
     return levels, used
 
 
-def _chain_images(degree: int, levels: Sequence[_Level]) -> list[tuple[int, ...]]:
-    """The image tuples of the group with this chain, in elements() order:
+def _chain_images(degree: int, levels: Sequence[_Level]) -> list[Images]:
+    """The images of the group with this chain, in elements() order:
     each element once, as the product of one transversal element per
     level, deepest level first."""
     result = [_IDENTITY[degree]]
     for lvl in reversed(levels):
-        reps = [lvl.transversal[x] for x in sorted(lvl.transversal)]
-        result = [_compose(h, u) for u in reps for h in result]
+        tables = [_table_of(lvl.transversal[x]) for x in sorted(lvl.transversal)]
+        result = [h.translate(u) for u in tables for h in result]
     return result
 
 
@@ -294,10 +297,10 @@ class PermGroup:
         self._chain: list[_Level] | None = None
         self._order: int | None = None
         self._elements: list[Perm] | None = None
-        self._element_set: frozenset[tuple[int, ...]] | None = None
+        self._element_set: frozenset[Images] | None = None
         # A conjugate K^t (see `conjugate_subgroup`): K and the images of t
         # and t^-1, through which `contains` tests membership.
-        self._source: tuple[PermGroup, tuple[int, ...], tuple[int, ...]] | None = None
+        self._source: tuple[PermGroup, Images, Images] | None = None
         self._memo: dict = {}
 
     # chain / order / membership ------------------------------------------
@@ -373,7 +376,7 @@ class PermGroup:
                 self._element_set = frozenset(result)
         return self._elements
 
-    def element_set(self) -> frozenset[tuple[int, ...]]:
+    def element_set(self) -> frozenset[Images]:
         if self._element_set is None:
             self.elements()
         return self._element_set
@@ -484,7 +487,7 @@ def _subgroup(
     degree: int, gens: Iterable[Perm], *, order=None, element_set=None, chain=None, source=None
 ) -> PermGroup:
     """<gens>, made with what is known of it: its order, its element set
-    (a frozenset of image tuples, whose size is the order), its chain
+    (a frozenset of images, whose size is the order), its chain
     (levels built from gens), or a conjugate's source (see
     `conjugate_subgroup`).  A chain is checked against the order
     (`PermGroup._keep_chain`)."""
@@ -595,16 +598,16 @@ def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
         return normalizer(g, trivial_group(g.degree))  # one kept N = G per G
     if not is_abelian(h) and h.is_normal_in(m := normalizer(g, centralizer(h, h))):
         return m
-    # Each generator s as its images and the getter of s^-1, which conjugate
+    # Each generator s as its table and the getter of s^-1, which conjugate
     # an element set as t^s = s^-1 * (t * s).
-    by_gen = [(s.images, _getter(s.inverse().images)) for s in g.gens]
+    by_gen = [(_table_of(s.images), _getter(s.inverse().images)) for s in g.gens]
     hset = h.element_set() - {_IDENTITY[g.degree]}  # conjugation fixes 1
     reach = {hset: _IDENTITY[g.degree]}  # K -> the u with H^u = K that first reached K
     queue, edges = [hset], []  # edges: (u * s, v) for K -> K^s = H^v outside the tree
     for k in queue:
         u = reach[k]
-        for s, s_inv in by_gen:
-            us, ks = _compose(u, s), frozenset([s_inv(_compose(t, s)) for t in k])
+        for s_table, s_inv in by_gen:
+            us, ks = u.translate(s_table), frozenset([s_inv(t.translate(s_table)) for t in k])
             v = reach.setdefault(ks, us)
             if v is us:
                 queue.append(ks)
@@ -634,13 +637,13 @@ def centralizer(g: PermGroup, h: PermGroup) -> PermGroup:
     gens, scanned as `_scan_subgroup` does."""
     if g.degree != h.degree:
         raise ValueError("degree mismatch")
-    hgens = [(t.images, _getter(t.images)) for t in h.gens]
+    hgens = [(t.images.translate, _table_of(t.images)) for t in h.gens]
 
     def keep(x: Perm) -> bool:
-        # t * x == x * t, composed as t's getter of x and x's getter of t
+        # t * x == x * t, each product one translate by a table built once
         xs = x.images
-        gx = _getter(xs)
-        return all(gt(xs) == gx(t) for t, gt in hgens)
+        x_table = _table_of(xs)
+        return all(t_times(x_table) == xs.translate(t_table) for t_times, t_table in hgens)
 
     return _scan_subgroup(g, keep)
 
@@ -700,7 +703,7 @@ def derived_subgroup(g: PermGroup) -> PermGroup:
 
 # transversals and coset machinery ----------------------------------------
 
-def _coset_key(h: PermGroup, g: Perm) -> tuple[int, ...]:
+def _coset_key(h: PermGroup, g: Perm) -> Images:
     """Images of the canonical element of the right coset Hg (see
     `_coset_key_of_images`)."""
     if g.degree != h.degree:
@@ -708,7 +711,7 @@ def _coset_key(h: PermGroup, g: Perm) -> tuple[int, ...]:
     return _coset_key_of_images(h, g.images)
 
 
-def _coset_key_of_images(h: PermGroup, imgs: tuple[int, ...]) -> tuple[int, ...]:
+def _coset_key_of_images(h: PermGroup, imgs: Images) -> Images:
     """`_coset_key` of the element with these images, of H's degree.
 
     Walk H's chain; at each level, step to the coset element that sends
@@ -726,7 +729,7 @@ def _coset_key_of_images(h: PermGroup, imgs: tuple[int, ...]) -> tuple[int, ...]
 class Transversal:
     """Ordered right-coset representatives for H in G.
 
-    The identity comes first; the rest are sorted by image tuple, so a
+    The identity comes first; the rest are sorted by images, so a
     given (G, H) pair always yields the same transversal and therefore
     the same raw pretransfer values.  Each rep is filed under its coset
     key (see `_coset_key`), so the rep of any g is one key computation
@@ -740,7 +743,7 @@ class Transversal:
         self,
         subgroup: PermGroup,
         reps: list[Perm],
-        keys: Iterable[tuple[int, ...]] | None = None,
+        keys: Iterable[Images] | None = None,
     ):
         self.subgroup = subgroup
         self.reps = reps
@@ -763,7 +766,7 @@ class Transversal:
             raise ValueError("degree mismatch")
         return self._index_of_images(g.images)
 
-    def _index_of_images(self, imgs: tuple[int, ...]) -> int:
+    def _index_of_images(self, imgs: Images) -> int:
         """`index_of` the element with these images, of H's degree."""
         i = self._index.get(_coset_key_of_images(self.subgroup, imgs))
         if i is None:

@@ -7,12 +7,13 @@ chain build.  Aut(P) is a permutation group on the positions of P's
 elements, built level by level from first hits of that search; its
 order is checked against the product of the orbit lengths.  A
 candidate map is extended along the source's word plan (`_cayley_plan`,
-its Cayley graph on image tuples, built once per source), so each
-candidate composes only target images.  One join-closure over a
+its Cayley graph on images, built once per source), so each candidate
+composes only target images, each product one `translate` by a
+generator's table (`perm._table_of`).  One join-closure over a
 partition of P's elements lists all, normal or characteristic subgroups
 (`_subgroup_lattice`).  A one-element block's atom, a cyclic subgroup,
 and each join's element set come first, closed by whole cosets of the
-smaller subgroup on image tuples; only a set not seen before becomes a
+smaller subgroup on images; only a set not seen before becomes a
 subgroup, made with that element set by `group._subgroup` (so is the
 generating sequence), and builds its chain only on first use, where the
 build checks the set's size as its order.  `is_isomorphic` compares the
@@ -27,7 +28,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .caps import check_cap, current_caps
@@ -44,7 +44,7 @@ from .group import (
     quotient_group,
     span,
 )
-from .perm import _IDENTITY, Perm, _compose, _getter, _perm
+from .perm import _IDENTITY, Images, Perm, _compose, _getter, _perm, _table_of
 
 
 @dataclass
@@ -61,7 +61,7 @@ class GeneratorMap:
         if any(x.degree != self.target.degree for x in self.images):
             raise ValueError("image degree differs from the target's")
 
-    def extend(self) -> dict[tuple[int, ...], Perm] | None:
+    def extend(self) -> dict[Images, Perm] | None:
         """Extend to a full homomorphism along the source's word plan.
 
         Returns the element-wise map, or None if the generator images
@@ -72,11 +72,11 @@ class GeneratorMap:
         depend on the order of the edges.
         """
         elems, rows = _cayley_plan(self.source)
-        gens = [x.images for x in self.images]
+        tables = [_table_of(x.images) for x in self.images]
         imgs = [_IDENTITY[self.target.degree]] + [None] * (len(elems) - 1)
         for i, row in enumerate(rows):
-            times = _getter(imgs[i])  # set: breadth-first, i was reached from a row < i
-            for s, k in zip(gens, row):
+            times = imgs[i].translate  # set: breadth-first, i was reached from a row < i
+            for s, k in zip(tables, row):
                 y = times(s)
                 known = imgs[k]
                 if known is None:
@@ -86,7 +86,7 @@ class GeneratorMap:
         return dict(zip(elems, map(_perm, imgs)))
 
     @cached_property
-    def _table(self) -> dict[tuple[int, ...], Perm] | None:
+    def _table(self) -> dict[Images, Perm] | None:
         return self.extend()
 
     def is_homomorphism(self) -> bool:
@@ -106,19 +106,19 @@ class GeneratorMap:
 
 
 @memoized
-def _cayley_plan(g: PermGroup) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """The word plan of g: its elements as image tuples, breadth-first from
+def _cayley_plan(g: PermGroup) -> tuple[list[Images], list[tuple[int, ...]]]:
+    """The word plan of g: its elements as images, breadth-first from
     the identity over g's gens, and per element a row whose entry j is the
     index of element * gens[j].  Kept on g for every `GeneratorMap.extend`
     from g."""
-    gens = [s.images for s in g.gens]
+    tables = [_table_of(s.images) for s in g.gens]
     elems = [_IDENTITY[g.degree]]
     index = {elems[0]: 0}
     rows = []
     for x in elems:
-        times = _getter(x)
+        times = x.translate
         row = []
-        for s in gens:
+        for s in tables:
             y = times(s)
             k = index.get(y)
             if k is None:
@@ -273,7 +273,7 @@ def _iso_search(
     target: PermGroup,
     pools: list[list[Perm]],
     chosen: tuple[Perm, ...] = (),
-    chosen_set: frozenset[tuple[int, ...]] | None = None,
+    chosen_set: frozenset[Images] | None = None,
 ) -> Iterator[GeneratorMap]:
     """Yield each isomorphism source -> target that sends source.gens[i]
     into pools[i], in pool order.
@@ -359,20 +359,20 @@ def automorphism_group(p: PermGroup) -> PermGroup:
 
 def _closure(
     degree: int,
-    hset: frozenset[tuple[int, ...]],
+    hset: frozenset[Images],
     gens: Sequence[Perm],
     stop: int,
-) -> frozenset[tuple[int, ...]]:
-    """The element set of <H, gens>, from H's element set, as image tuples.
+) -> frozenset[Images]:
+    """The element set of <H, gens>, from H's element set, as images.
 
     gens must generate H together with the new elements (H's gens among
     them).  The set grows by whole cosets y*H: for each coset rep r found
     so far (first the identity) and each generator g, a product y = g*r
     outside the set adds the coset y*H, and y becomes a rep.  The set is
     then closed under left multiplication by every generator, so it is
-    the group.  Left cosets let one itemgetter over y form every y*x of
-    the coset (`perm._compose(y, x)`); a y outside the set exists only at
-    degree >= 2, where itemgetter returns a tuple.
+    the group.  Left cosets let one getter of y (`perm._getter`) form
+    every y*x of the coset, `perm._compose(y, x)`, with the image type of
+    the set's members, so the products are found in the set.
 
     The closure returns as soon as the set has at least stop elements;
     it is then a part of the group that large.  A caller that rejects a
@@ -388,7 +388,7 @@ def _closure(
         for g in gen_imgs:
             y = _compose(g, r)
             if y not in found:
-                found.update(map(itemgetter(*y), hlist))
+                found.update(map(_getter(y), hlist))
                 if len(found) >= stop:
                     return frozenset(found)
                 reps.append(y)

@@ -1,72 +1,121 @@
-"""Permutations of {0..n-1} stored as image tuples.
+"""Permutations of {0..n-1} stored as their images.
 
 Composition is left-to-right: (a * b) applies a first, then b.  This
 matches the right-coset conventions used everywhere else in the library
 (right transversals, the dot action, pretransfer products).
 
-Hot loops (here and in `group`) compose bare image tuples with
-`_compose`, or with a `_getter` built once for a factor they reuse, and
-wrap a result in a Perm, with `_perm`, only when it leaves the loop.
-`_perm` skips the check that `Perm(...)` makes on outside input: the
-composite or inverse of valid permutations of one degree is again one,
-so only such products may be wrapped unchecked.
+A permutation of degree n <= 256 keeps its images as `bytes`: entry i is
+the image of i.  The product a * b is `a.translate(b + _PAD[n])`, the
+gather b[a[i]] done in C, and a `bytes` object computes its hash once,
+so element sets and memo keys look images up cheaply.  At one length,
+`bytes` compare and sort as the tuples of their ints do.  A wider
+permutation keeps a `_Wide` tuple, whose `translate` gathers through an
+itemgetter, and whose pad is empty; so the one product `_compose` serves
+every degree.  `_images` turns outside input into the degree's type,
+and every image sequence of the library comes from it, from `_IDENTITY`
+or from the kernel below.
+
+Hot loops (here and in `group` and `iso`) compose bare images with
+`_compose`, with a `_getter` built once for a left factor they reuse, or
+with the `_table_of` of a right factor they reuse, and wrap a result in a
+Perm, with `_perm`, only when it leaves the loop.  `_perm` skips the
+check that `Perm(...)` makes on outside input: the composite or inverse
+of valid permutations of one degree is again one, so only such products
+may be wrapped unchecked.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from math import lcm
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence, Union
 
 _new = object.__new__
 
+# The degree up to which images are bytes: a translate table has 256 entries.
+_NARROW = 256
 
-def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """The image tuple of a then b: entry i is b[a[i]].
 
-    a and b must be image tuples of permutations of one degree; nothing
-    is checked, so callers holding outside input check the degrees first.
+class _Wide(tuple):
+    """The images of a permutation of degree above 256: a tuple of ints
+    with the one `bytes` method the kernel uses."""
+
+    __slots__ = ()
+
+    def translate(self, table) -> "_Wide":
+        """Entry i is table[self[i]], as `bytes.translate` gives."""
+        return _Wide(itemgetter(*self)(table))
+
+
+Images = Union[bytes, _Wide]
+
+# _PAD[n] completes the images of degree n to a 256-entry translate table:
+# the points n..255, which no image of degree n reaches.  A wide degree's
+# pad is empty (see `_Identities`).
+_PAD: list = [bytes(range(n, _NARROW)) for n in range(_NARROW + 1)]
+
+
+def _compose(a: Images, b: Images) -> Images:
+    """The images of a then b: entry i is b[a[i]].
+
+    a and b must be images of permutations of one degree; nothing is
+    checked, so callers holding outside input check the degrees first.
     """
-    # itemgetter with one index returns a bare item; degree <= 1 has only
-    # the identity, so the product is b.
-    return itemgetter(*a)(b) if len(a) > 1 else b
+    return a.translate(b + _PAD[len(b)])
 
 
-def _same(b: tuple[int, ...]) -> tuple[int, ...]:
-    return b
+def _table_of(b: Images):
+    """The translate table of b: `a.translate(_table_of(b))` is
+    `_compose(a, b)`, for a loop that reuses the right factor b."""
+    return b + _PAD[len(b)]
 
 
-def _getter(a: tuple[int, ...]):
-    """The function b -> _compose(a, b), to apply a to many b.
-
-    A loop that composes one a with many tuples builds this once instead
-    of an itemgetter per product.  At degree <= 1 it returns b, as
-    `_compose` does.
-    """
-    return itemgetter(*a) if len(a) > 1 else _same
+def _getter(a: Images):
+    """The function b -> _compose(a, b), to apply a to many b."""
+    translate, pad = a.translate, _PAD[len(a)]
+    return lambda b: translate(b + pad)
 
 
-def _invert(a: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(a)
+def _invert(a: Images) -> Images:
+    n = len(a)
+    if n <= _NARROW:
+        # maketrans scatters: its table sends a[i] to i.
+        return bytes.maketrans(a, _IDENTITY[n])[:n]
+    inv = [0] * n
     for i, x in enumerate(a):
         inv[x] = i
-    return tuple(inv)
+    return _Wide(inv)
 
 
 class _Identities(dict):
-    """degree -> the image tuple of the identity, each built once."""
+    """degree -> the images of the identity, each built once.  A wide
+    degree's first identity extends `_PAD` to it with empty pads."""
 
-    def __missing__(self, degree: int) -> tuple[int, ...]:
-        ident = self[degree] = tuple(range(degree))
+    def __missing__(self, degree: int) -> Images:
+        if degree <= _NARROW:
+            ident = bytes(range(degree))
+        else:
+            _PAD.extend([()] * (degree + 1 - len(_PAD)))
+            ident = _Wide(range(degree))
+        self[degree] = ident
         return ident
 
 
 _IDENTITY = _Identities()
 
 
-def _perm(images: tuple[int, ...]) -> "Perm":
-    """A Perm of an image tuple that is already known to be a permutation."""
+def _images(points: Sequence[int]) -> Images:
+    """points as the image type of their degree; nothing is checked."""
+    if len(points) <= _NARROW:
+        return bytes(points)
+    _IDENTITY[len(points)]  # extends _PAD to this degree
+    return _Wide(points)
+
+
+def _perm(images: Images) -> "Perm":
+    """A Perm of images that are already known to be a permutation."""
     p = _new(Perm)
     p.images = images
     p._inverse = None
@@ -88,7 +137,7 @@ class Perm:
         imgs = tuple(images)
         if sorted(imgs) != list(range(len(imgs))):
             raise ValueError(f"not a permutation of 0..{len(imgs) - 1}: {imgs!r}")
-        self.images = imgs
+        self.images = _images(imgs)
         self._inverse = None
 
     # construction helpers -------------------------------------------------
@@ -227,30 +276,29 @@ def commutator(a: Perm, b: Perm) -> Perm:
     return _perm(_compose(_compose(_compose(ai, bi), a.images), b.images))
 
 
+# A product of cycles, each of points split by commas or whitespace; the
+# cycles may be split by whitespace too.
+_CYCLE_NOTATION = re.compile(r"(\(\s*\d+([\s,]+\d+)*\s*\)\s*)+", re.ASCII)
+_CYCLE = re.compile(r"\(([^)]*)\)")
+
+
 def parse_cycles(text: str, degree: int) -> Perm:
     """Parse cycle notation like "(0 1 2)(3 4)" into a Perm.
 
-    Accepts comma or whitespace separated points; "()" and "e" mean the
-    identity.
+    Accepts comma or whitespace separated points; "()", "e" and "" mean
+    the identity.  Any other text must be a product of cycles, each of
+    one or more points, or ValueError("bad cycle notation ...").
     """
     s = text.strip()
     if s in ("()", "e", ""):
         return Perm.identity(degree)
-    if s.count("(") != s.count(")") or not s.startswith("("):
+    if not _CYCLE_NOTATION.fullmatch(s):
         raise ValueError(f"bad cycle notation: {text!r}")
-    cycles = []
-    for chunk in s.replace(")", ")\n").split("\n"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        body = chunk.strip("()").replace(",", " ")
-        pts = [int(tok) for tok in body.split()]
-        if pts:
-            cycles.append(pts)
+    cycles = [[int(tok) for tok in body.replace(",", " ").split()] for body in _CYCLE.findall(s)]
     return Perm.from_cycles(degree, cycles)
 
 
 def all_perms(degree: int) -> Iterator[Perm]:
     """Every permutation of the given degree (use only for tiny degrees)."""
     for imgs in itertools.permutations(range(degree)):
-        yield _perm(imgs)
+        yield _perm(_images(imgs))

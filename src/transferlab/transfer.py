@@ -32,7 +32,7 @@ def pretransfer(g: PermGroup, h: PermGroup, trans: Transversal, x: Perm) -> Perm
     """V(x) = product over t in the transversal of t * x * (t.x)^-1.
 
     Each factor lies in H, so the product does; the factor order is the
-    transversal's list order.  The loop runs on image tuples: for each t
+    transversal's list order.  The loop runs on bare images: for each t
     it forms u = t * x, looks up the rep r = t.x of Hu by u's coset key,
     and multiplies the product by u * r^-1.  Only the final value is
     wrapped as a Perm.

@@ -79,10 +79,9 @@ def test_an_h_not_normal_in_n_g_z_h_is_counted_under_g_s_gens(
     n = normalizer(g, h)
     _assert_same(n, normalizer_by_scan(g, h))
     assert n.order() == n_order
-    # The scan for Z(H) builds a getter per gen and per element of H; the
-    # count then builds one per gen of G.
-    assert len(getters) == len(h.gens) + h.order() + len(g.gens)
-    assert [args[0] for args in getters[-len(g.gens) :]] == [s.inverse().images for s in g.gens]
+    # The scan for Z(H) composes through translate tables and builds no
+    # getter; the count builds one per gen of G, that of its inverse.
+    assert [args[0] for args in getters] == [s.inverse().images for s in g.gens]
 
 
 @pytest.mark.parametrize("pair", PAIRS, ids=_pair_id)

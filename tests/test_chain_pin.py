@@ -18,7 +18,7 @@ def chain_digest(g) -> str:
     h = hashlib.sha256()
     h.update(repr([lvl.base for lvl in g.chain]).encode())
     for p in g.elements():
-        h.update(repr(p.images).encode())
+        h.update(repr(tuple(p.images)).encode())
     return h.hexdigest()
 
 

@@ -203,8 +203,8 @@ def test_is_isomorphic_witness_is_pinned(case):
     build, source_gens, images = WITNESS_PINS[case]
     ok, gm = is_isomorphic(*build())
     assert ok and gm.is_isomorphism()
-    assert [x.images for x in gm.source.gens] == source_gens
-    assert [x.images for x in gm.images] == images
+    assert [tuple(x.images) for x in gm.source.gens] == source_gens
+    assert [tuple(x.images) for x in gm.images] == images
 
 
 def test_generator_map_homomorphism_detection(s3):

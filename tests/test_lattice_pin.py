@@ -32,12 +32,12 @@ from transferlab.sylow import characteristic_subgroups_above, sylow_subgroup
 def lattice_digest(subgroups) -> str:
     h = hashlib.sha256()
     for sub in subgroups:
-        h.update(repr([g.images for g in sub.gens]).encode())
+        h.update(repr([tuple(g.images) for g in sub.gens]).encode())
         for lvl in sub.chain:
-            level = (lvl.base, [s.images for s in lvl.gens], sorted(lvl.transversal))
+            level = (lvl.base, [tuple(s.images) for s in lvl.gens], sorted(lvl.transversal))
             h.update(repr(level).encode())
         for x in sub.elements():
-            h.update(repr(x.images).encode())
+            h.update(repr(tuple(x.images)).encode())
         h.update(b"|")
     return h.hexdigest()[:16]
 

@@ -3,9 +3,20 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from transferlab.perm import Perm, all_perms, commutator, parse_cycles
+from transferlab.catalog import cyclic, wreath_cyclic
+from transferlab.group import PermGroup, centralizer, normalizer
+from transferlab.perm import (
+    Perm,
+    _compose,
+    _getter,
+    _invert,
+    _table_of,
+    all_perms,
+    commutator,
+    parse_cycles,
+)
 
 
 def random_perm(rng: random.Random, degree: int) -> Perm:
@@ -105,12 +116,17 @@ def test_composition_is_left_to_right():
     # (0 1) then (1 2): 0 -> 1 -> 2.
     a = Perm.from_cycles(3, [(0, 1)])
     b = Perm.from_cycles(3, [(1, 2)])
-    assert (a * b).images == (2, 0, 1)
+    assert tuple((a * b).images) == (2, 0, 1)
 
 
 def test_parse_cycles():
     assert parse_cycles("(0 1 2)(3 4)", 5) == Perm.from_cycles(5, [(0, 1, 2), (3, 4)])
     assert parse_cycles("()", 4) == Perm.identity(4)
+    assert parse_cycles(" (0, 1) (2 3)\n", 4) == Perm.from_cycles(4, [(0, 1), (2, 3)])
+    # Each of these read as (0 1), or failed with int()'s message.
+    for text in ["((0 1))", "(0 1))(()", "(0 1)x(2)", "(0 (1) 2)"]:
+        with pytest.raises(ValueError, match="bad cycle notation"):
+            parse_cycles(text, 4)
     # (0 1)(0 1) read as (0 1), though the product is 1, and (0 1)(1 2)
     # raised "not a permutation of 0..2".
     for text in ["(0 1)(0 1)", "(0 1)(1 2)", "(0 1 0)"]:
@@ -178,7 +194,7 @@ def test_products_match_checked_construction(pair):
 def test_kernel_results_are_valid_perms(p):
     for q in (p * p, p.inverse(), p.conjugate(p), commutator(p, p.inverse())):
         assert sorted(q.images) == list(range(p.degree))
-        assert type(q.images) is tuple and q.degree == p.degree
+        assert type(q.images) is type(Perm.identity(p.degree).images) and q.degree == p.degree
 
 
 @pytest.mark.parametrize(
@@ -195,3 +211,86 @@ def test_degree_mismatch_raises(op):
     for x, y in ((a, b), (b, a)):
         with pytest.raises(ValueError, match="degree mismatch"):
             op(x, y)
+
+
+# The kernel across the 256-point boundary: images are bytes up to 256
+# points and a wide tuple type above, with one product for both.  Every
+# result is compared with a plain-list computation and must have its
+# degree's image type, the type of the identity's images.
+
+BOUNDARY_DEGREES = [1, 2, 18, 256, 257, 300]
+
+
+def list_product(*factors: list[int]) -> list[int]:
+    """a * b * ... on plain lists: apply a first."""
+    images = list(range(len(factors[0])))
+    for f in factors:
+        images = [f[i] for i in images]
+    return images
+
+
+def list_inverse(a: list[int]) -> list[int]:
+    inv = [0] * len(a)
+    for i, x in enumerate(a):
+        inv[x] = i
+    return inv
+
+
+def list_power(a: list[int], k: int) -> list[int]:
+    base = a if k >= 0 else list_inverse(a)
+    result = list(range(len(a)))
+    for _ in range(abs(k)):
+        result = list_product(result, base)
+    return result
+
+
+boundary_pairs = st.sampled_from(BOUNDARY_DEGREES).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(boundary_pairs, st.integers(min_value=-3, max_value=5))
+def test_kernel_matches_lists_across_the_bytes_boundary(pair, k):
+    a_list, b_list = map(list, pair)
+    a, b = Perm(a_list), Perm(b_list)
+    n = len(a_list)
+    kind = type(Perm.identity(n).images)
+    assert (kind is bytes) == (n <= 256)
+    ab = list_product(a_list, b_list)
+    cases = [
+        (a.images, a_list),
+        ((a * b).images, ab),
+        (a.inverse().images, list_inverse(a_list)),
+        (a.conjugate(b).images, list_product(list_inverse(b_list), a_list, b_list)),
+        (
+            commutator(a, b).images,
+            list_product(list_inverse(a_list), list_inverse(b_list), a_list, b_list),
+        ),
+        ((a**k).images, list_power(a_list, k)),
+        (_compose(a.images, b.images), ab),
+        (_getter(a.images)(b.images), ab),
+        (a.images.translate(_table_of(b.images)), ab),
+        (_invert(a.images), list_inverse(a_list)),
+    ]
+    for images, expected in cases:
+        assert list(images) == expected
+        assert type(images) is kind
+
+
+def test_groups_past_256_points_answer_as_below():
+    g = cyclic(300)
+    r = g.gens[0]
+    assert g.order() == 300
+    assert g.contains(r**7) and not g.contains(Perm.transposition(300, 0, 1))
+    elems = g.elements()
+    assert sorted(list(x.images) for x in elems) == sorted(
+        [(i + j) % 300 for i in range(300)] for j in range(300)
+    )
+    assert {type(x.images) for x in elems} == {type(Perm.identity(300).images)}
+    assert normalizer(g, PermGroup(300, [r**100])).element_set() == g.element_set()
+    # S3 on {0, 1, 2} among 300 points: N(<(0 1)>) and C((0 1)) are <(0 1)>.
+    s3 = PermGroup(300, [Perm.from_cycles(300, [(0, 1, 2)]), Perm.transposition(300, 0, 1)])
+    h = PermGroup(300, [Perm.transposition(300, 0, 1)])
+    assert normalizer(s3, h).element_set() == centralizer(s3, h).element_set() == h.element_set()
+    assert wreath_cyclic(17).order() == 17**18

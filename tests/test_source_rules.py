@@ -157,6 +157,58 @@ def test_identity_tuples_come_from_the_table(path):
     assert lines == [], f"{path.name} builds tuple(range(...)) at lines {lines}"
 
 
+def _image_builds(tree: ast.AST) -> list[int]:
+    """Lines that name itemgetter (by name, as an attribute or imported),
+    call bytes(...) or call tuple(range(...)): the ways to make an image
+    sequence, or a product of images, outside `perm`'s kernel."""
+    lines = set()
+    for node in ast.walk(tree):
+        if (
+            (isinstance(node, ast.Name) and node.id == "itemgetter")
+            or (isinstance(node, ast.Attribute) and node.attr == "itemgetter")
+            or (isinstance(node, ast.alias) and node.name == "itemgetter")
+        ):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            arg = node.args[0] if len(node.args) == 1 else None
+            if node.func.id == "bytes" or (
+                node.func.id == "tuple"
+                and isinstance(arg, ast.Call)
+                and isinstance(arg.func, ast.Name)
+                and arg.func.id == "range"
+            ):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_image_rule_sees_itemgetter_and_built_images():
+    source = (
+        "from operator import itemgetter\n"
+        "found.update(map(itemgetter(*y), hlist))\n"
+        "get = operator.itemgetter(0)\n"
+        "ident = tuple(range(degree))\n"
+        "imgs = bytes(pts)\n"
+        "y = _compose(g, r)\n"
+        "pts = tuple(x for x in range(degree))\n"
+        "cycle = tuple(sorted(c))\n"
+    )
+    assert _image_builds(ast.parse(source)) == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in MODULES if path.name != "perm.py"], ids=lambda path: path.name
+)
+def test_only_perm_makes_images(path):
+    """Every image sequence of one degree has the one type `perm` picks
+    for it (`bytes`, or a wide tuple above 256 points): only `perm`
+    builds images and composes them by itemgetter, and other modules
+    compose through its kernel.  An itemgetter product elsewhere returns
+    a plain tuple, which equals no `bytes` member of an element set."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = _image_builds(tree)
+    assert lines == [], f"{path.name} builds images or uses itemgetter at lines {lines}"
+
+
 STDLIB_MEMOS = {"cache", "lru_cache"}
 
 

@@ -86,7 +86,7 @@ def test_the_plan_is_the_cayley_graph_of_the_source():
     and row i, entry j is the index of element i times gen j."""
     g = dihedral(8)
     elems, rows = _cayley_plan(g)
-    assert elems[0] == tuple(range(g.degree))
+    assert tuple(elems[0]) == tuple(range(g.degree))
     assert sorted(elems) == sorted(g.element_set()) and len(set(elems)) == g.order()
     index = {x: i for i, x in enumerate(elems)}
     for i, row in enumerate(rows):
